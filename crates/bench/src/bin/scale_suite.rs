@@ -1,20 +1,22 @@
-//! PR 7 scale-out benchmark: the sharded conservative-time-window engine
-//! on 64/256/1024-node meshes, written to `BENCH_PR7.json` (hand-rolled
-//! JSON, BENCH_PR1/PR6 methodology: measure everything in one process,
-//! report raw numbers, explain shortfalls in `notes`). Usage:
+//! Scale-out benchmark: the sharded conservative-time-window engine on
+//! 64/256/1024-node meshes under 1, 2 and 4 shards, printed as JSON and
+//! also written to `output.json` when a path is given. Usage:
 //!
 //! ```text
 //! cargo run --release -p flash-bench --bin scale_suite [output.json]
 //! ```
 //!
-//! Each mesh size runs the same uniform neighbor-sharing workload under
-//! shard counts 1, 2, and 4. Two things are recorded per point:
+//! Each mesh size runs the same uniform neighbor-sharing workload. Per
+//! mesh, one untimed warm-up run comes first, so no shard count pays for
+//! a cold allocator; then every shard count runs `REPEATS` times, the
+//! order alternating between ascending and descending shard counts so
+//! host drift falls evenly on all of them. Two things are recorded per
+//! point:
 //!
-//! * wall-clock time and simulated cycles/sec (the honest speedup, or
-//!   lack of it — on a single-core host the window barriers make
-//!   multi-shard runs *slower*, and the JSON says so), and
+//! * wall-clock time (median, min and max over the repeats), simulated
+//!   cycles/sec and the speedup over 1 shard, both from the medians, and
 //! * the determinism cross-check: `exec_cycles` must be identical across
-//!   shard counts or the process exits nonzero.
+//!   shard counts and repeats or the process exits nonzero.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -25,6 +27,8 @@ use flash_engine::{Addr, LINE_BYTES};
 
 const BUDGET: u64 = 2_000_000_000;
 const SHARDS: [usize; 3] = [1, 2, 4];
+/// Timed runs per (mesh, shard count) point.
+const REPEATS: usize = 10;
 
 /// Uniform neighbor-sharing traffic: every node works its own home lines
 /// and reads its ring neighbor's, producing real mesh traffic (remote
@@ -48,15 +52,15 @@ fn streams(nodes: u16, lines: u64, rounds: usize) -> Vec<Box<dyn RefStream>> {
         .collect()
 }
 
-struct Point {
-    shards: usize,
+/// One timed run.
+struct Run {
     wall_s: f64,
     exec_cycles: u64,
     wheel_pushes: u64,
     heap_pushes: u64,
 }
 
-fn run_point(nodes: u16, shards: usize, lines: u64, rounds: usize) -> Point {
+fn run_once(nodes: u16, shards: usize, lines: u64, rounds: usize) -> Run {
     let mut m = Machine::new(
         MachineConfig::flash(nodes)
             .with_shards(shards)
@@ -70,8 +74,7 @@ fn run_point(nodes: u16, shards: usize, lines: u64, rounds: usize) -> Point {
     };
     let wall_s = t0.elapsed().as_secs_f64();
     let (wheel_pushes, heap_pushes) = m.queue_push_routing();
-    Point {
-        shards,
+    Run {
         wall_s,
         exec_cycles,
         wheel_pushes,
@@ -79,63 +82,91 @@ fn run_point(nodes: u16, shards: usize, lines: u64, rounds: usize) -> Point {
     }
 }
 
+/// Median, min and max of a non-empty sample.
+fn summary(xs: &[f64]) -> (f64, f64, f64) {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    let median = if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    };
+    (median, v[0], v[n - 1])
+}
+
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_PR7.json".to_string());
+    let out_path = std::env::args().nth(1);
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"pr\": 7,\n");
-    json.push_str("  \"description\": \"Sharded conservative-time-window engine: 64/256/1024-node meshes under 1/2/4 shards, uniform neighbor-sharing workload\",\n");
-    let _ = writeln!(json, "  \"host\": {{ \"cores\": {host_cores} }},");
+    json.push_str("  \"description\": \"Sharded conservative-time-window engine: 64/256/1024-node meshes under 1/2/4 shards, uniform neighbor-sharing workload; one warm-up run per mesh, then each point repeated in alternating shard order\",\n");
+    let _ = writeln!(
+        json,
+        "  \"host\": {{ \"cores\": {host_cores} }},\n  \"repeats\": {REPEATS},"
+    );
     json.push_str("  \"meshes\": {\n");
 
+    let meshes = [(64u16, 8u64, 64usize), (256, 8, 16), (1024, 4, 8)];
     let mut all_ok = true;
-    for (mi, &(nodes, lines, rounds)) in [(64u16, 8u64, 64usize), (256, 8, 16), (1024, 4, 8)]
-        .iter()
-        .enumerate()
-    {
-        let points: Vec<Point> = SHARDS
-            .iter()
-            .map(|&s| run_point(nodes, s, lines, rounds))
-            .collect();
-        let base = &points[0];
-        let identical = points.iter().all(|p| p.exec_cycles == base.exec_cycles);
+    for (mi, &(nodes, lines, rounds)) in meshes.iter().enumerate() {
+        let warm = run_once(nodes, 1, lines, rounds);
+        let mut walls = vec![Vec::with_capacity(REPEATS); SHARDS.len()];
+        let mut identical = true;
+        for rep in 0..REPEATS {
+            for k in 0..SHARDS.len() {
+                // Ascending shard order on even repeats, descending on odd.
+                let i = if rep % 2 == 0 {
+                    k
+                } else {
+                    SHARDS.len() - 1 - k
+                };
+                let r = run_once(nodes, SHARDS[i], lines, rounds);
+                identical &= r.exec_cycles == warm.exec_cycles;
+                walls[i].push(r.wall_s);
+            }
+        }
         all_ok &= identical;
+        let base_median = summary(&walls[0]).0;
         let _ = writeln!(json, "    \"{nodes}\": {{");
-        let _ = writeln!(json, "      \"exec_cycles\": {},", base.exec_cycles);
+        let _ = writeln!(json, "      \"exec_cycles\": {},", warm.exec_cycles);
         let _ = writeln!(json, "      \"deterministic_across_shards\": {identical},");
         let _ = writeln!(
             json,
             "      \"wheel_pushes\": {}, \"heap_pushes\": {},",
-            base.wheel_pushes, base.heap_pushes
+            warm.wheel_pushes, warm.heap_pushes
         );
         json.push_str("      \"points\": [\n");
-        for (i, p) in points.iter().enumerate() {
-            let mcps = p.exec_cycles as f64 / p.wall_s / 1e6;
-            let speedup = base.wall_s / p.wall_s;
+        for (i, &shards) in SHARDS.iter().enumerate() {
+            let (median, min, max) = summary(&walls[i]);
             let _ = write!(
                 json,
-                "        {{ \"shards\": {}, \"wall_s\": {:.3}, \"sim_mcycles_per_s\": {:.2}, \"speedup_vs_1_shard\": {:.2} }}",
-                p.shards, p.wall_s, mcps, speedup
+                "        {{ \"shards\": {shards}, \"wall_s_median\": {median:.4}, \"wall_s_min\": {min:.4}, \"wall_s_max\": {max:.4}, \"sim_mcycles_per_s\": {:.2}, \"speedup_vs_1_shard\": {:.2} }}",
+                warm.exec_cycles as f64 / median / 1e6,
+                base_median / median
             );
-            json.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
+            json.push_str(if i + 1 < SHARDS.len() { ",\n" } else { "\n" });
         }
         json.push_str("      ]\n");
-        json.push_str(if mi < 2 { "    },\n" } else { "    }\n" });
+        json.push_str(if mi + 1 < meshes.len() {
+            "    },\n"
+        } else {
+            "    }\n"
+        });
     }
     json.push_str("  },\n");
     let _ = writeln!(
         json,
-        "  \"notes\": \"exec_cycles are byte-identical across shard counts (the determinism contract); speedups are honest wall-clock ratios on this host. With {host_cores} core(s) available, window-barrier coordination makes multi-shard runs no faster (or slower) than serial — the sharding win requires real cores, the same way BENCH_PR6 reported translated-backend wins only where they were measured.\""
+        "  \"notes\": \"exec_cycles must be identical across shard counts and repeats (the determinism contract). Speedups are ratios of median wall times on a host with {host_cores} core(s).\""
     );
     json.push_str("}\n");
 
-    std::fs::write(&out_path, &json).expect("write BENCH_PR7.json");
+    if let Some(path) = out_path {
+        std::fs::write(&path, &json).expect("write scale_suite JSON");
+    }
     print!("{json}");
     if !all_ok {
         eprintln!("scale_suite: DETERMINISM VIOLATION — exec_cycles differ across shard counts");

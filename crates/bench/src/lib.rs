@@ -29,23 +29,27 @@ use flash_cpu::{RefStream, SliceStream, WorkItem};
 use flash_engine::{NodeId, SEGMENT_COUNT};
 use flash_workloads::{by_name, Workload};
 
+/// A positive integer read from `name` (surrounding whitespace allowed).
+/// Unset, empty, unparsable and zero values all yield `None`, so the
+/// caller falls back to its default.
+fn positive_env<T: std::str::FromStr + PartialOrd + Default>(name: &str) -> Option<T> {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|n| *n > T::default())
+}
+
 /// Problem-size divisor selected by environment variables.
 pub fn scale() -> u32 {
     if std::env::var("FLASH_FULL").is_ok_and(|v| v == "1") {
         return 1;
     }
-    std::env::var("FLASH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
+    positive_env("FLASH_SCALE").unwrap_or(4)
 }
 
 /// Processor count for the parallel applications (paper: 16).
 pub fn parallel_procs() -> u16 {
-    std::env::var("FLASH_PROCS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16)
+    positive_env("FLASH_PROCS").unwrap_or(16)
 }
 
 /// Processor count for the OS workload (paper: 8).
@@ -440,6 +444,30 @@ mod tests {
                 "{class:?}: the ideal machine handles in zero time"
             );
         }
+    }
+
+    /// A zero divisor would divide by zero in every job, so zero and
+    /// garbage fall back to the default; whitespace is trimmed.
+    #[test]
+    fn scale_rejects_zero_and_trims() {
+        std::env::remove_var("FLASH_FULL");
+        for (value, want) in [("0", 4), (" 0 ", 4), ("x", 4), (" 8 ", 8), ("2", 2)] {
+            std::env::set_var("FLASH_SCALE", value);
+            assert_eq!(scale(), want, "FLASH_SCALE={value:?}");
+        }
+        std::env::remove_var("FLASH_SCALE");
+        assert_eq!(scale(), 4);
+    }
+
+    /// Same contract for `FLASH_PROCS`.
+    #[test]
+    fn parallel_procs_rejects_zero_and_trims() {
+        for (value, want) in [("0", 16), (" 0 ", 16), ("x", 16), (" 8 ", 8), ("4", 4)] {
+            std::env::set_var("FLASH_PROCS", value);
+            assert_eq!(parallel_procs(), want, "FLASH_PROCS={value:?}");
+        }
+        std::env::remove_var("FLASH_PROCS");
+        assert_eq!(parallel_procs(), 16);
     }
 
     #[test]

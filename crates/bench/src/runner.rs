@@ -150,9 +150,8 @@ impl Job {
         }
     }
 
-    /// Executes this job through the memo cache (or uncached when
-    /// `FLASH_NO_MEMO=1`), discarding the result — it is retrievable via
-    /// [`cached_run`] / [`cached_latency`].
+    /// Executes this job through the memo cache, discarding the result —
+    /// it is retrievable via [`cached_run`] / [`cached_latency`].
     pub fn run(&self) {
         match self {
             Job::Run(spec) => {
@@ -234,14 +233,6 @@ fn export_observe(key: &str, report: Option<&flash::ObserveReport>) {
     }
 }
 
-/// `FLASH_NO_MEMO=1` disables the memo cache and prefetch deduplication,
-/// recreating the pre-runner behaviour where every artifact re-simulated
-/// its own points. A measurement aid for quantifying the dedup win
-/// (`benches/`, BENCH_PR1.json); not intended for normal use.
-fn memo_disabled() -> bool {
-    std::env::var("FLASH_NO_MEMO").is_ok_and(|v| v == "1")
-}
-
 /// Worker count: `FLASH_JOBS` if set, otherwise the machine's available
 /// parallelism (at least 1).
 pub fn jobs() -> usize {
@@ -272,9 +263,6 @@ pub fn cached_run_count() -> usize {
 /// compute it and the first insertion wins — harmless, because the
 /// simulation is deterministic and both results are identical.
 pub fn cached_run(spec: &RunSpec) -> MachineReport {
-    if memo_disabled() {
-        return spec.work.execute(&spec.cfg);
-    }
     let key = spec.key();
     if let Some(r) = lock(run_cache()).get(&key) {
         return r.clone();
@@ -299,9 +287,6 @@ pub fn cached_run(spec: &RunSpec) -> MachineReport {
 
 /// Runs (or recalls) one Table 3.3 latency measurement.
 pub fn cached_latency(kind: ControllerKind, class: MissClass) -> f64 {
-    if memo_disabled() {
-        return crate::measure_class_uncached(kind, class);
-    }
     let key = Job::Latency(kind, class).key();
     if let Some(v) = lock(lat_cache()).get(&key) {
         return *v;
@@ -435,11 +420,6 @@ pub fn prefetch_with_jobs(list: &[Job], workers: usize) -> usize {
 /// threads, no wall-clock timeouts). Returns the number of points
 /// actually simulated.
 pub fn prefetch_supervised(list: &[Job], workers: usize, opts: &SuperviseOptions) -> usize {
-    if memo_disabled() {
-        // Pre-runner behaviour: nothing is prefetched, every artifact
-        // re-simulates its own points at render time.
-        return 0;
-    }
     let mut seen = HashSet::new();
     let mut pending: Vec<Job> = Vec::new();
     for job in list {

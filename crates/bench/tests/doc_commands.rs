@@ -171,8 +171,8 @@ fn observe_breakdown_stdout_matches_golden_across_shards_and_backends() {
 }
 
 /// `repro_all` — the full paper-reproduction sweep — is pinned against
-/// its golden transcript under the sharded engine. (The release-mode
-/// `bench_pr8` bin re-checks this under the default serial config on
+/// its golden transcript under the sharded engine. (The benchmark's
+/// `repro` workload re-checks this under the default serial config on
 /// every CI perf-smoke run; here the 4-shard config exercises the
 /// boundary machinery end to end.)
 #[test]

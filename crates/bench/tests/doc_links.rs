@@ -1,6 +1,7 @@
 //! The documentation CI: every relative markdown link resolves, every
-//! anchor points at a real heading, and the README's `FLASH_*` table and
-//! the source tree agree on the set of environment variables.
+//! anchor points at a real heading, the README's `FLASH_*` table and
+//! the source tree agree on the set of environment variables, and every
+//! documented `--bin` exists.
 //!
 //! Hand-rolled scanners (no regex/markdown deps, per the frozen-deps
 //! rule): fenced code blocks are stripped before link extraction, and
@@ -189,23 +190,36 @@ fn flash_tokens(text: &str) -> BTreeSet<String> {
     out
 }
 
-/// Env-var tokens actually present in the Rust source tree.
-fn source_tokens(root: &Path) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let mut dirs = vec![root.join("crates"), root.join("tests")];
+/// Every file with extension `ext` under `dir`, skipping build output
+/// and version control.
+fn files_under(dir: &Path, ext: &str) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    let mut dirs = vec![dir.to_path_buf()];
     while let Some(dir) = dirs.pop() {
         for entry in std::fs::read_dir(&dir).unwrap() {
             let path = entry.unwrap().path();
             if path.is_dir() {
-                if !path.ends_with("target") {
+                if !["target", ".git", ".bench_build"]
+                    .iter()
+                    .any(|d| path.ends_with(d))
+                {
                     dirs.push(path);
                 }
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                out.extend(flash_tokens(&std::fs::read_to_string(&path).unwrap()));
+            } else if path.extension().is_some_and(|e| e == ext) {
+                out.push(path);
             }
         }
     }
     out
+}
+
+/// Env-var tokens actually present in the Rust source tree.
+fn source_tokens(root: &Path) -> BTreeSet<String> {
+    [root.join("crates"), root.join("tests")]
+        .iter()
+        .flat_map(|dir| files_under(dir, "rs"))
+        .flat_map(|path| flash_tokens(&std::fs::read_to_string(path).unwrap()))
+        .collect()
 }
 
 /// Rows of the README's operator table (lines opening with a
@@ -244,5 +258,56 @@ fn readme_env_table_matches_the_source_tree() {
     assert!(
         rotten.is_empty(),
         "README operator table documents vars no source file mentions: {rotten:?}"
+    );
+}
+
+/// The bin names that follow `--bin` in a text (code fences included:
+/// that is where the commands live). A `--bin` followed by something
+/// that is not a bin name, such as `<name>`, is skipped.
+fn bin_names(text: &str) -> Vec<String> {
+    let mut words = text.split_whitespace();
+    let mut out = Vec::new();
+    while let Some(word) = words.next() {
+        if word.trim_start_matches('`') != "--bin" {
+            continue;
+        }
+        let Some(next) = words.next() else { break };
+        let name: String = next
+            .chars()
+            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_' || *c == '-')
+            .collect();
+        if !name.is_empty() {
+            out.push(name);
+        }
+    }
+    out
+}
+
+/// Every `--bin <name>` in the markdown names an existing
+/// `crates/*/src/bin/<name>.rs`, so documentation for a deleted or
+/// renamed bin fails here instead of failing the reader.
+#[test]
+fn documented_bins_exist() {
+    let root = workspace_root();
+    let bins: BTreeSet<String> = files_under(&root.join("crates"), "rs")
+        .into_iter()
+        .filter(|p| p.parent().is_some_and(|d| d.ends_with("src/bin")))
+        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    assert!(bins.contains("repro_all"), "bin scan found {bins:?}");
+    let mut stale = Vec::new();
+    for path in files_under(&root, "md") {
+        let text = std::fs::read_to_string(&path).unwrap();
+        for name in bin_names(&text) {
+            if !bins.contains(&name) {
+                let doc = path.strip_prefix(&root).unwrap_or(&path);
+                stale.push(format!("{}: --bin {name}", doc.display()));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "documented bins with no crates/*/src/bin/<name>.rs:\n{}",
+        stale.join("\n")
     );
 }

@@ -202,8 +202,8 @@ pub struct MachineConfig {
     /// per subsystem (the host-time mirror of the cycle-attribution
     /// observer — see [`crate::hostprof`]). Off by default. A pure
     /// observer of the host clock: arming it never changes simulated
-    /// timing or any report. Exported as `flash-hostprof-v1` JSON via
-    /// `FLASH_HOSTPROF_OUT`; rendered by the `host_profile` bin.
+    /// timing or any report. Read through `Machine::host_profile`, and
+    /// exported as `flash-hostprof-v1` JSON via `FLASH_HOSTPROF_OUT`.
     pub host_profile: bool,
     /// Hit fast path: a processor wakeup or quantum yield whose
     /// continuation is provably the shard's next event executes inline in

@@ -28,11 +28,11 @@
 //! accumulators merge at run teardown; on multi-shard runs the segment
 //! sum is CPU time across workers and may exceed wall time. Export: the
 //! `flash-hostprof-v1` JSON of METRICS.md, written to `FLASH_HOSTPROF_OUT`
-//! at run completion and rendered by the `host_profile` bin.
+//! at run completion.
 
 use std::time::Instant;
 
-/// Host-time segments, in render order.
+/// Host-time segments, in export order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostSeg {
     /// Processor run loop and cache model.
@@ -203,27 +203,6 @@ impl HostProfile {
             ));
         }
         s.push_str("  }\n}\n");
-        s
-    }
-
-    /// Renders a human-readable table (the `host_profile` bin's output).
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!(
-            "host-time profile: {:.1} ms wall, {} events, {:.1}% attributed\n",
-            self.wall_ns as f64 / 1e6,
-            self.acc.events,
-            100.0 * self.coverage()
-        ));
-        let total = self.attributed_ns().max(1);
-        for (i, name) in HOST_SEG_NAMES.iter().enumerate() {
-            let ns = self.acc.ns[i];
-            s.push_str(&format!(
-                "  {name:<14} {:>10.2} ms  {:>5.1}%\n",
-                ns as f64 / 1e6,
-                100.0 * ns as f64 / total as f64
-            ));
-        }
         s
     }
 }
