@@ -1,5 +1,7 @@
 //! PR 10 open-loop traffic benchmark: load–latency curves for the FLASH
-//! machine, written to `BENCH_PR10.json`. Usage:
+//! machine, printed as JSON and also written to `output.json` when a path
+//! is given (`BENCH_PR10.json` is the frozen record of one such run).
+//! Usage:
 //!
 //! ```text
 //! cargo run --release -p flash-bench --bin traffic_suite [output.json]
@@ -149,7 +151,7 @@ fn knee(points: &[Point]) -> Option<u64> {
 }
 
 /// Re-runs one load point under shards 1/2/4 × both PP backends and
-/// demands byte-identical latency reports (the determinism contract that
+/// demands identical latency reports (the determinism contract that
 /// makes this file reproducible under any `FLASH_SHARDS` /
 /// `FLASH_PP_BACKEND` setting).
 fn cross_check(shape: Shape, pct: u64, mean_gap: u64) -> bool {
@@ -160,7 +162,7 @@ fn cross_check(shape: Shape, pct: u64, mean_gap: u64) -> bool {
                 .with_shards(shards)
                 .with_pp_backend(backend);
             let p = run_point(shape, pct, mean_gap, cfg);
-            copies.push((p.exec_cycles, p.report.to_json()));
+            copies.push((p.exec_cycles, p.report));
         }
     }
     copies.iter().all(|c| *c == copies[0])
@@ -230,7 +232,6 @@ fn main() {
         smoke();
         return;
     }
-    let out_path = arg.unwrap_or_else(|| "BENCH_PR10.json".to_string());
     let shape = FULL;
 
     let cycles_per_ref = measure_capacity(shape);
@@ -281,7 +282,9 @@ fn main() {
     json.push_str("  \"notes\": \"All values are simulated cycles - no wall-clock numbers - so this file is byte-identical under any FLASH_SHARDS or FLASH_PP_BACKEND setting (one load point is re-run under shards 1/2/4 x both backends in-process to prove it). The knee is where mean admission wait first exceeds p50 service latency: below it the open-loop machine tracks the closed-loop latency tables, above it the backlog grows without bound and latency is queueing, not service (see EXPERIMENTS.md).\"\n");
     json.push_str("}\n");
 
-    std::fs::write(&out_path, &json).expect("write BENCH_PR10.json");
+    if let Some(path) = arg {
+        std::fs::write(&path, &json).expect("write traffic_suite JSON");
+    }
     print!("{json}");
     if !deterministic {
         eprintln!(

@@ -22,12 +22,10 @@ pub use runner::{
 };
 
 use flash::config::node_addr;
-use flash::{
-    ControllerKind, LatencyTable, Machine, MachineConfig, MachineReport, ObserveReport, RunResult,
-};
+use flash::{ControllerKind, LatencyTable, Machine, MachineConfig, MachineReport};
 use flash_cpu::{RefStream, SliceStream, WorkItem};
 use flash_engine::{NodeId, SEGMENT_COUNT};
-use flash_workloads::{by_name, Workload};
+use flash_workloads::{by_name, run_to_completion, Workload};
 
 /// A positive integer read from `name` (surrounding whitespace allowed).
 /// Unset, empty, unparsable and zero values all yield `None`, so the
@@ -179,7 +177,7 @@ impl MissClass {
         }
     }
 
-    /// Index of this class's row in an [`ObserveReport`] (the
+    /// Index of this class's row in a [`flash::ObserveReport`] (the
     /// `flash::observe::ROW_NAMES` order matches Table 3.3 order).
     pub fn row(self) -> usize {
         match self {
@@ -204,20 +202,23 @@ pub fn measure_class(kind: ControllerKind, class: MissClass) -> f64 {
 /// transaction of the same class on an adjacent line (same MDC header
 /// line, same handlers). Uncached; use [`measure_class`].
 pub fn measure_class_uncached(kind: ControllerKind, class: MissClass) -> f64 {
-    let (t, _) = class_scenario(kind, class, true, false);
-    let (f, _) = class_scenario(kind, class, false, false);
-    t - f
+    reader_stall(&class_scenario(kind, class, true, false))
+        - reader_stall(&class_scenario(kind, class, false, false))
+}
+
+/// The Table 3.3 reader's (node 0's) read-stall cycles.
+fn reader_stall(m: &Machine) -> f64 {
+    m.procs()[0].stats().read_stall_q as f64 / 4.0
 }
 
 /// Runs one Table 3.3 scenario (optionally without the measured read,
-/// optionally observed) and returns the reader's read-stall cycles plus
-/// the cycle-attribution report when `observe` is set.
+/// optionally observed) to completion.
 fn class_scenario(
     kind: ControllerKind,
     class: MissClass,
     measured: bool,
     observe: bool,
-) -> (f64, Option<ObserveReport>) {
+) -> Machine {
     let (home, writer) = class.roles();
     let line_a = node_addr(NodeId(home), 0x2000);
     let line_b = node_addr(NodeId(home), 0x2080); // adjacent: shares the MDC line
@@ -257,20 +258,10 @@ fn class_scenario(
             Box::new(SliceStream::new(items)) as Box<dyn RefStream>
         })
         .collect();
-    let mut m = Machine::new(cfg, streams);
-    match m.run(10_000_000) {
-        RunResult::Completed { .. } => {}
-        RunResult::Wedged { report } => {
-            panic!("latency scenario wedged for {class:?}\n{report}")
-        }
-        other => panic!(
-            "latency scenario stuck for {class:?}\n{}",
-            m.diagnose(&format!("{other:?}"))
-        ),
-    }
-    (
-        m.procs()[0].stats().read_stall_q as f64 / 4.0,
-        m.observe_report(),
+    run_to_completion(
+        Machine::new(cfg, streams),
+        10_000_000,
+        &format!("latency scenario for {class:?}"),
     )
 }
 
@@ -284,9 +275,10 @@ pub fn measure_class_breakdown(
     kind: ControllerKind,
     class: MissClass,
 ) -> ([u64; SEGMENT_COUNT], f64) {
-    let (stall_t, rep_t) = class_scenario(kind, class, true, true);
-    let (stall_f, rep_f) = class_scenario(kind, class, false, true);
-    let (rep_t, rep_f) = (rep_t.expect("observed"), rep_f.expect("observed"));
+    let measured = class_scenario(kind, class, true, true);
+    let warm_up = class_scenario(kind, class, false, true);
+    let rep_t = measured.observe_report().expect("observed");
+    let rep_f = warm_up.observe_report().expect("observed");
     assert_eq!(rep_t.sum_mismatches, 0, "attribution drift for {class:?}");
     assert_eq!(rep_f.sum_mismatches, 0, "attribution drift for {class:?}");
     let (a, b) = (&rep_t.rows[class.row()], &rep_f.rows[class.row()]);
@@ -299,14 +291,15 @@ pub fn measure_class_breakdown(
     for (i, s) in segs.iter_mut().enumerate() {
         *s = a.segs[i] - b.segs[i];
     }
-    (segs, stall_t - stall_f)
+    (segs, reader_stall(&measured) - reader_stall(&warm_up))
 }
 
-/// The full cycle-attribution report of the measured Table 3.3 scenario
-/// for one class (the run-matrix driver exports this as
-/// `observe_<job>.json` when `FLASH_OBSERVE_OUT` is set).
-pub fn observe_class_report(kind: ControllerKind, class: MissClass) -> ObserveReport {
-    class_scenario(kind, class, true, true).1.expect("observed")
+/// The measured Table 3.3 scenario for one class, run to completion
+/// under observation (the run-matrix driver exports its report and trace
+/// as `observe_<job>.json` and `trace_<job>.json` when
+/// `FLASH_OBSERVE_OUT` is set).
+pub fn observed_class_scenario(kind: ControllerKind, class: MissClass) -> Machine {
+    class_scenario(kind, class, true, true)
 }
 
 /// The ten Table 3.3 measurement jobs (both controller kinds, all five

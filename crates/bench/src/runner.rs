@@ -26,8 +26,8 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use flash::{ControllerKind, Machine, MachineConfig, MachineReport, RunResult};
-use flash_workloads::{budget, by_name, run_workload, Fft, OsWorkload};
+use flash::{ControllerKind, Machine, MachineConfig, MachineReport};
+use flash_workloads::{budget, by_name, run_to_completion, run_workload_machine, Fft, OsWorkload};
 
 use crate::{mdc_stress_stream, MissClass};
 
@@ -78,27 +78,23 @@ pub enum WorkSpec {
 
 impl WorkSpec {
     /// Runs this workload under `cfg` to completion.
-    fn execute(&self, cfg: &MachineConfig) -> MachineReport {
+    fn execute(&self, cfg: &MachineConfig) -> Machine {
         match *self {
             WorkSpec::Named { app, procs, scale } => {
                 let w = by_name(app, procs, scale);
-                run_workload(cfg, w.as_ref())
+                run_workload_machine(cfg, w.as_ref())
             }
-            WorkSpec::FftDim { procs, dim } => run_workload(cfg, &Fft::with_dim(procs, dim)),
+            WorkSpec::FftDim { procs, dim } => {
+                run_workload_machine(cfg, &Fft::with_dim(procs, dim))
+            }
             WorkSpec::OsOriginalPort { procs, scale } => {
-                run_workload(cfg, &OsWorkload::scaled(procs, scale).original_port())
+                run_workload_machine(cfg, &OsWorkload::scaled(procs, scale).original_port())
             }
-            WorkSpec::MdcStress { data_mb, scale } => {
-                let mut m = Machine::new(cfg.clone(), mdc_stress_stream(data_mb, scale));
-                match m.run(budget()) {
-                    RunResult::Completed { .. } => MachineReport::from_machine(&m),
-                    RunResult::Wedged { report } => panic!("mdc stress wedged\n{report}"),
-                    other => panic!(
-                        "mdc stress stuck under {cfg:?}\n{}",
-                        m.diagnose(&format!("{other:?}"))
-                    ),
-                }
-            }
+            WorkSpec::MdcStress { data_mb, scale } => run_to_completion(
+                Machine::new(cfg.clone(), mdc_stress_stream(data_mb, scale)),
+                budget(),
+                "mdc stress",
+            ),
         }
     }
 }
@@ -177,8 +173,9 @@ fn lat_cache() -> &'static Mutex<HashMap<String, f64>> {
 /// `FLASH_OBSERVE_OUT=<dir>` turns on observed mode for every run-matrix
 /// job and exports each job's cycle-attribution report as
 /// `<dir>/observe_<job>.json` (the `flash-observe-v1` schema of
-/// `METRICS.md`). Observation is timing-invisible, so memoized reports and
-/// rendered tables are unchanged; only the JSON files are added.
+/// `METRICS.md`) and its Chrome trace as `<dir>/trace_<job>.json`.
+/// Observation is timing-invisible, so memoized reports and rendered
+/// tables are unchanged; only the JSON files are added.
 fn observe_out_dir() -> Option<&'static str> {
     static DIR: OnceLock<Option<String>> = OnceLock::new();
     DIR.get_or_init(|| {
@@ -199,9 +196,9 @@ fn fnv64(s: &str) -> u64 {
     h
 }
 
-/// `observe_<job>.json` file name for a memo key: a readable sanitized
+/// `<job>` part of a memo key's export file names: a readable sanitized
 /// prefix plus the key's FNV-1a hash (distinct keys can sanitize alike).
-fn observe_file_name(key: &str) -> String {
+fn export_stem(key: &str) -> String {
     let mut slug: String = key
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
@@ -210,39 +207,42 @@ fn observe_file_name(key: &str) -> String {
     while slug.contains("__") {
         slug = slug.replace("__", "_");
     }
-    format!(
-        "observe_{}_{:016x}.json",
-        slug.trim_matches('_'),
-        fnv64(key)
-    )
+    format!("{}_{:016x}", slug.trim_matches('_'), fnv64(key))
 }
 
-/// Best-effort export of one job's attribution report (a missing report
-/// or an unwritable directory must not fail the simulation that produced
+/// Best-effort export of one observed job's attribution report and trace
+/// (an unwritable directory must not fail the simulation that produced
 /// the tables).
-fn export_observe(key: &str, report: Option<&flash::ObserveReport>) {
-    let Some(dir) = observe_out_dir() else { return };
-    let Some(report) = report else { return };
-    let path = std::path::Path::new(dir).join(observe_file_name(key));
+fn export_observe(dir: &str, key: &str, m: &Machine) {
+    let (Some(report), Some(trace)) = (m.observe_report(), m.trace_json()) else {
+        return;
+    };
+    let dir = std::path::Path::new(dir);
+    let stem = export_stem(key);
     let write = || -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        std::fs::write(&path, report.to_json())
+        std::fs::write(dir.join(format!("observe_{stem}.json")), report.to_json())?;
+        std::fs::write(dir.join(format!("trace_{stem}.json")), trace)
     };
     if let Err(e) = write() {
-        eprintln!("[runner] observe export failed for {}: {e}", path.display());
+        eprintln!(
+            "[runner] observe export of {stem} to {} failed: {e}",
+            dir.display()
+        );
     }
 }
 
 /// Worker count: `FLASH_JOBS` if set, otherwise the machine's available
 /// parallelism (at least 1).
 pub fn jobs() -> usize {
-    if let Some(n) = std::env::var("FLASH_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        return n.max(1);
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    parse_jobs(std::env::var("FLASH_JOBS").ok().as_deref())
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// A `FLASH_JOBS` value as a worker count (surrounding whitespace
+/// allowed, 0 means 1); `None` when unset or unparsable.
+fn parse_jobs(value: Option<&str>) -> Option<usize> {
+    value?.trim().parse::<usize>().ok().map(|n| n.max(1))
 }
 
 /// Empties both memo caches (used by tests that compare cold serial and
@@ -272,15 +272,14 @@ pub fn cached_run(spec: &RunSpec) -> MachineReport {
     // With FLASH_OBSERVE_OUT set, the job executes under observation (the
     // memo key stays the caller's spec: observation is timing-invisible,
     // so the report's table-facing fields are identical either way) and
-    // its attribution report is exported.
-    let report = if observe_out_dir().is_some() && !spec.cfg.observe {
-        let observed = spec.work.execute(&spec.cfg.clone().with_observe(true));
-        export_observe(&key, observed.observe.as_ref());
-        observed
-    } else {
-        let report = spec.work.execute(&spec.cfg);
-        export_observe(&key, report.observe.as_ref());
-        report
+    // its attribution report and trace are exported.
+    let report = match observe_out_dir() {
+        Some(dir) => {
+            let m = spec.work.execute(&spec.cfg.clone().with_observe(true));
+            export_observe(dir, &key, &m);
+            MachineReport::from_machine(&m)
+        }
+        None => MachineReport::from_machine(&spec.work.execute(&spec.cfg)),
     };
     lock(run_cache()).entry(key).or_insert(report).clone()
 }
@@ -294,8 +293,8 @@ pub fn cached_latency(kind: ControllerKind, class: MissClass) -> f64 {
     maybe_inject_panic(&key);
     maybe_inject_hang(&key);
     let v = crate::measure_class_uncached(kind, class);
-    if observe_out_dir().is_some() {
-        export_observe(&key, Some(&crate::observe_class_report(kind, class)));
+    if let Some(dir) = observe_out_dir() {
+        export_observe(dir, &key, &crate::observed_class_scenario(kind, class));
     }
     *lock(lat_cache()).entry(key).or_insert(v)
 }
@@ -371,17 +370,21 @@ impl SuperviseOptions {
     /// Policy from the environment: `FLASH_JOB_TIMEOUT` (seconds,
     /// fractional allowed) and `FLASH_JOB_RETRIES` (default 1).
     pub fn from_env() -> Self {
-        let timeout = std::env::var("FLASH_JOB_TIMEOUT")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|&s| s > 0.0)
-            .map(Duration::from_secs_f64);
+        let timeout = parse_timeout(std::env::var("FLASH_JOB_TIMEOUT").ok().as_deref());
         let retries = std::env::var("FLASH_JOB_RETRIES")
             .ok()
             .and_then(|v| v.trim().parse().ok())
             .unwrap_or(1);
         SuperviseOptions { timeout, retries }
     }
+}
+
+/// A `FLASH_JOB_TIMEOUT` value in seconds (fractional allowed). Unset,
+/// unparsable, non-positive and unrepresentable (`inf`, `1e30`) values
+/// all mean no timeout.
+fn parse_timeout(value: Option<&str>) -> Option<Duration> {
+    let secs = value?.trim().parse::<f64>().ok().filter(|&s| s > 0.0)?;
+    Duration::try_from_secs_f64(secs).ok()
 }
 
 /// Runs one attempt of `job` with panic isolation, returning the panic
@@ -658,18 +661,48 @@ mod tests {
 
     #[test]
     fn observe_file_names_are_sane_and_collision_resistant() {
-        let a = observe_file_name("lat|FlashEmulated|RemoteClean");
-        let b = observe_file_name("lat|FlashEmulated|RemoteDirtyHome");
+        let a = export_stem("lat|FlashEmulated|RemoteClean");
+        let b = export_stem("lat|FlashEmulated|RemoteDirtyHome");
         assert_ne!(a, b);
-        assert!(a.starts_with("observe_lat_FlashEmulated_RemoteClean_"));
-        assert!(a.ends_with(".json"));
-        assert!(a
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.'));
+        assert!(a.starts_with("lat_FlashEmulated_RemoteClean_"));
+        assert!(a.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'));
         // Keys that sanitize identically still get distinct files.
-        let c = observe_file_name("lat.FlashEmulated.RemoteClean");
+        let c = export_stem("lat.FlashEmulated.RemoteClean");
         assert_ne!(a, c);
-        assert_eq!(&a[..a.len() - 22], &c[..c.len() - 22]);
+        assert_eq!(&a[..a.len() - 17], &c[..c.len() - 17]);
+    }
+
+    #[test]
+    fn job_timeout_parser_never_panics() {
+        for (value, want) in [
+            (None, None),
+            (Some(""), None),
+            (Some("x"), None),
+            (Some("0"), None),
+            (Some("-3"), None),
+            (Some("NaN"), None),
+            (Some("inf"), None),
+            (Some("1e30"), None),
+            (Some(" 2.5 "), Some(Duration::from_millis(2500))),
+            (Some("60"), Some(Duration::from_secs(60))),
+        ] {
+            assert_eq!(parse_timeout(value), want, "FLASH_JOB_TIMEOUT={value:?}");
+        }
+    }
+
+    #[test]
+    fn jobs_parser_trims_and_clamps() {
+        for (value, want) in [
+            (None, None),
+            (Some(""), None),
+            (Some("x"), None),
+            (Some("-1"), None),
+            (Some(" 8 "), Some(8)),
+            (Some("3"), Some(3)),
+            (Some("0"), Some(1)),
+        ] {
+            assert_eq!(parse_jobs(value), want, "FLASH_JOBS={value:?}");
+        }
     }
 
     #[test]

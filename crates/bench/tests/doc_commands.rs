@@ -1,8 +1,8 @@
 //! Smoke tests for the commands the documentation tells users to run.
 //!
 //! README.md and METRICS.md promise specific invocations
-//! (`observe_breakdown`, `FLASH_OBSERVE_OUT=... table_3_3`,
-//! `FLASH_TRACE_OUT=...`); this suite runs each as a real subprocess so
+//! (`observe_breakdown`, `FLASH_OBSERVE_OUT=... table_3_3`); this suite
+//! runs each as a real subprocess so
 //! a doc command can never rot into a silent lie. Environment variables
 //! are per-subprocess, so the suite is safe under parallel test
 //! execution.
@@ -40,7 +40,7 @@ fn observe_breakdown_renders_all_classes_and_segments() {
 
 /// `FLASH_OBSERVE_OUT=<dir> cargo run ... --bin table_3_3`
 /// (METRICS.md "Exports"): table output unchanged, one schema-tagged
-/// JSON per job.
+/// report and one Chrome trace per job.
 #[test]
 fn observe_out_exports_schema_tagged_json_per_job() {
     let dir = temp_dir("observe-out");
@@ -57,43 +57,29 @@ fn observe_out_exports_schema_tagged_json_per_job() {
         base.stdout, observed.stdout,
         "FLASH_OBSERVE_OUT must not change table output"
     );
-    let files: Vec<_> = std::fs::read_dir(&dir)
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
-        .map(|e| e.unwrap().path())
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
+    names.sort();
     assert_eq!(
-        files.len(),
-        10,
-        "table_3_3 has 10 latency jobs (2 kinds x 5 classes): {files:?}"
+        names.len(),
+        20,
+        "10 latency jobs (2 kinds x 5 classes), a report and a trace each: {names:?}"
     );
-    for f in &files {
-        let name = f.file_name().unwrap().to_string_lossy().into_owned();
-        assert!(
-            name.starts_with("observe_") && name.ends_with(".json"),
-            "{name}"
-        );
-        let body = std::fs::read_to_string(f).unwrap();
-        assert!(body.contains("\"schema\": \"flash-observe-v1\""), "{name}");
-        assert!(body.contains("\"sum_mismatches\": 0"), "{name}: {body}");
+    let (observe, trace) = names.split_at(10);
+    for (o, t) in observe.iter().zip(trace) {
+        let stem = o.strip_prefix("observe_").expect("observe_ file");
+        assert_eq!(t.strip_prefix("trace_"), Some(stem), "{names:?}");
+        assert!(stem.ends_with(".json"), "{o}");
+        let body = std::fs::read_to_string(dir.join(o)).unwrap();
+        assert!(body.contains("\"schema\": \"flash-observe-v1\""), "{o}");
+        assert!(body.contains("\"sum_mismatches\": 0"), "{o}: {body}");
+        let body = std::fs::read_to_string(dir.join(t)).unwrap();
+        assert!(body.starts_with("{\"displayTimeUnit\""), "{t}: {body}");
+        assert!(body.contains("\"traceEvents\""), "{t}");
+        assert!(body.contains("\"ph\":\"X\""), "{t}");
     }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// `FLASH_TRACE_OUT=<file>.json` (README "Observability", METRICS.md
-/// "Exports"): an observed run writes a Chrome trace_event file.
-#[test]
-fn trace_out_writes_chrome_trace_json() {
-    let dir = temp_dir("trace-out");
-    let path = dir.join("trace.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_observe_breakdown"))
-        .env("FLASH_TRACE_OUT", &path)
-        .output()
-        .expect("spawn observe_breakdown with FLASH_TRACE_OUT");
-    assert!(out.status.success());
-    let body = std::fs::read_to_string(&path).expect("trace file written");
-    assert!(body.starts_with("{\"displayTimeUnit\""), "{body}");
-    assert!(body.contains("\"traceEvents\""));
-    assert!(body.contains("\"ph\":\"X\""));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -187,44 +173,6 @@ fn repro_all_stdout_matches_golden_sharded() {
         golden("repro_all.txt"),
         "repro_all stdout drifted from tests/golden/repro_all.txt (4 shards)"
     );
-}
-
-/// `FLASH_HOSTPROF_OUT=<file>.json` (README "Observability", METRICS.md
-/// "Exports"): arming the host-time profiler writes the
-/// `flash-hostprof-v1` JSON *and* leaves stdout byte-identical — the
-/// profiler is timing-invisible.
-#[test]
-fn hostprof_out_writes_schema_tagged_json_and_stdout_is_unchanged() {
-    let dir = temp_dir("hostprof-out");
-    let path = dir.join("hostprof.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_observe_breakdown"))
-        .env("FLASH_HOSTPROF_OUT", &path)
-        .output()
-        .expect("spawn observe_breakdown with FLASH_HOSTPROF_OUT");
-    assert!(out.status.success());
-    assert_eq!(
-        out.stdout,
-        golden("observe_breakdown.txt"),
-        "FLASH_HOSTPROF_OUT must not change stdout"
-    );
-    let body = std::fs::read_to_string(&path).expect("hostprof file written");
-    assert!(body.contains("\"schema\": \"flash-hostprof-v1\""), "{body}");
-    for seg in [
-        "proc_cache",
-        "magic_dispatch",
-        "protocol",
-        "net_mesh",
-        "event_queue",
-        "observe_check",
-        "boundary",
-    ] {
-        assert!(
-            body.contains(&format!("\"{seg}\"")),
-            "missing {seg}\n{body}"
-        );
-    }
-    assert!(body.contains("\"wall_ns\""), "{body}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The README quick-start commands build: every documented example and

@@ -63,8 +63,8 @@ fn links(text: &str) -> Vec<String> {
 }
 
 /// GitHub's heading-id slug: lowercase, punctuation removed, spaces to
-/// hyphens (so `## JSON schema: \`flash-latency-v1\`` gets the id
-/// `json-schema-flash-latency-v1`).
+/// hyphens (so `## JSON schema: \`flash-observe-v1\`` gets the id
+/// `json-schema-flash-observe-v1`).
 fn slugify(heading: &str) -> String {
     heading
         .to_lowercase()
@@ -246,7 +246,7 @@ fn readme_env_table_matches_the_source_tree() {
     let documented = readme_table_vars(&readme);
     let in_source = source_tokens(&root);
     assert!(
-        documented.len() >= 20,
+        documented.len() >= 17,
         "README operator table looks truncated: {documented:?}"
     );
     let undocumented: Vec<_> = in_source.difference(&documented).collect();

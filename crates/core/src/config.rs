@@ -168,7 +168,7 @@ pub struct MachineConfig {
     /// alongside the simulation. Every completed processor miss is
     /// decomposed into per-[`flash_engine::Segment`] cycles, accumulated
     /// per read class and per handler, and a bounded ring of trace events
-    /// is kept for Chrome-trace export (`FLASH_TRACE_OUT`). Off by
+    /// is kept for Chrome-trace export (`Machine::trace_json`). Off by
     /// default; like checked and fault modes it never perturbs timing —
     /// `tests/observe.rs` pins cycle-identical schedules with it on.
     /// See `METRICS.md` for the exported schema.
@@ -202,8 +202,7 @@ pub struct MachineConfig {
     /// per subsystem (the host-time mirror of the cycle-attribution
     /// observer — see [`crate::hostprof`]). Off by default. A pure
     /// observer of the host clock: arming it never changes simulated
-    /// timing or any report. Read through `Machine::host_profile`, and
-    /// exported as `flash-hostprof-v1` JSON via `FLASH_HOSTPROF_OUT`.
+    /// timing or any report. Read through `Machine::host_profile`.
     pub host_profile: bool,
     /// Hit fast path: a processor wakeup or quantum yield whose
     /// continuation is provably the shard's next event executes inline in

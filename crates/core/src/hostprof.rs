@@ -26,9 +26,8 @@
 //! reports, traces, or any other simulated observable (pinned by
 //! `machine_properties::host_profile_is_timing_invisible`). Per-shard
 //! accumulators merge at run teardown; on multi-shard runs the segment
-//! sum is CPU time across workers and may exceed wall time. Export: the
-//! `flash-hostprof-v1` JSON of METRICS.md, written to `FLASH_HOSTPROF_OUT`
-//! at run completion.
+//! sum is CPU time across workers and may exceed wall time. Read it
+//! through `Machine::host_profile`; perfbench's `--trace 1` reports it.
 
 use std::time::Instant;
 
@@ -53,17 +52,6 @@ pub enum HostSeg {
 
 /// Number of host-time segments.
 pub const HOST_SEG_COUNT: usize = 7;
-
-/// Segment names as exported in `flash-hostprof-v1`.
-pub const HOST_SEG_NAMES: [&str; HOST_SEG_COUNT] = [
-    "proc_cache",
-    "magic_dispatch",
-    "protocol",
-    "net_mesh",
-    "event_queue",
-    "observe_check",
-    "boundary",
-];
 
 /// One accumulator of attributed nanoseconds (per shard, or the
 /// coordinator's boundary-side instance).
@@ -179,32 +167,6 @@ impl HostProfile {
         }
         self.attributed_ns() as f64 / self.wall_ns as f64
     }
-
-    /// Serializes as `flash-hostprof-v1` (METRICS.md).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n  \"schema\": \"flash-hostprof-v1\",\n");
-        s.push_str(&format!("  \"wall_ns\": {},\n", self.wall_ns));
-        s.push_str(&format!("  \"events\": {},\n", self.acc.events));
-        s.push_str(&format!("  \"runs\": {},\n", self.runs));
-        s.push_str(&format!("  \"attributed_ns\": {},\n", self.attributed_ns()));
-        s.push_str(&format!("  \"coverage\": {:.4},\n", self.coverage()));
-        s.push_str("  \"segments\": {\n");
-        for (i, name) in HOST_SEG_NAMES.iter().enumerate() {
-            let ns = self.acc.ns[i];
-            let pct = if self.wall_ns > 0 {
-                100.0 * ns as f64 / self.wall_ns as f64
-            } else {
-                0.0
-            };
-            s.push_str(&format!(
-                "    \"{name}\": {{ \"ns\": {ns}, \"pct_wall\": {pct:.2} }}{}\n",
-                if i + 1 < HOST_SEG_COUNT { "," } else { "" }
-            ));
-        }
-        s.push_str("  }\n}\n");
-        s
-    }
 }
 
 #[cfg(test)]
@@ -226,20 +188,5 @@ mod tests {
             total <= wall,
             "attributed {total} must not exceed wall {wall}"
         );
-    }
-
-    #[test]
-    fn json_is_schema_tagged_and_complete() {
-        let mut p = HostProfile::default();
-        p.acc.ns = [10, 20, 30, 40, 50, 0, 5];
-        p.acc.events = 7;
-        p.wall_ns = 160;
-        p.runs = 1;
-        let j = p.to_json();
-        assert!(j.contains("\"schema\": \"flash-hostprof-v1\""));
-        for name in HOST_SEG_NAMES {
-            assert!(j.contains(&format!("\"{name}\"")), "{name} missing");
-        }
-        assert!(j.contains("\"coverage\": 0.9688"));
     }
 }

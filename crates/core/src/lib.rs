@@ -37,7 +37,7 @@ pub mod repro;
 pub use config::{MachineConfig, PathLatencies, Placement, DEFAULT_WATCHDOG_WINDOW};
 pub use flash_fault::{FaultPlan, FaultStats, LinkDown, WedgeReport};
 pub use flash_magic::{ControllerKind, PpBackend};
-pub use hostprof::{HostProfile, HOST_SEG_COUNT, HOST_SEG_NAMES};
+pub use hostprof::{HostProfile, HOST_SEG_COUNT};
 pub use machine::{Machine, RunResult};
 pub use observe::{ClassRow, HandlerRow, LatencyReport, LatencyRow, ObserveReport, TrafficStats};
 pub use report::{compare, format_table, Comparison, LatencyTable, MachineReport};

@@ -395,9 +395,9 @@ pub struct Machine {
     /// Owned by the coordinator; shards journal mutations and the
     /// boundary replays them in canonical order.
     observe: Option<Box<Observer>>,
-    /// Host-time profile (`None` unless `cfg.host_profile` or
-    /// `FLASH_HOSTPROF_OUT` arms it). A pure observer of the host clock —
-    /// it never feeds back into simulated state.
+    /// Host-time profile (`None` unless `cfg.host_profile` arms it). A
+    /// pure observer of the host clock — it never feeds back into
+    /// simulated state.
     hostprof: Option<Box<HostProfile>>,
 }
 
@@ -437,47 +437,6 @@ fn trace_addr() -> Option<u64> {
             .and_then(|t| u64::from_str_radix(t.trim_start_matches("0x"), 16).ok())
             .map(|a| a & !127)
     })
-}
-
-/// File to write the Chrome-trace event export to when a run with
-/// observation on completes (set `FLASH_TRACE_OUT=trace.json`; view in
-/// Perfetto or `chrome://tracing`). Mirrors the `FLASH_TRACE_ADDR`
-/// plumbing: read once per process.
-fn trace_out() -> Option<&'static str> {
-    static OUT: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
-    OUT.get_or_init(|| {
-        std::env::var("FLASH_TRACE_OUT")
-            .ok()
-            .filter(|s| !s.is_empty())
-    })
-    .as_deref()
-}
-
-/// Path to export the `flash-hostprof-v1` host-time profile to on
-/// completion (set `FLASH_HOSTPROF_OUT=prof.json`; setting it also arms
-/// the profiler). Read once per process like the other export knobs.
-fn hostprof_out() -> Option<&'static str> {
-    static OUT: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
-    OUT.get_or_init(|| {
-        std::env::var("FLASH_HOSTPROF_OUT")
-            .ok()
-            .filter(|s| !s.is_empty())
-    })
-    .as_deref()
-}
-
-/// Path to export the `flash-latency-v1` per-class latency percentile
-/// report to on completion (set `FLASH_LATENCY_OUT=latency.json`;
-/// requires observed mode). Read once per process like the other export
-/// knobs.
-fn latency_out() -> Option<&'static str> {
-    static OUT: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
-    OUT.get_or_init(|| {
-        std::env::var("FLASH_LATENCY_OUT")
-            .ok()
-            .filter(|s| !s.is_empty())
-    })
-    .as_deref()
 }
 
 /// The requester candidates (and charged segment) a message arriving at
@@ -1938,8 +1897,7 @@ impl Machine {
             ring: MsgRing::new(RING_CAPACITY),
             last_progress: Cycle::ZERO,
             observe,
-            hostprof: (cfg_host_profile || hostprof_out().is_some())
-                .then(|| Box::new(HostProfile::default())),
+            hostprof: cfg_host_profile.then(|| Box::new(HostProfile::default())),
         }
     }
 
@@ -2103,9 +2061,6 @@ impl Machine {
             },
             DriveEnd::Completed => {
                 self.finalize_check();
-                self.maybe_write_trace();
-                self.maybe_write_hostprof();
-                self.maybe_write_latency();
                 RunResult::Completed {
                     exec_cycles: self.exec_cycles(),
                 }
@@ -2315,19 +2270,6 @@ impl Machine {
         std::fs::write(path, json)
     }
 
-    /// `FLASH_TRACE_OUT` handling on successful completion: best-effort,
-    /// a write failure is reported on stderr but never fails the run.
-    fn maybe_write_trace(&self) {
-        if self.observe.is_none() {
-            return;
-        }
-        if let Some(path) = trace_out() {
-            if let Err(e) = self.write_trace(path) {
-                eprintln!("FLASH_TRACE_OUT: failed to write {path}: {e}");
-            }
-        }
-    }
-
     /// The per-class latency percentile report (`None` unless the
     /// machine was built with [`MachineConfig::with_observe`]). Rows are
     /// exact integer percentiles over log-bucketed histograms; for
@@ -2342,36 +2284,12 @@ impl Machine {
         Some(report)
     }
 
-    /// `FLASH_LATENCY_OUT` handling on successful completion:
-    /// best-effort, a write failure is reported on stderr but never
-    /// fails the run.
-    fn maybe_write_latency(&self) {
-        let (Some(report), Some(path)) = (self.latency_report(), latency_out()) else {
-            return;
-        };
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("FLASH_LATENCY_OUT: failed to write {path}: {e}");
-        }
-    }
-
     /// The host-time profile (`None` unless armed with
-    /// [`MachineConfig::with_host_profile`] or `FLASH_HOSTPROF_OUT`).
+    /// [`MachineConfig::with_host_profile`]).
     ///
     /// [`MachineConfig::with_host_profile`]: crate::MachineConfig::with_host_profile
     pub fn host_profile(&self) -> Option<&HostProfile> {
         self.hostprof.as_deref()
-    }
-
-    /// `FLASH_HOSTPROF_OUT` handling on successful completion:
-    /// best-effort, a write failure is reported on stderr but never fails
-    /// the run.
-    fn maybe_write_hostprof(&self) {
-        let (Some(hp), Some(path)) = (self.hostprof.as_deref(), hostprof_out()) else {
-            return;
-        };
-        if let Err(e) = std::fs::write(path, hp.to_json()) {
-            eprintln!("FLASH_HOSTPROF_OUT: failed to write {path}: {e}");
-        }
     }
 
     // ---- checked mode ----------------------------------------------------
@@ -2769,7 +2687,7 @@ mod tests {
                 .with_observe(true);
             let mut m = Machine::new_open_loop(cfg, spec.sources());
             let cycles = must_complete(&mut m, 50_000_000);
-            let latency = m.latency_report().expect("observed").to_json();
+            let latency = m.latency_report().expect("observed");
             (cycles, latency, m.traffic_stats())
         };
         let base = run(1);
@@ -2860,9 +2778,6 @@ mod tests {
             4,
             "per-node admission stats ride along"
         );
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"flash-latency-v1\""));
-        assert!(json.contains("\"admission_wait_sum\""));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! `tests/observe.rs` pins byte-identical schedules and reports with the
 //! observer on and off, for all three controller kinds.
 
-use flash_engine::{Cycle, Histogram, LatencySplit, LogHist, Segment, SEGMENT_COUNT};
+use flash_engine::{Cycle, LatencySplit, LogHist, Segment, SEGMENT_COUNT};
 use flash_magic::{ObsInvocation, ObsParts, ReadClass};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -121,7 +121,6 @@ pub struct Observer {
     /// percentile (p50/p99/p999) side of the latency story, exact to a
     /// bucket floor and mergeable across shards/runs by bucket addition.
     lat: [LogHist; ROW_COUNT],
-    hist: Histogram,
     handler_seed: Vec<&'static str>,
     trace: VecDeque<TraceSlice>,
     trace_cap: usize,
@@ -141,7 +140,6 @@ impl Observer {
             pending: HashMap::new(),
             rows: [LatencySplit::new(); ROW_COUNT],
             lat: std::array::from_fn(|_| LogHist::new()),
-            hist: Histogram::new(),
             handler_seed,
             trace: VecDeque::new(),
             trace_cap: TRACE_CAPACITY,
@@ -256,7 +254,6 @@ impl Observer {
         self.completed += 1;
         self.rows[row_index(r.kind, r.class)].record(r.segs);
         self.lat[row_index(r.kind, r.class)].record(total);
-        self.hist.record(total);
         self.push_slice(TraceSlice {
             name: ROW_NAMES[row_index(r.kind, r.class)],
             cat: "request",
@@ -328,7 +325,7 @@ impl Observer {
         ObserveReport {
             rows,
             handlers,
-            latency_buckets: self.hist.buckets().collect(),
+            latency_buckets: octave_buckets(&self.merged_latency()),
             requests: self.requests,
             completed: self.completed,
             unresolved: self.pending.len() as u64,
@@ -358,6 +355,22 @@ impl Observer {
         s.push_str("\n]}\n");
         s
     }
+}
+
+/// Regroups a [`LogHist`]'s buckets into power-of-two octaves as
+/// `(octave floor, count)` pairs: floor 0 holds only the sample 0, floor
+/// `2^k` holds `[2^k, 2^(k+1))`. Every `LogHist` bucket lies inside one
+/// octave, so the regrouping is exact.
+fn octave_buckets(h: &LogHist) -> Vec<(u64, u64)> {
+    let mut out: Vec<(u64, u64)> = Vec::new();
+    for (floor, count) in h.buckets() {
+        let octave = if floor == 0 { 0 } else { 1 << floor.ilog2() };
+        match out.last_mut() {
+            Some((f, c)) if *f == octave => *c += count,
+            _ => out.push((octave, count)),
+        }
+    }
+    out
 }
 
 /// One breakdown row of an [`ObserveReport`].
@@ -577,10 +590,10 @@ impl LatencyRow {
     }
 }
 
-/// The per-class latency percentile report (`flash-latency-v1`).
+/// The per-class latency percentile report.
 ///
 /// Every number is a pure function of deterministic bucket counts, so
-/// the JSON is byte-identical for any shard count and PP backend; it
+/// the report is identical for any shard count and PP backend; it
 /// carries no wall-clock values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyReport {
@@ -592,50 +605,16 @@ pub struct LatencyReport {
     pub traffic: Vec<(u16, TrafficStats)>,
 }
 
-impl LatencyReport {
-    /// Serializes under the `flash-latency-v1` schema documented in
-    /// `METRICS.md`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(2048);
-        s.push_str("{\n  \"schema\": \"flash-latency-v1\",\n  \"classes\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                s.push_str(",\n");
-            }
-            s.push_str(&format!(
-                "    {{\"class\": \"{}\", \"count\": {}, \"p50\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}, \"buckets\": [{}]}}",
-                row.class,
-                row.count,
-                row.p50,
-                row.p99,
-                row.p999,
-                row.max,
-                row.buckets
-                    .iter()
-                    .map(|(f, c)| format!("[{f}, {c}]"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-        }
-        s.push_str("\n  ],\n  \"traffic\": [");
-        for (i, (node, t)) in self.traffic.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"node\": {}, \"arrivals\": {}, \"admitted\": {}, \"admission_wait_sum\": {}, \"admission_wait_max\": {}, \"peak_backlog\": {}}}",
-                node, t.arrivals, t.admitted, t.wait_sum, t.wait_max, t.peak_backlog
-            ));
-        }
-        if !self.traffic.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
-        s
-    }
-}
-
 impl Observer {
+    /// Every class's latency histogram merged into one.
+    fn merged_latency(&self) -> LogHist {
+        let mut all = LogHist::new();
+        for h in &self.lat {
+            all.merge(h);
+        }
+        all
+    }
+
     /// Builds the per-class latency percentile report (the machine adds
     /// open-loop traffic rows on top when feeds are attached).
     pub fn latency_report(&self) -> LatencyReport {
@@ -644,11 +623,7 @@ impl Observer {
             .zip(self.lat.iter())
             .map(|(&name, h)| LatencyRow::from_hist(name, h))
             .collect();
-        let mut all = LogHist::new();
-        for h in &self.lat {
-            all.merge(h);
-        }
-        rows.push(LatencyRow::from_hist("all", &all));
+        rows.push(LatencyRow::from_hist("all", &self.merged_latency()));
         LatencyReport {
             rows,
             traffic: Vec::new(),
@@ -741,6 +716,24 @@ mod tests {
         for seg in Segment::ALL {
             assert!(json.contains(seg.name()));
         }
+    }
+
+    /// `latency_buckets` is derived from the per-class `LogHist`s; it
+    /// must equal what a power-of-two [`flash_engine::Histogram`] fed the
+    /// same samples reports, or `observe_*.json` bytes would change.
+    #[test]
+    fn octave_buckets_match_power_of_two_histogram() {
+        let mut samples = vec![0u64, 1, 2, 3, 5, 7, 8, 9, 15, 24, 143, 1000];
+        for k in 3..48 {
+            samples.extend([(1u64 << k) - 1, 1 << k, (1 << k) + 1, 3 << (k - 1)]);
+        }
+        let mut log = LogHist::new();
+        let mut pow2 = flash_engine::Histogram::new();
+        for &v in &samples {
+            log.record(v);
+            pow2.record(v);
+        }
+        assert_eq!(octave_buckets(&log), pow2.buckets().collect::<Vec<_>>());
     }
 
     #[test]

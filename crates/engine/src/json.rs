@@ -28,6 +28,12 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap a hostile file of nested
+/// `[` would overflow the stack; every document this workspace writes
+/// nests a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// One JSON value. Integers that fit a `u64`/`i64` are kept exact;
 /// everything else numeric is a float.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,11 +184,13 @@ impl Json {
     }
 
     /// Parses a JSON document. Exactly one top-level value is allowed;
-    /// trailing whitespace is ignored. Errors carry a byte offset.
+    /// trailing whitespace is ignored; arrays and objects may nest at
+    /// most [`MAX_DEPTH`] deep. Errors carry a byte offset.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -230,6 +238,8 @@ fn write_escaped(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -274,12 +284,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or object one nesting level down, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than MAX_DEPTH"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -413,11 +438,9 @@ impl<'a> Parser<'a> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
         if !is_float {
-            if let Some(stripped) = text.strip_prefix('-') {
-                if let Ok(mag) = stripped.parse::<u64>() {
-                    if let Ok(i) = i64::try_from(mag) {
-                        return Ok(Json::Int(-i));
-                    }
+            if text.starts_with('-') {
+                if let Ok(i) = text.parse::<i64>() {
+                    return Ok(Json::Int(i));
                 }
             } else if let Ok(u) = text.parse::<u64>() {
                 return Ok(Json::UInt(u));
@@ -442,6 +465,7 @@ mod tests {
             ("0", Json::UInt(0)),
             ("18446744073709551615", Json::UInt(u64::MAX)),
             ("-42", Json::Int(-42)),
+            ("-9223372036854775808", Json::Int(i64::MIN)),
             ("0.08", Json::Float(0.08)),
             ("\"hi\"", Json::Str("hi".into())),
         ] {
@@ -515,6 +539,16 @@ mod tests {
         }
         let e = Json::parse("[1, @]").unwrap_err();
         assert_eq!(e.at, 4);
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH, "{e}");
+        let e = Json::parse(&"[{\"a\":".repeat(1_000_000)).unwrap_err();
+        assert_eq!(e.at, 3 * MAX_DEPTH, "{e}");
     }
 
     #[test]

@@ -269,8 +269,8 @@ pub const LOG_HIST_SUB: u64 = 1 << LOG_HIST_SUB_BITS;
 pub const LOG_HIST_BUCKETS: usize = (62 * LOG_HIST_SUB) as usize;
 
 /// A fixed log-linear-bucket histogram with deterministic percentile
-/// estimation — the latency-distribution primitive behind the
-/// `flash-latency-v1` export (METRICS.md).
+/// estimation — the latency-distribution primitive behind the observer's
+/// per-class latency percentiles (`LatencyReport` in the `flash` crate).
 ///
 /// The bucket layout is fixed at compile time (HDR-histogram style):
 /// values `0..8` land in exact unit buckets; a value in octave

@@ -1,5 +1,5 @@
 //! Property tests for [`LogHist`]'s merge algebra — the contract behind
-//! the `flash-latency-v1` export's shard invariance.
+//! the latency percentile report's shard invariance.
 //!
 //! The observer's per-class latency histograms are built per shard and
 //! combined by [`LogHist::merge`]; the report promises the combined

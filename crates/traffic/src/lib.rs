@@ -31,7 +31,7 @@
 //!
 //! Everything is driven by [`flash_engine::DetRng`]: the same spec and
 //! seed produce bit-identical arrival sequences on every platform, which
-//! is what lets `BENCH_PR10.json` demand byte-identical reports across
+//! is what lets `traffic_suite` demand identical latency reports across
 //! shard counts and PP backends.
 //!
 //! # Examples

@@ -58,25 +58,42 @@ pub fn build_machine(cfg: &MachineConfig, workload: &dyn Workload) -> Machine {
 ///
 /// # Panics
 ///
-/// Panics if the run exhausts the cycle [`budget`], deadlocks, or wedges
-/// (forward-progress watchdog). The panic message carries the full
-/// structured diagnosis so the run-matrix supervisor's failure table
-/// shows who was waiting on what.
+/// As [`run_to_completion`].
 pub fn run_workload(cfg: &MachineConfig, workload: &dyn Workload) -> MachineReport {
-    let mut m = build_machine(cfg, workload);
-    match m.run(budget()) {
-        RunResult::Completed { .. } => MachineReport::from_machine(&m),
+    MachineReport::from_machine(&run_workload_machine(cfg, workload))
+}
+
+/// Runs `workload` on a machine configured by `cfg` within the cycle
+/// [`budget`] and returns the machine, for callers that need more than
+/// its report.
+///
+/// # Panics
+///
+/// As [`run_to_completion`].
+pub fn run_workload_machine(cfg: &MachineConfig, workload: &dyn Workload) -> Machine {
+    run_to_completion(build_machine(cfg, workload), budget(), workload.name())
+}
+
+/// Runs `m` to completion within `budget` cycles and returns it.
+///
+/// # Panics
+///
+/// Panics, naming the run `what`, if the run exhausts the budget,
+/// deadlocks, or wedges (forward-progress watchdog). The panic message
+/// carries the full structured diagnosis so the run-matrix supervisor's
+/// failure table shows who was waiting on what.
+pub fn run_to_completion(mut m: Machine, budget: u64, what: &str) -> Machine {
+    match m.run(budget) {
+        RunResult::Completed { .. } => m,
         RunResult::BudgetExhausted => panic!(
-            "{} exhausted the cycle budget\n{}",
-            workload.name(),
+            "{what} exhausted the cycle budget\n{}",
             m.diagnose("cycle budget exhausted")
         ),
         RunResult::Deadlocked { stuck } => panic!(
-            "{} deadlocked with {stuck} processors unfinished\n{}",
-            workload.name(),
+            "{what} deadlocked with {stuck} processors unfinished\n{}",
             m.diagnose("event queue drained with processors unfinished")
         ),
-        RunResult::Wedged { report } => panic!("{} wedged\n{report}", workload.name()),
+        RunResult::Wedged { report } => panic!("{what} wedged\n{report}"),
     }
 }
 
