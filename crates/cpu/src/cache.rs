@@ -34,14 +34,17 @@ pub struct Victim {
     pub dirty: bool,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    valid: bool,
-    state_excl: bool,
-    locked: bool,
-    tag: u64,
-    lru: u64,
-}
+/// One tag-store way, packed as `[tag << FLAG_BITS | flags, lru stamp]`.
+/// An empty way is all-zero bytes, so `vec!` can take the tag store from
+/// the allocator's zeroed pages and sets that are never used cost no
+/// resident memory.
+type Way = [u64; 2];
+
+/// Flag bits in a way's first word.
+const VALID: u64 = 1;
+const EXCL: u64 = 1 << 1;
+const LOCKED: u64 = 1 << 2;
+const FLAG_BITS: u32 = 3;
 
 /// The secondary cache: two-way set associative, 128-byte lines
 /// (paper §3.2), with way locking for lines that have an outstanding
@@ -87,7 +90,7 @@ impl L2Cache {
         );
         L2Cache {
             sets,
-            ways: vec![Way::default(); sets as usize * ASSOC],
+            ways: vec![[0; 2]; sets as usize * ASSOC],
             tick: 0,
             hits: Counter::default(),
             misses: Counter::default(),
@@ -103,10 +106,10 @@ impl L2Cache {
 
     fn find(&self, addr: Addr) -> Option<usize> {
         let set = (addr.line_index() % self.sets) as usize;
-        let tag = addr.line_index() / self.sets;
+        let key = (addr.line_index() / self.sets) << FLAG_BITS | VALID;
         (0..ASSOC)
             .map(|i| set * ASSOC + i)
-            .find(|&w| self.ways[w].valid && self.ways[w].tag == tag)
+            .find(|&w| self.ways[w][0] & !(EXCL | LOCKED) == key)
     }
 
     /// Looks up an access without modifying tag state (miss handling is
@@ -115,8 +118,8 @@ impl L2Cache {
         self.tick += 1;
         match self.find(addr) {
             Some(w) => {
-                self.ways[w].lru = self.tick;
-                if write && !self.ways[w].state_excl {
+                self.ways[w][1] = self.tick;
+                if write && self.ways[w][0] & EXCL == 0 {
                     self.upgrades.incr();
                     CpuAccess::NeedsUpgrade
                 } else {
@@ -143,34 +146,32 @@ impl L2Cache {
         let tag = addr.line_index() / self.sets;
         self.tick += 1;
         // Already present (e.g. upgrade completion): update state.
+        let excl = if state == LineState::Exclusive {
+            EXCL
+        } else {
+            0
+        };
         if let Some(w) = self.find(addr) {
-            self.ways[w].state_excl = state == LineState::Exclusive;
-            self.ways[w].lru = self.tick;
+            self.ways[w] = [self.ways[w][0] & !EXCL | excl, self.tick];
             return None;
         }
         let victim_i = (0..ASSOC)
             .map(|i| set * ASSOC + i)
-            .filter(|&w| !self.ways[w].locked)
+            .filter(|&w| self.ways[w][0] & LOCKED == 0)
             .min_by_key(|&w| {
-                if self.ways[w].valid {
-                    self.ways[w].lru
+                if self.ways[w][0] & VALID != 0 {
+                    self.ways[w][1]
                 } else {
                     0
                 }
             })
             .expect("install with every way locked");
-        let old = self.ways[victim_i];
-        self.ways[victim_i] = Way {
-            valid: true,
-            state_excl: state == LineState::Exclusive,
-            locked: false,
-            tag,
-            lru: self.tick,
-        };
-        if old.valid {
+        let [old, _] = self.ways[victim_i];
+        self.ways[victim_i] = [tag << FLAG_BITS | VALID | excl, self.tick];
+        if old & VALID != 0 {
             Some(Victim {
-                addr: Addr::from_line_index(old.tag * self.sets + set as u64),
-                dirty: old.state_excl,
+                addr: Addr::from_line_index((old >> FLAG_BITS) * self.sets + set as u64),
+                dirty: old & EXCL != 0,
             })
         } else {
             None
@@ -181,19 +182,15 @@ impl L2Cache {
     /// upgrade is outstanding for it).
     pub fn set_locked(&mut self, addr: Addr, locked: bool) {
         if let Some(w) = self.find(addr) {
-            self.ways[w].locked = locked;
+            self.ways[w][0] = self.ways[w][0] & !LOCKED | if locked { LOCKED } else { 0 };
         }
     }
 
     /// Invalidates a line. Returns its state if it was present.
     pub fn invalidate(&mut self, addr: Addr) -> Option<LineState> {
         self.find(addr).map(|w| {
-            let s = if self.ways[w].state_excl {
-                LineState::Exclusive
-            } else {
-                LineState::Shared
-            };
-            self.ways[w] = Way::default();
+            let s = self.state_at(w);
+            self.ways[w] = [0; 2];
             s
         })
     }
@@ -202,25 +199,23 @@ impl L2Cache {
     /// intervention). Returns the prior state if present.
     pub fn downgrade(&mut self, addr: Addr) -> Option<LineState> {
         self.find(addr).map(|w| {
-            let s = if self.ways[w].state_excl {
-                LineState::Exclusive
-            } else {
-                LineState::Shared
-            };
-            self.ways[w].state_excl = false;
+            let s = self.state_at(w);
+            self.ways[w][0] &= !EXCL;
             s
         })
     }
 
     /// Current state of a line, if present.
     pub fn state_of(&self, addr: Addr) -> Option<LineState> {
-        self.find(addr).map(|w| {
-            if self.ways[w].state_excl {
-                LineState::Exclusive
-            } else {
-                LineState::Shared
-            }
-        })
+        self.find(addr).map(|w| self.state_at(w))
+    }
+
+    fn state_at(&self, w: usize) -> LineState {
+        if self.ways[w][0] & EXCL != 0 {
+            LineState::Exclusive
+        } else {
+            LineState::Shared
+        }
     }
 
     /// Hits recorded by [`L2Cache::probe`].

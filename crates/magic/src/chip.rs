@@ -1061,6 +1061,23 @@ mod tests {
     }
 
     #[test]
+    fn fresh_chip_materializes_at_most_one_protocol_page() {
+        // The free list is a preset: only FREE_HEAD's page is written, and
+        // a free entry still reads as the eager list would have left it.
+        for kind in [ControllerKind::Ideal, ControllerKind::FlashEmulated] {
+            let chip = mk_chip(kind);
+            let mem = chip.proto_mem();
+            assert!(
+                mem.resident_pages() <= 1,
+                "{kind:?}: {} pages",
+                mem.resident_pages()
+            );
+            let e = flash_protocol::PtrEntry(mem.load64(flash_protocol::dir::entry_addr(4096)));
+            assert_eq!(e.next(), 4097);
+        }
+    }
+
+    #[test]
     fn ideal_local_read_clean_takes_24_cycles_total() {
         // Paper Table 3.3: ideal local clean read = 24 cycles, of which
         // 7 are the processor-side path (miss detect 5 + bus 1 + PI in 1).

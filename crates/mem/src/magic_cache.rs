@@ -58,13 +58,15 @@ pub enum Access {
     },
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-    lru: u64,
-}
+/// One tag-store way, packed as `[tag << FLAG_BITS | flags, lru stamp]`.
+/// An empty way is all-zero bytes, so `vec!` can take the tag store from
+/// the allocator's zeroed pages.
+type Way = [u64; 2];
+
+/// Flag bits in a way's first word.
+const VALID: u64 = 1;
+const DIRTY: u64 = 1 << 1;
+const FLAG_BITS: u32 = 2;
 
 /// A write-back, write-allocate, LRU, set-associative tag store.
 ///
@@ -103,7 +105,7 @@ impl MagicCache {
         );
         MagicCache {
             geom,
-            ways: vec![Way::default(); (sets * geom.ways as u64) as usize],
+            ways: vec![[0; 2]; (sets * geom.ways as u64) as usize],
             tick: 0,
             read_hits: Counter::default(),
             read_misses: Counter::default(),
@@ -123,11 +125,11 @@ impl MagicCache {
         let ways = self.geom.ways as usize;
         let base = set * ways;
 
-        for i in 0..ways {
-            let w = &mut self.ways[base + i];
-            if w.valid && w.tag == tag {
-                w.lru = self.tick;
-                w.dirty |= write;
+        let dirty = if write { DIRTY } else { 0 };
+        let key = tag << FLAG_BITS | VALID;
+        for w in &mut self.ways[base..base + ways] {
+            if w[0] & !DIRTY == key {
+                *w = [w[0] | dirty, self.tick];
                 if write {
                     self.write_hits.incr();
                 } else {
@@ -140,27 +142,22 @@ impl MagicCache {
         // Miss: choose LRU victim.
         let victim_i = (0..ways)
             .min_by_key(|&i| {
-                let w = &self.ways[base + i];
-                if w.valid {
-                    w.lru
+                let [flags, lru] = self.ways[base + i];
+                if flags & VALID != 0 {
+                    lru
                 } else {
                     0
                 }
             })
             .expect("at least one way");
-        let victim = self.ways[base + victim_i];
-        let victim_writeback = if victim.valid && victim.dirty {
+        let [victim, _] = self.ways[base + victim_i];
+        let victim_writeback = if victim & (VALID | DIRTY) == VALID | DIRTY {
             self.writebacks.incr();
-            Some((victim.tag * sets + set as u64) * self.geom.line_bytes)
+            Some(((victim >> FLAG_BITS) * sets + set as u64) * self.geom.line_bytes)
         } else {
             None
         };
-        self.ways[base + victim_i] = Way {
-            valid: true,
-            dirty: write,
-            tag,
-            lru: self.tick,
-        };
+        self.ways[base + victim_i] = [key | dirty, self.tick];
         if write {
             self.write_misses.incr();
         } else {
@@ -228,22 +225,22 @@ impl MagicCache {
         for set in 0..self.geom.sets() as usize {
             let base = set * ways;
             for i in 0..ways {
-                let a = &self.ways[base + i];
-                if !a.valid {
+                let [a, lru] = self.ways[base + i];
+                if a & VALID == 0 {
                     continue;
                 }
-                if a.lru > self.tick {
+                if lru > self.tick {
                     return Err(format!(
-                        "set {set} way {i}: LRU stamp {} exceeds tick {}",
-                        a.lru, self.tick
+                        "set {set} way {i}: LRU stamp {lru} exceeds tick {}",
+                        self.tick
                     ));
                 }
                 for j in i + 1..ways {
-                    let b = &self.ways[base + j];
-                    if b.valid && b.tag == a.tag {
+                    let b = self.ways[base + j][0];
+                    if b & VALID != 0 && b >> FLAG_BITS == a >> FLAG_BITS {
                         return Err(format!(
                             "set {set}: tag {:#x} present in ways {i} and {j}",
-                            a.tag
+                            a >> FLAG_BITS
                         ));
                     }
                 }

@@ -169,17 +169,27 @@ impl<'m> Directory<'m> {
     }
 
     /// Initializes the pointer-store free list with `capacity` entries
-    /// (indices `1..=capacity`). Call once per node at machine build time.
+    /// (indices `1..=capacity`): `FREE_HEAD` reads 1 (0 when `capacity`
+    /// is 0), entry `i` links to `i + 1`, and entry `capacity` ends the
+    /// list. Call once per node at machine build time, before anything
+    /// else is stored to the pointer store.
+    ///
+    /// Only the head is written here. The entries are a `ProtoMem`
+    /// preset, so every load returns what writing the whole list would
+    /// have, while a page of the store materializes only when first
+    /// stored to: building a node costs O(1), not 128 pages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mem` already holds a free list or a stored-to
+    /// pointer-store page.
     pub fn init_free_list(mem: &mut ProtoMem, capacity: u16) {
-        for idx in 1..capacity {
-            mem.store64(entry_addr(idx), PtrEntry::new(NodeId(0), idx + 1).0);
-        }
-        if capacity >= 1 {
-            mem.store64(entry_addr(capacity), PtrEntry::new(NodeId(0), 0).0);
-            mem.store64(FREE_HEAD_ADDR, 1);
-        } else {
-            mem.store64(FREE_HEAD_ADDR, 0);
-        }
+        mem.store64(FREE_HEAD_ADDR, u64::from(capacity >= 1));
+        mem.preset(entry_addr(1)..entry_addr(capacity) + 8, move |addr| {
+            let idx = ((addr - PS_BASE) / 8) as u16;
+            let next = if idx < capacity { idx + 1 } else { 0 };
+            PtrEntry::new(NodeId(0), next).0
+        });
     }
 
     /// Loads the header at protocol-memory address `diraddr`.

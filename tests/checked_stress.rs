@@ -19,10 +19,7 @@ use flash_minimize::{Predicate, Spec};
 /// Seeds per configuration; `FLASH_CHECK_SEEDS` widens the sweep for
 /// soak runs.
 fn seeds(default: u64) -> u64 {
-    std::env::var("FLASH_CHECK_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    flash_check::sweep_seeds("FLASH_CHECK_SEEDS", default)
 }
 
 fn streams(nodes: u16, lines_per_node: u64, items: usize, seed: u64) -> Vec<Box<dyn RefStream>> {

@@ -17,10 +17,7 @@ use flash_minimize::{FaultsSpec, Predicate, Spec};
 
 /// Seeds per configuration; `FLASH_FAULT_SEEDS` widens the sweep.
 fn seeds(default: u64) -> u64 {
-    std::env::var("FLASH_FAULT_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    flash_check::sweep_seeds("FLASH_FAULT_SEEDS", default)
 }
 
 fn streams(nodes: u16, lines_per_node: u64, items: usize, seed: u64) -> Vec<Box<dyn RefStream>> {

@@ -118,6 +118,26 @@ proptest! {
     }
 }
 
+/// Machine construction writes only what a run touches: each node's
+/// pointer-store free list is a preset, so a fresh 1024-node machine holds
+/// at most one protocol page per chip (was 129 each).
+#[test]
+fn machine_construction_materializes_no_free_list() {
+    let streams: Vec<Box<dyn RefStream>> = (0..1024)
+        .map(|_| Box::new(SliceStream::new(Vec::new())) as Box<dyn RefStream>)
+        .collect();
+    let m = Machine::new(MachineConfig::flash(1024), streams);
+    let pages: usize = m
+        .chips()
+        .iter()
+        .map(|c| c.proto_mem().resident_pages())
+        .sum();
+    assert!(
+        pages <= 1024,
+        "{pages} protocol pages resident after construction"
+    );
+}
+
 /// A fixed, non-trivial observed workload for the host-instrumentation
 /// invariance tests below: 16 nodes, mixed sharing, a few thousand
 /// events per run.

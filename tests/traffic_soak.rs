@@ -19,10 +19,7 @@ use flash_traffic::TrafficSpec;
 
 /// Seeds per configuration; `FLASH_TRAFFIC_SEEDS` widens the sweep.
 fn seeds(default: u64) -> u64 {
-    std::env::var("FLASH_TRAFFIC_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    flash_check::sweep_seeds("FLASH_TRAFFIC_SEEDS", default)
 }
 
 fn spec(nodes: u16, objects: u64, items: u64, gap: u64, seed: u64) -> TrafficSpec {
