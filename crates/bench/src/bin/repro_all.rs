@@ -13,8 +13,8 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     // Simulate the whole deduplicated run matrix up front, in parallel;
     // the table renders below are then pure cache reads. Jobs that fail
-    // every attempt are recorded by the supervisor and re-surface as
-    // render-time panics in the artifacts that need them.
+    // are recorded by the runner and re-surface as render-time panics in
+    // the artifacts that need them.
     t::prefetch_all();
     flash_bench::suite_main(&mut [
         ("table_3_2", Some(Box::new(t::table_3_2))),

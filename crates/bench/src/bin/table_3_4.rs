@@ -1,8 +1,8 @@
 //! Regenerates the paper's table_3_4 artifact. See `flash_bench::tables`.
 //!
-//! Simulation points run under the hardened supervisor; if any point
-//! fails every attempt the render is caught at the process boundary,
-//! a failure table is printed, and the exit status is nonzero.
+//! Simulation points run isolated in the runner's worker pool; if any
+//! point panics or times out the render is caught at the process
+//! boundary, a failure table is printed, and the exit status is nonzero.
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

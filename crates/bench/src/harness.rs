@@ -1,16 +1,17 @@
 //! Entry-point harness for the repro binaries.
 //!
 //! Every `repro_*` binary renders one or more artifacts (tables/figures)
-//! whose simulation points run under the hardened supervisor in
-//! [`crate::runner`]. The harness completes the robustness story at the
-//! process boundary: a panicking render (one of its points failed every
-//! attempt, so [`crate::cached_run`] re-hit the panic at render time) is
-//! caught, the remaining artifacts still render, and the process exits
-//! nonzero with a per-job failure table on stdout.
+//! whose simulation points run isolated in [`crate::runner`]'s worker
+//! pool. The harness completes the robustness story at the process
+//! boundary: a panicking render (one of its points failed, so
+//! [`crate::cached_run`] re-hit the panic at render time) is caught, the
+//! remaining artifacts still render, and the process exits nonzero with
+//! a per-job failure table on stdout.
 //!
 //! On a fully healthy run nothing extra is printed and the exit status is
 //! zero — repro output stays byte-identical to the pre-harness binaries.
 
+use crate::isolate::first_line_of;
 use crate::runner::{drain_failures, JobFailure};
 use std::process::ExitCode;
 
@@ -26,23 +27,14 @@ struct ArtifactFailure {
 fn run_artifact(name: &'static str, f: impl FnOnce()) -> Option<ArtifactFailure> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
         .err()
-        .map(|payload| {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            ArtifactFailure {
-                name,
-                error: msg.lines().next().unwrap_or("panic").to_string(),
-            }
+        .map(|payload| ArtifactFailure {
+            name,
+            error: first_line_of(payload),
         })
 }
 
 /// Renders the failure tail: the per-job failure table from the
-/// supervisor plus any artifacts whose rendering panicked. Returns
+/// runner plus any artifacts whose rendering panicked. Returns
 /// whether anything failed.
 fn report_failures(artifacts: &[ArtifactFailure], jobs: &[JobFailure]) -> bool {
     if artifacts.is_empty() && jobs.is_empty() {
@@ -52,9 +44,9 @@ fn report_failures(artifacts: &[ArtifactFailure], jobs: &[JobFailure]) -> bool {
     println!("== FAILURES ==");
     if !jobs.is_empty() {
         println!("{} simulation job(s) failed:", jobs.len());
-        println!("{:<10} job | error", "attempts");
+        println!("job | error");
         for j in jobs {
-            println!("{:<10} {} | {}", j.attempts, j.key, j.error);
+            println!("{} | {}", j.key, j.error);
         }
     }
     if !artifacts.is_empty() {
@@ -88,7 +80,7 @@ pub fn artifact_main(name: &'static str, f: impl FnOnce()) -> ExitCode {
 
 /// Main body for a multi-artifact repro binary (`repro_all`): every
 /// artifact renders even if an earlier one fails; the failure tail lists
-/// the supervisor's per-job failures and any incompletely rendered
+/// the runner's per-job failures and any incompletely rendered
 /// artifacts, and the exit status is nonzero if anything failed.
 ///
 /// Artifacts are `(name, Some(render))` pairs; the `Option` is taken as

@@ -1,15 +1,15 @@
 //! Single-call panic and wall-clock isolation.
 //!
-//! The run-matrix supervisor in [`crate::runner`] hardens whole job
-//! *lists*; the delta debugger in `flash-minimize` needs the same
-//! protection for one candidate evaluation at a time — a shrunk candidate
-//! may legitimately wedge forever (that is often exactly the failure being
-//! minimized, with the watchdog shrunk too far to catch it) or panic
-//! inside the simulator, and neither may take the search down. [`call`]
-//! reuses the supervisor's idiom: the closure runs `catch_unwind`-wrapped
-//! on a *detached* worker thread whose result comes back over a channel
-//! with `recv_timeout`; an overdue worker is abandoned, never joined, so
-//! a wedged candidate costs the search one timeout, not a hang.
+//! [`call`] runs one closure `catch_unwind`-wrapped and, given a limit,
+//! on a *detached* thread whose result comes back over a channel with
+//! `recv_timeout`; an overdue thread is abandoned, never joined. It is
+//! the crate's one isolation primitive: the run-matrix workers in
+//! [`crate::runner`] run every job through it, so a panicking or runaway
+//! simulation point costs the matrix one failure record, not the whole
+//! run; and the delta debugger in `flash-minimize` runs every candidate
+//! evaluation through it, because a shrunk candidate may legitimately
+//! wedge forever (often exactly the failure being minimized, with the
+//! watchdog shrunk too far to catch it) or panic inside the simulator.
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -33,7 +33,9 @@ impl std::fmt::Display for IsolateError {
     }
 }
 
-fn first_line_of(payload: Box<dyn std::any::Any + Send>) -> String {
+/// First line of a panic payload (`"non-string panic payload"` for
+/// payloads that are neither `&str` nor `String`).
+pub(crate) fn first_line_of(payload: Box<dyn std::any::Any + Send>) -> String {
     let msg = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -17,8 +17,8 @@ pub mod tables;
 
 pub use harness::{artifact_main, suite_main};
 pub use runner::{
-    cached_latency, cached_run, clear_caches, drain_failures, prefetch, prefetch_supervised,
-    prefetch_with_jobs, Job, JobFailure, RunSpec, SuperviseOptions, WorkSpec,
+    cached_latency, cached_run, clear_caches, drain_failures, prefetch, prefetch_with, Job,
+    JobFailure, RunSpec, WorkSpec,
 };
 
 use flash::config::node_addr;

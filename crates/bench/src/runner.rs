@@ -19,22 +19,28 @@
 //!
 //! Worker count: `FLASH_JOBS=n` forces `n` workers; the default is
 //! [`std::thread::available_parallelism`]. `FLASH_JOBS=1` runs every job
-//! inline on the caller's thread (no threads are spawned).
+//! on the caller's thread (no worker threads are spawned).
+//!
+//! Isolation: every job runs once under [`isolate::call`], so a panicking
+//! point is recorded for [`drain_failures`] and the rest of the matrix
+//! still runs. `FLASH_JOB_TIMEOUT=<seconds>` bounds each job's wall clock
+//! at any worker count; a job that overruns it is abandoned on its own
+//! detached thread and recorded the same way.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 use flash::{ControllerKind, Machine, MachineConfig, MachineReport};
 use flash_workloads::{budget, by_name, run_to_completion, run_workload_machine, Fft, OsWorkload};
 
-use crate::{mdc_stress_stream, MissClass};
+use crate::{isolate, mdc_stress_stream, MissClass};
 
-/// Locks a mutex, tolerating poisoning: a panicking job (isolated by the
-/// supervisor's `catch_unwind`) must not take the whole memo cache down
-/// with it. Cache values are only written complete, so the inner state is
-/// always usable.
+/// Locks a mutex, tolerating poisoning: a panicking job (isolated by
+/// [`isolate::call`]) must not take the whole memo cache down with it.
+/// Cache values are only written complete, so the inner state is always
+/// usable.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -299,7 +305,7 @@ pub fn cached_latency(kind: ControllerKind, class: MissClass) -> f64 {
     *lock(lat_cache()).entry(key).or_insert(v)
 }
 
-/// Supervisor self-test hook: `FLASH_INJECT_PANIC=<substring>` panics any
+/// Isolation self-test hook: `FLASH_INJECT_PANIC=<substring>` panics any
 /// job whose memo key contains the substring, *after* the cache miss is
 /// established (so only a real simulation attempt trips it). Used by the
 /// panic-isolation tests; unset in normal operation.
@@ -311,10 +317,10 @@ fn maybe_inject_panic(key: &str) {
     }
 }
 
-/// Supervisor self-test hook: `FLASH_INJECT_HANG=<substring>` stalls any
+/// Isolation self-test hook: `FLASH_INJECT_HANG=<substring>` stalls any
 /// job whose memo key contains the substring for an hour — forever, on
 /// test timescales — modelling a runaway simulation that ignores its
-/// cycle budget. Exercises the wall-clock timeout and zombie-abandonment
+/// cycle budget. Exercises the wall-clock timeout and thread-abandonment
 /// path; unset in normal operation.
 fn maybe_inject_hang(key: &str) {
     if let Ok(pat) = std::env::var("FLASH_INJECT_HANG") {
@@ -324,19 +330,18 @@ fn maybe_inject_hang(key: &str) {
     }
 }
 
-// ---- hardened supervisor ---------------------------------------------------
+// ---- worker pool -----------------------------------------------------------
 
-/// One job the supervisor gave up on: it panicked (or timed out) on every
-/// allowed attempt. The matrix keeps going; failures are drained at the
-/// end and rendered as a tail summary with a nonzero exit.
+/// One job that failed: it panicked, or overran `FLASH_JOB_TIMEOUT`. The
+/// matrix keeps going; failures are drained at the end and rendered as a
+/// tail summary with a nonzero exit.
 #[derive(Debug, Clone)]
 pub struct JobFailure {
     /// The job's memo key (identifies the simulation point).
     pub key: String,
-    /// First line of the panic payload, or a timeout note.
+    /// Why it failed: [`isolate::IsolateError`]'s display (the panic
+    /// payload's first line, or the timeout).
     pub error: String,
-    /// Attempts made (1 + retries).
-    pub attempts: u32,
 }
 
 fn failure_log() -> &'static Mutex<Vec<JobFailure>> {
@@ -344,39 +349,10 @@ fn failure_log() -> &'static Mutex<Vec<JobFailure>> {
     LOG.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-fn record_failure(f: JobFailure) {
-    lock(failure_log()).push(f);
-}
-
 /// Takes (and clears) every job failure recorded since the last drain.
 /// Bins call this after rendering to decide their exit status.
 pub fn drain_failures() -> Vec<JobFailure> {
     std::mem::take(&mut *lock(failure_log()))
-}
-
-/// Supervisor policy: how patient to be with a job before writing it off.
-#[derive(Debug, Clone, Copy)]
-pub struct SuperviseOptions {
-    /// Wall-clock limit per job *attempt*. `None` (the default) trusts
-    /// the in-simulation cycle budget. Only enforced when jobs run on
-    /// worker threads (`workers > 1`): the inline path cannot abandon its
-    /// own thread.
-    pub timeout: Option<Duration>,
-    /// Extra attempts after a panicked or overdue first attempt.
-    pub retries: u32,
-}
-
-impl SuperviseOptions {
-    /// Policy from the environment: `FLASH_JOB_TIMEOUT` (seconds,
-    /// fractional allowed) and `FLASH_JOB_RETRIES` (default 1).
-    pub fn from_env() -> Self {
-        let timeout = parse_timeout(std::env::var("FLASH_JOB_TIMEOUT").ok().as_deref());
-        let retries = std::env::var("FLASH_JOB_RETRIES")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(1);
-        SuperviseOptions { timeout, retries }
-    }
 }
 
 /// A `FLASH_JOB_TIMEOUT` value in seconds (fractional allowed). Unset,
@@ -387,42 +363,23 @@ fn parse_timeout(value: Option<&str>) -> Option<Duration> {
     Duration::try_from_secs_f64(secs).ok()
 }
 
-/// Runs one attempt of `job` with panic isolation, returning the panic
-/// payload's first line on failure.
-fn run_attempt(job: &Job) -> Result<(), String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run())).map_err(|payload| {
-        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        msg.lines().next().unwrap_or("panic").to_string()
-    })
-}
-
 /// Prefetches a job list with the default worker count ([`jobs`]) and the
-/// environment's supervision policy. Returns the number of points
-/// actually simulated (attempted points count even if they ultimately
+/// `FLASH_JOB_TIMEOUT` wall-clock limit per job. Returns the number of
+/// points actually simulated (attempted points count even if they
 /// failed — see [`drain_failures`]).
 pub fn prefetch(list: &[Job]) -> usize {
-    prefetch_supervised(list, jobs(), &SuperviseOptions::from_env())
-}
-
-/// [`prefetch`] with an explicit worker count (environment policy).
-pub fn prefetch_with_jobs(list: &[Job], workers: usize) -> usize {
-    prefetch_supervised(list, workers, &SuperviseOptions::from_env())
+    let timeout = parse_timeout(std::env::var("FLASH_JOB_TIMEOUT").ok().as_deref());
+    prefetch_with(list, jobs(), timeout)
 }
 
 /// Deduplicates `list`, drops already-cached points, and executes the rest
-/// under the hardened supervisor: each attempt is `catch_unwind`-isolated,
-/// panicked or overdue attempts are retried per `opts`, and jobs that fail
-/// every attempt are recorded for [`drain_failures`] instead of killing
-/// the matrix. `workers <= 1` runs inline on the caller's thread (no
-/// threads, no wall-clock timeouts). Returns the number of points
+/// on `workers` scoped threads (`workers <= 1`: on the caller's thread)
+/// that take jobs in list order. Each job runs once under
+/// [`isolate::call`]: a job that panics or overruns `timeout` is recorded
+/// for [`drain_failures`] instead of killing the matrix, and an overrun
+/// job's thread is abandoned, never joined. Returns the number of points
 /// actually simulated.
-pub fn prefetch_supervised(list: &[Job], workers: usize, opts: &SuperviseOptions) -> usize {
+pub fn prefetch_with(list: &[Job], workers: usize, timeout: Option<Duration>) -> usize {
     let mut seen = HashSet::new();
     let mut pending: Vec<Job> = Vec::new();
     for job in list {
@@ -431,180 +388,29 @@ pub fn prefetch_supervised(list: &[Job], workers: usize, opts: &SuperviseOptions
             pending.push(job.clone());
         }
     }
-    if pending.is_empty() {
-        return 0;
-    }
-    let workers = workers.max(1).min(pending.len());
-    let max_attempts = opts.retries.saturating_add(1);
+    let next = AtomicUsize::new(0);
+    let work = || {
+        while let Some(job) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let owned = job.clone();
+            if let Err(e) = isolate::call(timeout, move || owned.run()) {
+                lock(failure_log()).push(JobFailure {
+                    key: job.key(),
+                    error: e.to_string(),
+                });
+            }
+        }
+    };
+    let workers = workers.clamp(1, pending.len().max(1));
     if workers == 1 {
-        for job in &pending {
-            let mut attempt = 1;
-            loop {
-                match run_attempt(job) {
-                    Ok(()) => break,
-                    Err(e) if attempt < max_attempts => {
-                        eprintln!("[runner] job panicked (attempt {attempt}): {e}; retrying");
-                        attempt += 1;
-                    }
-                    Err(e) => {
-                        record_failure(JobFailure {
-                            key: job.key(),
-                            error: e,
-                            attempts: attempt,
-                        });
-                        break;
-                    }
-                }
+        work();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(work);
             }
-        }
-        return pending.len();
+        });
     }
-    supervise(pending, workers, max_attempts, opts.timeout)
-}
-
-/// Messages from workers to the supervisor.
-enum WorkerMsg {
-    Started {
-        job: usize,
-        attempt: u32,
-    },
-    Finished {
-        job: usize,
-        attempt: u32,
-        result: Result<(), String>,
-    },
-}
-
-fn spawn_worker(
-    jobs: Arc<Vec<Job>>,
-    queue: Arc<Mutex<VecDeque<(usize, u32)>>>,
-    tx: mpsc::Sender<WorkerMsg>,
-) {
-    std::thread::spawn(move || loop {
-        let item = lock(&queue).pop_front();
-        let Some((job, attempt)) = item else { break };
-        if tx.send(WorkerMsg::Started { job, attempt }).is_err() {
-            break;
-        }
-        let result = run_attempt(&jobs[job]);
-        let fin = WorkerMsg::Finished {
-            job,
-            attempt,
-            result,
-        };
-        if tx.send(fin).is_err() {
-            break;
-        }
-    });
-}
-
-/// The threaded supervisor. Worker threads are detached, not scoped: a
-/// worker stuck inside a runaway simulation is *abandoned* (its job is
-/// retried or failed by timeout, and a replacement worker keeps the pool
-/// at strength) rather than joined — a scoped pool would hang the whole
-/// matrix on one wedged job. A late result from an abandoned worker still
-/// counts if its job is unresolved (the memo cache makes duplicates
-/// harmless: simulations are deterministic).
-fn supervise(
-    pending: Vec<Job>,
-    workers: usize,
-    max_attempts: u32,
-    timeout: Option<Duration>,
-) -> usize {
-    let total = pending.len();
-    let jobs = Arc::new(pending);
-    let queue: Arc<Mutex<VecDeque<(usize, u32)>>> =
-        Arc::new(Mutex::new((0..total).map(|i| (i, 1)).collect()));
-    let (tx, rx) = mpsc::channel();
-    for _ in 0..workers {
-        spawn_worker(jobs.clone(), queue.clone(), tx.clone());
-    }
-    let mut resolved = vec![false; total];
-    let mut unresolved = total;
-    // Last started attempt + start time, per in-flight job.
-    let mut in_flight: HashMap<usize, (u32, Instant)> = HashMap::new();
-    let poll = timeout.map_or(Duration::from_millis(200), |t| {
-        (t / 4).max(Duration::from_millis(10))
-    });
-    while unresolved > 0 {
-        match rx.recv_timeout(poll) {
-            Ok(WorkerMsg::Started { job, attempt }) => {
-                in_flight.insert(job, (attempt, Instant::now()));
-            }
-            Ok(WorkerMsg::Finished {
-                job,
-                attempt,
-                result,
-            }) => {
-                // Only clear the in-flight slot if it still belongs to
-                // this attempt (a late result from an abandoned worker
-                // must not clobber the retry's bookkeeping).
-                if in_flight.get(&job).is_some_and(|&(a, _)| a == attempt) {
-                    in_flight.remove(&job);
-                }
-                if resolved[job] {
-                    continue; // late result from an abandoned attempt
-                }
-                match result {
-                    Ok(()) => {
-                        resolved[job] = true;
-                        unresolved -= 1;
-                    }
-                    Err(e) if attempt < max_attempts => {
-                        eprintln!("[runner] job panicked (attempt {attempt}): {e}; retrying");
-                        lock(&queue).push_back((job, attempt + 1));
-                        spawn_worker(jobs.clone(), queue.clone(), tx.clone());
-                    }
-                    Err(e) => {
-                        resolved[job] = true;
-                        unresolved -= 1;
-                        record_failure(JobFailure {
-                            key: jobs[job].key(),
-                            error: e,
-                            attempts: attempt,
-                        });
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                let Some(limit) = timeout else { continue };
-                let now = Instant::now();
-                let overdue: Vec<(usize, u32)> = in_flight
-                    .iter()
-                    .filter(|&(_, &(_, started))| now.duration_since(started) > limit)
-                    .map(|(&job, &(attempt, _))| (job, attempt))
-                    .collect();
-                for (job, attempt) in overdue {
-                    // Abandon the worker stuck on this attempt; a
-                    // replacement keeps the pool at strength.
-                    in_flight.remove(&job);
-                    if resolved[job] {
-                        continue;
-                    }
-                    if attempt < max_attempts {
-                        eprintln!(
-                            "[runner] job overdue after {limit:?} (attempt {attempt}); retrying"
-                        );
-                        lock(&queue).push_back((job, attempt + 1));
-                        spawn_worker(jobs.clone(), queue.clone(), tx.clone());
-                    } else {
-                        resolved[job] = true;
-                        unresolved -= 1;
-                        record_failure(JobFailure {
-                            key: jobs[job].key(),
-                            error: format!("timed out (> {limit:?} wall clock per attempt)"),
-                            attempts: attempt,
-                        });
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                // Unreachable while the supervisor holds `tx`; defensive.
-                break;
-            }
-        }
-    }
-    total
+    pending.len()
 }
 
 #[cfg(test)]
@@ -721,14 +527,14 @@ mod tests {
             Job::Run(spec.clone()),
             Job::Run(spec.clone()),
         ];
-        let ran = prefetch_with_jobs(&list, 2);
+        let ran = prefetch_with(&list, 2, None);
         assert!(
             ran <= 1,
             "duplicates must collapse to at most one run, got {ran}"
         );
         assert!(cached_run_count() >= before);
         // A later call finds everything cached.
-        assert_eq!(prefetch_with_jobs(&list, 2), 0);
+        assert_eq!(prefetch_with(&list, 2, None), 0);
         // And cached_run returns the memoized report without re-simulating.
         let r1 = cached_run(&spec);
         let r2 = cached_run(&spec);

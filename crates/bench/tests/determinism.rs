@@ -6,7 +6,7 @@
 //! for any `FLASH_JOBS`.
 
 use flash::MachineConfig;
-use flash_bench::{cached_run, clear_caches, prefetch_with_jobs, Job, RunSpec, WorkSpec};
+use flash_bench::{cached_run, clear_caches, prefetch_with, Job, RunSpec, WorkSpec};
 use flash_workloads::{by_name, run_workload};
 
 #[test]
@@ -57,13 +57,13 @@ fn reports_identical_serial_one_worker_four_workers() {
 
     // One worker: jobs run inline on this thread through the memo cache.
     clear_caches();
-    let ran = prefetch_with_jobs(&jobs, 1);
+    let ran = prefetch_with(&jobs, 1, None);
     assert_eq!(ran, specs.len(), "every unique point should simulate once");
     let one_worker: Vec<_> = specs.iter().map(cached_run).collect();
 
     // Four workers: jobs run on scoped worker threads.
     clear_caches();
-    let ran = prefetch_with_jobs(&jobs, 4);
+    let ran = prefetch_with(&jobs, 4, None);
     assert_eq!(ran, specs.len());
     let four_workers: Vec<_> = specs.iter().map(cached_run).collect();
 
@@ -73,5 +73,5 @@ fn reports_identical_serial_one_worker_four_workers() {
     }
 
     // And the memo cache really memoizes: a second prefetch is a no-op.
-    assert_eq!(prefetch_with_jobs(&jobs, 4), 0);
+    assert_eq!(prefetch_with(&jobs, 4, None), 0);
 }

@@ -1,18 +1,16 @@
-//! End-to-end tests of the hardened run-matrix supervisor and the repro
-//! process boundary.
+//! End-to-end tests of run-matrix job isolation and the repro process
+//! boundary.
 //!
-//! The library-level tests drive [`flash_bench::prefetch_supervised`]
-//! directly with the self-test hooks (`FLASH_INJECT_PANIC`,
-//! `FLASH_INJECT_HANG`) and assert that a poisoned job is isolated,
-//! retried, recorded, and never takes the rest of the matrix down. The
-//! subprocess tests run a real repro binary and pin the process contract:
-//! healthy runs exit zero with no failure tail; poisoned runs exit
-//! nonzero with the per-job failure table on stdout.
+//! The library-level tests drive [`flash_bench::prefetch_with`] directly
+//! with the self-test hooks (`FLASH_INJECT_PANIC`, `FLASH_INJECT_HANG`)
+//! and assert that a poisoned job is isolated, recorded once, and never
+//! takes the rest of the matrix down. The subprocess tests run a real
+//! repro binary and pin the process contract: healthy runs exit zero with
+//! no failure tail; poisoned runs exit nonzero with the per-job failure
+//! table on stdout.
 
 use flash::MachineConfig;
-use flash_bench::runner::{
-    clear_caches, drain_failures, prefetch_supervised, Job, RunSpec, SuperviseOptions, WorkSpec,
-};
+use flash_bench::runner::{clear_caches, drain_failures, prefetch_with, Job, RunSpec, WorkSpec};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -34,21 +32,14 @@ fn run_job(app: &'static str, scale: u32) -> Job {
 }
 
 #[test]
-fn injected_panic_is_isolated_retried_and_recorded() {
+fn injected_panic_is_isolated_and_recorded_once() {
     let _g = env_lock().lock().unwrap_or_else(|e| e.into_inner());
     clear_caches();
     drain_failures();
     // Poison exactly the FFT point; the LU point must be unaffected.
     std::env::set_var("FLASH_INJECT_PANIC", "app: \"FFT\", procs: 2, scale: 63");
     let jobs = vec![run_job("FFT", 63), run_job("LU", 63)];
-    let ran = prefetch_supervised(
-        &jobs,
-        2,
-        &SuperviseOptions {
-            timeout: None,
-            retries: 1,
-        },
-    );
+    let ran = prefetch_with(&jobs, 2, None);
     std::env::remove_var("FLASH_INJECT_PANIC");
     assert_eq!(ran, 2, "both points must be attempted");
     let failures = drain_failures();
@@ -58,57 +49,60 @@ fn injected_panic_is_isolated_retried_and_recorded() {
         "only the poisoned job fails: {failures:?}"
     );
     assert!(failures[0].key.contains("FFT"));
-    assert_eq!(failures[0].attempts, 2, "one retry after the first panic");
     assert!(failures[0].error.contains("FLASH_INJECT_PANIC"));
     // The healthy point is cached; re-prefetching it is a no-op.
     assert_eq!(
-        prefetch_supervised(&[run_job("LU", 63)], 2, &SuperviseOptions::from_env()),
+        prefetch_with(&[run_job("LU", 63)], 2, None),
         0,
         "healthy job must have been cached despite its neighbour panicking"
     );
     // The poisoned point was never cached — with the hook gone it runs
     // cleanly, proving a failure does not poison the memo cache.
-    assert_eq!(
-        prefetch_supervised(&[run_job("FFT", 63)], 2, &SuperviseOptions::from_env()),
-        1
-    );
+    assert_eq!(prefetch_with(&[run_job("FFT", 63)], 2, None), 1);
     assert!(drain_failures().is_empty());
 }
 
-#[test]
-fn hung_job_times_out_and_the_matrix_completes() {
+/// Hangs the LU point (a runaway simulation that ignores its cycle
+/// budget) under a 300 ms limit and asserts that `workers` workers
+/// abandon it on wall clock, record it once, and still finish and cache
+/// the FFT point. Each caller uses its own `scale` so the points are
+/// distinct from every other test's.
+fn hung_job_times_out(workers: usize, scale: u32) {
     let _g = env_lock().lock().unwrap_or_else(|e| e.into_inner());
     clear_caches();
     drain_failures();
-    // Hang exactly the LU point (a runaway simulation that ignores its
-    // cycle budget); the supervisor must abandon it on wall clock and
-    // still finish the FFT point.
-    std::env::set_var("FLASH_INJECT_HANG", "app: \"LU\", procs: 2, scale: 62");
+    std::env::set_var(
+        "FLASH_INJECT_HANG",
+        format!("app: \"LU\", procs: 2, scale: {scale}"),
+    );
     let t0 = Instant::now();
-    let ran = prefetch_supervised(
-        &[run_job("LU", 62), run_job("FFT", 62)],
-        2,
-        &SuperviseOptions {
-            timeout: Some(Duration::from_millis(300)),
-            retries: 1,
-        },
+    let ran = prefetch_with(
+        &[run_job("LU", scale), run_job("FFT", scale)],
+        workers,
+        Some(Duration::from_millis(300)),
     );
     std::env::remove_var("FLASH_INJECT_HANG");
     assert_eq!(ran, 2);
     assert!(
         t0.elapsed() < Duration::from_secs(60),
-        "supervisor must not wait out the hour-long hang"
+        "the pool must not wait out the hour-long hang"
     );
     let failures = drain_failures();
     assert_eq!(failures.len(), 1, "{failures:?}");
     assert!(failures[0].key.contains("LU"));
     assert!(failures[0].error.contains("timed out"));
-    assert_eq!(failures[0].attempts, 2, "the overdue attempt was retried");
     // The healthy point completed and is cached.
-    assert_eq!(
-        prefetch_supervised(&[run_job("FFT", 62)], 2, &SuperviseOptions::from_env()),
-        0
-    );
+    assert_eq!(prefetch_with(&[run_job("FFT", scale)], workers, None), 0);
+}
+
+#[test]
+fn hung_job_times_out_and_the_matrix_completes() {
+    hung_job_times_out(2, 62);
+}
+
+#[test]
+fn hung_job_times_out_with_one_worker() {
+    hung_job_times_out(1, 61);
 }
 
 #[test]
@@ -134,7 +128,6 @@ fn repro_binary_healthy_run_exits_zero_without_failure_tail() {
 fn repro_binary_poisoned_run_exits_nonzero_with_failure_table() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_table_3_3"))
         .env("FLASH_INJECT_PANIC", "lat|")
-        .env("FLASH_JOB_RETRIES", "0")
         .output()
         .expect("spawn table_3_3");
     let stdout = String::from_utf8_lossy(&out.stdout);

@@ -2254,22 +2254,6 @@ impl Machine {
         self.observe.as_ref().map(|o| o.trace_json())
     }
 
-    /// Writes the Chrome-trace JSON to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the file cannot be written, or
-    /// `InvalidInput` if the machine is not observing.
-    pub fn write_trace(&self, path: &str) -> std::io::Result<()> {
-        let Some(json) = self.trace_json() else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "machine is not observing (enable MachineConfig::with_observe)",
-            ));
-        };
-        std::fs::write(path, json)
-    }
-
     /// The per-class latency percentile report (`None` unless the
     /// machine was built with [`MachineConfig::with_observe`]). Rows are
     /// exact integer percentiles over log-bucketed histograms; for

@@ -29,12 +29,20 @@ use flash::{Machine, MachineConfig, MachineReport, RunResult};
 pub const DEFAULT_BUDGET: u64 = 40_000_000_000;
 
 /// The per-run cycle budget: [`DEFAULT_BUDGET`] unless the
-/// `FLASH_JOB_BUDGET` environment variable overrides it (the run-matrix
-/// supervisor's per-job budget knob; accepts a plain cycle count).
+/// `FLASH_JOB_BUDGET` environment variable overrides it with a positive
+/// cycle count.
 pub fn budget() -> u64 {
-    std::env::var("FLASH_JOB_BUDGET")
-        .ok()
+    parse_budget(std::env::var("FLASH_JOB_BUDGET").ok().as_deref())
+}
+
+/// A `FLASH_JOB_BUDGET` value as a cycle budget (surrounding whitespace
+/// allowed). Unset, empty, unparsable and zero values all mean
+/// [`DEFAULT_BUDGET`]: a zero budget would end every run
+/// `BudgetExhausted`.
+fn parse_budget(value: Option<&str>) -> u64 {
+    value
         .and_then(|v| v.trim().parse().ok())
+        .filter(|&n| n > 0)
         .unwrap_or(DEFAULT_BUDGET)
 }
 
@@ -80,7 +88,7 @@ pub fn run_workload_machine(cfg: &MachineConfig, workload: &dyn Workload) -> Mac
 ///
 /// Panics, naming the run `what`, if the run exhausts the budget,
 /// deadlocks, or wedges (forward-progress watchdog). The panic message
-/// carries the full structured diagnosis so the run-matrix supervisor's
+/// carries the full structured diagnosis so the run matrix's
 /// failure table shows who was waiting on what.
 pub fn run_to_completion(mut m: Machine, budget: u64, what: &str) -> Machine {
     match m.run(budget) {
@@ -122,6 +130,22 @@ pub const PARALLEL_APPS: [&str; 6] = ["Barnes", "FFT", "LU", "MP3D", "Ocean", "R
 mod tests {
     use super::*;
     use flash_cpu::WorkItem;
+
+    #[test]
+    fn budget_parser_trims_and_rejects_zero() {
+        for (value, want) in [
+            (None, DEFAULT_BUDGET),
+            (Some(""), DEFAULT_BUDGET),
+            (Some("x"), DEFAULT_BUDGET),
+            (Some("-5"), DEFAULT_BUDGET),
+            (Some("0"), DEFAULT_BUDGET),
+            (Some(" 0 "), DEFAULT_BUDGET),
+            (Some(" 1000 "), 1000),
+            (Some("7"), 7),
+        ] {
+            assert_eq!(parse_budget(value), want, "FLASH_JOB_BUDGET={value:?}");
+        }
+    }
 
     #[test]
     fn all_workloads_produce_balanced_streams() {

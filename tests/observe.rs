@@ -189,10 +189,10 @@ fn golden_trace_snapshot_2node() {
     );
 }
 
-/// `Machine::write_trace` refuses politely when not observing and writes
-/// valid Chrome JSON when it is.
+/// `Machine::trace_json` is `None` when not observing and valid Chrome
+/// JSON when it is.
 #[test]
-fn write_trace_roundtrip() {
+fn trace_json_only_when_observing() {
     let mk = || {
         vec![
             vec![WorkItem::Read(node_addr(NodeId(1), 0)), WorkItem::Busy(4)],
@@ -200,18 +200,12 @@ fn write_trace_roundtrip() {
         ]
     };
     let off = run(MachineConfig::flash(2), mk());
-    let dir = std::env::temp_dir().join("flash-observe-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("trace.json");
-    let path = path.to_str().unwrap();
-    assert!(off.write_trace(path).is_err(), "not observing must error");
+    assert!(off.trace_json().is_none(), "not observing must yield None");
     let on = run(MachineConfig::flash(2).with_observe(true), mk());
-    on.write_trace(path).unwrap();
-    let body = std::fs::read_to_string(path).unwrap();
+    let body = on.trace_json().expect("observing machine has a trace");
     assert!(body.starts_with("{\"displayTimeUnit\""));
     assert!(body.contains("\"traceEvents\""));
     assert!(body.contains("\"ph\":\"X\""));
-    std::fs::remove_file(path).ok();
 }
 
 #[derive(Debug, Clone)]
