@@ -6,7 +6,7 @@
 //! deviations come from.
 
 use flash::{format_table, ControllerKind};
-use flash_bench::{measure_class_breakdown, MissClass};
+use flash_bench::{base_cfg, measure_class_breakdown, MissClass};
 use flash_engine::Segment;
 use std::process::ExitCode;
 
@@ -25,7 +25,7 @@ fn render() {
         let rows: Vec<Vec<String>> = MissClass::ALL
             .iter()
             .map(|&class| {
-                let (segs, stall) = measure_class_breakdown(kind, class);
+                let (segs, stall) = measure_class_breakdown(&base_cfg(kind, 3), class);
                 let mut row = vec![class.label().to_string()];
                 row.extend(segs.iter().map(|v| v.to_string()));
                 row.push(segs.iter().sum::<u64>().to_string());

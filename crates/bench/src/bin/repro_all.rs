@@ -1,5 +1,5 @@
 //! Regenerates every table and figure in the paper's evaluation in one
-//! run. Set `FLASH_FULL=1` for the paper's problem sizes and `FLASH_JOBS=n`
+//! run. Set `FLASH_SCALE=1` for the paper's problem sizes and `FLASH_JOBS=n`
 //! to control how many simulations run concurrently (default: all cores).
 //!
 //! Robustness: each artifact renders under panic isolation, so a single

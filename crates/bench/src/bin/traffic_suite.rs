@@ -26,7 +26,7 @@
 //!
 //! Unlike `BENCH_PR1/PR6/PR7`, this report contains **no wall-clock
 //! numbers**: every value is simulated, so the file is byte-identical
-//! under any `FLASH_SHARDS` or `FLASH_PP_BACKEND` setting. One load
+//! under any `FLASH_SHARDS` setting and either PP backend. One load
 //! point is additionally re-run under shards 1/2/4 and both PP backends
 //! inside the process; the suite exits nonzero if any copy diverges.
 //!
@@ -152,8 +152,8 @@ fn knee(points: &[Point]) -> Option<u64> {
 
 /// Re-runs one load point under shards 1/2/4 × both PP backends and
 /// demands identical latency reports (the determinism contract that
-/// makes this file reproducible under any `FLASH_SHARDS` /
-/// `FLASH_PP_BACKEND` setting).
+/// makes this file reproducible under any `FLASH_SHARDS` setting and
+/// either PP backend).
 fn cross_check(shape: Shape, pct: u64, mean_gap: u64) -> bool {
     let mut copies = Vec::new();
     for shards in [1usize, 2, 4] {
@@ -279,7 +279,7 @@ fn main() {
         json,
         "  \"deterministic_across_shards_and_backends\": {deterministic},"
     );
-    json.push_str("  \"notes\": \"All values are simulated cycles - no wall-clock numbers - so this file is byte-identical under any FLASH_SHARDS or FLASH_PP_BACKEND setting (one load point is re-run under shards 1/2/4 x both backends in-process to prove it). The knee is where mean admission wait first exceeds p50 service latency: below it the open-loop machine tracks the closed-loop latency tables, above it the backlog grows without bound and latency is queueing, not service (see EXPERIMENTS.md).\"\n");
+    json.push_str("  \"notes\": \"All values are simulated cycles - no wall-clock numbers - so this file is byte-identical under any FLASH_SHARDS setting and either PP backend (one load point is re-run under shards 1/2/4 x both backends in-process to prove it). The knee is where mean admission wait first exceeds p50 service latency: below it the open-loop machine tracks the closed-loop latency tables, above it the backlog grows without bound and latency is queueing, not service (see EXPERIMENTS.md).\"\n");
     json.push_str("}\n");
 
     if let Some(path) = arg {

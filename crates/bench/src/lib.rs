@@ -7,8 +7,8 @@
 //!
 //! Scale control: the binaries default to reduced problem sizes
 //! (`scale = 4`) so the whole suite regenerates in seconds. Set
-//! `FLASH_FULL=1` for the paper's Table 3.5 sizes, or `FLASH_SCALE=n`
-//! for a specific divisor.
+//! `FLASH_SCALE=1` for the paper's Table 3.5 sizes, or `FLASH_SCALE=n`
+//! for another divisor.
 
 pub mod harness;
 pub mod isolate;
@@ -24,30 +24,18 @@ pub use runner::{
 use flash::config::node_addr;
 use flash::{ControllerKind, LatencyTable, Machine, MachineConfig, MachineReport};
 use flash_cpu::{RefStream, SliceStream, WorkItem};
-use flash_engine::{NodeId, SEGMENT_COUNT};
+use flash_engine::{knobs, NodeId, SEGMENT_COUNT};
 use flash_workloads::{by_name, run_to_completion, Workload};
 
-/// A positive integer read from `name` (surrounding whitespace allowed).
-/// Unset, empty, unparsable and zero values all yield `None`, so the
-/// caller falls back to its default.
-fn positive_env<T: std::str::FromStr + PartialOrd + Default>(name: &str) -> Option<T> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|n| *n > T::default())
-}
-
-/// Problem-size divisor selected by environment variables.
+/// Problem-size divisor ([`knobs::SCALE`]).
 pub fn scale() -> u32 {
-    if std::env::var("FLASH_FULL").is_ok_and(|v| v == "1") {
-        return 1;
-    }
-    positive_env("FLASH_SCALE").unwrap_or(4)
+    knobs::SCALE.count().unwrap_or(4)
 }
 
-/// Processor count for the parallel applications (paper: 16).
+/// Processor count for the parallel applications ([`knobs::PROCS`];
+/// paper: 16).
 pub fn parallel_procs() -> u16 {
-    positive_env("FLASH_PROCS").unwrap_or(16)
+    knobs::PROCS.count().unwrap_or(16)
 }
 
 /// Processor count for the OS workload (paper: 8).
@@ -197,13 +185,14 @@ pub fn measure_class(kind: ControllerKind, class: MissClass) -> f64 {
     cached_latency(kind, class)
 }
 
-/// Measures the no-contention read-miss latency of one class on a 3-node
-/// machine, isolating warm-path latency by differencing against a warm-up
-/// transaction of the same class on an adjacent line (same MDC header
-/// line, same handlers). Uncached; use [`measure_class`].
-pub fn measure_class_uncached(kind: ControllerKind, class: MissClass) -> f64 {
-    reader_stall(&class_scenario(kind, class, true, false))
-        - reader_stall(&class_scenario(kind, class, false, false))
+/// Measures the no-contention read-miss latency of one class on the
+/// 3-node machine `cfg` (e.g. `base_cfg(kind, 3)`), isolating warm-path
+/// latency by differencing against a warm-up transaction of the same
+/// class on an adjacent line (same MDC header line, same handlers).
+/// Uncached; use [`measure_class`].
+pub fn measure_class_uncached(cfg: &MachineConfig, class: MissClass) -> f64 {
+    reader_stall(&class_scenario(cfg, class, true, false))
+        - reader_stall(&class_scenario(cfg, class, false, false))
 }
 
 /// The Table 3.3 reader's (node 0's) read-stall cycles.
@@ -211,14 +200,10 @@ fn reader_stall(m: &Machine) -> f64 {
     m.procs()[0].stats().read_stall_q as f64 / 4.0
 }
 
-/// Runs one Table 3.3 scenario (optionally without the measured read,
-/// optionally observed) to completion.
-fn class_scenario(
-    kind: ControllerKind,
-    class: MissClass,
-    measured: bool,
-    observe: bool,
-) -> Machine {
+/// Runs one Table 3.3 scenario on the 3-node machine `cfg` (optionally
+/// without the measured read, optionally observed) to completion.
+fn class_scenario(cfg: &MachineConfig, class: MissClass, measured: bool, observe: bool) -> Machine {
+    assert_eq!(cfg.nodes, 3, "the Table 3.3 scenarios run on 3 nodes");
     let (home, writer) = class.roles();
     let line_a = node_addr(NodeId(home), 0x2000);
     let line_b = node_addr(NodeId(home), 0x2080); // adjacent: shares the MDC line
@@ -242,7 +227,7 @@ fn class_scenario(
         v.push(WorkItem::Busy(4));
         v
     };
-    let mut cfg = base_cfg(kind, 3).with_observe(observe);
+    let mut cfg = cfg.clone().with_observe(observe);
     // Pin the paper's 16-node average network transit for
     // comparability with Table 3.3.
     cfg.net.transit_override = Some(22);
@@ -265,18 +250,19 @@ fn class_scenario(
     )
 }
 
-/// Decomposes one Table 3.3 class latency into per-[`flash_engine::Segment`]
-/// cycles, by differencing the observed class row between the measured run
-/// and the warm-up-only run (the same differencing
-/// [`measure_class_uncached`] applies to the stall counter, so both
-/// isolate exactly the measured transaction). Returns the segment cycles
-/// and the stall-counter latency the segments must sum to.
+/// Decomposes one Table 3.3 class latency on the 3-node machine `cfg`
+/// into per-[`flash_engine::Segment`] cycles, by differencing the
+/// observed class row between the measured run and the warm-up-only run
+/// (the same differencing [`measure_class_uncached`] applies to the
+/// stall counter, so both isolate exactly the measured transaction).
+/// Returns the segment cycles and the stall-counter latency the segments
+/// must sum to.
 pub fn measure_class_breakdown(
-    kind: ControllerKind,
+    cfg: &MachineConfig,
     class: MissClass,
 ) -> ([u64; SEGMENT_COUNT], f64) {
-    let measured = class_scenario(kind, class, true, true);
-    let warm_up = class_scenario(kind, class, false, true);
+    let measured = class_scenario(cfg, class, true, true);
+    let warm_up = class_scenario(cfg, class, false, true);
     let rep_t = measured.observe_report().expect("observed");
     let rep_f = warm_up.observe_report().expect("observed");
     assert_eq!(rep_t.sum_mismatches, 0, "attribution drift for {class:?}");
@@ -294,12 +280,12 @@ pub fn measure_class_breakdown(
     (segs, reader_stall(&measured) - reader_stall(&warm_up))
 }
 
-/// The measured Table 3.3 scenario for one class, run to completion
-/// under observation (the run-matrix driver exports its report and trace
-/// as `observe_<job>.json` and `trace_<job>.json` when
-/// `FLASH_OBSERVE_OUT` is set).
-pub fn observed_class_scenario(kind: ControllerKind, class: MissClass) -> Machine {
-    class_scenario(kind, class, true, true)
+/// The measured Table 3.3 scenario for one class on the 3-node machine
+/// `cfg`, run to completion under observation (the run-matrix driver
+/// exports its report and trace as `observe_<job>.json` and
+/// `trace_<job>.json` when `FLASH_OBSERVE_OUT` is set).
+pub fn observed_class_scenario(cfg: &MachineConfig, class: MissClass) -> Machine {
+    class_scenario(cfg, class, true, true)
 }
 
 /// The ten Table 3.3 measurement jobs (both controller kinds, all five
@@ -402,7 +388,7 @@ mod tests {
     fn breakdowns_sum_to_measured_latencies() {
         for kind in [ControllerKind::FlashEmulated, ControllerKind::Ideal] {
             for class in MissClass::ALL {
-                let (segs, stall) = measure_class_breakdown(kind, class);
+                let (segs, stall) = measure_class_breakdown(&base_cfg(kind, 3), class);
                 let sum: u64 = segs.iter().sum();
                 assert!(
                     (sum as f64 - stall).abs() <= 1.0,
@@ -420,8 +406,9 @@ mod tests {
     fn flash_gap_is_controller_side() {
         use flash_engine::Segment;
         for class in [MissClass::RemoteClean, MissClass::RemoteDirtyRemote] {
-            let (f, _) = measure_class_breakdown(ControllerKind::FlashEmulated, class);
-            let (i, _) = measure_class_breakdown(ControllerKind::Ideal, class);
+            let (f, _) =
+                measure_class_breakdown(&base_cfg(ControllerKind::FlashEmulated, 3), class);
+            let (i, _) = measure_class_breakdown(&base_cfg(ControllerKind::Ideal, 3), class);
             assert_eq!(
                 f[Segment::Mesh.index()],
                 i[Segment::Mesh.index()],
@@ -439,11 +426,37 @@ mod tests {
         }
     }
 
+    /// The PP backend is a host-performance knob, never a model knob:
+    /// every Table 3.3 class measures the same latency and the same
+    /// observed attribution under the reference emulator and the
+    /// translated fast path.
+    #[test]
+    fn pp_backends_agree_on_every_miss_class() {
+        use flash::PpBackend;
+        let cfg = |backend| base_cfg(ControllerKind::FlashEmulated, 3).with_pp_backend(backend);
+        let (emu, translated) = (cfg(PpBackend::Emulated), cfg(PpBackend::Translated));
+        for class in MissClass::ALL {
+            assert_eq!(
+                measure_class_uncached(&emu, class),
+                measure_class_uncached(&translated, class),
+                "{class:?} latency"
+            );
+            let observed = |cfg| {
+                let m = observed_class_scenario(cfg, class);
+                m.observe_report().expect("observed").to_json()
+            };
+            assert_eq!(
+                observed(&emu),
+                observed(&translated),
+                "{class:?} observe JSON"
+            );
+        }
+    }
+
     /// A zero divisor would divide by zero in every job, so zero and
     /// garbage fall back to the default; whitespace is trimmed.
     #[test]
     fn scale_rejects_zero_and_trims() {
-        std::env::remove_var("FLASH_FULL");
         for (value, want) in [("0", 4), (" 0 ", 4), ("x", 4), (" 8 ", 8), ("2", 2)] {
             std::env::set_var("FLASH_SCALE", value);
             assert_eq!(scale(), want, "FLASH_SCALE={value:?}");

@@ -33,6 +33,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use flash::{ControllerKind, Machine, MachineConfig, MachineReport};
+use flash_engine::knobs;
 use flash_workloads::{budget, by_name, run_to_completion, run_workload_machine, Fft, OsWorkload};
 
 use crate::{isolate, mdc_stress_stream, MissClass};
@@ -184,12 +185,7 @@ fn lat_cache() -> &'static Mutex<HashMap<String, f64>> {
 /// tables are unchanged; only the JSON files are added.
 fn observe_out_dir() -> Option<&'static str> {
     static DIR: OnceLock<Option<String>> = OnceLock::new();
-    DIR.get_or_init(|| {
-        std::env::var("FLASH_OBSERVE_OUT")
-            .ok()
-            .filter(|s| !s.is_empty())
-    })
-    .as_deref()
+    DIR.get_or_init(|| knobs::OBSERVE_OUT.text()).as_deref()
 }
 
 /// 64-bit FNV-1a, for collision-proofing the export file names.
@@ -238,17 +234,12 @@ fn export_observe(dir: &str, key: &str, m: &Machine) {
     }
 }
 
-/// Worker count: `FLASH_JOBS` if set, otherwise the machine's available
-/// parallelism (at least 1).
+/// Worker count: [`knobs::JOBS`] if set, otherwise the machine's
+/// available parallelism (at least 1).
 pub fn jobs() -> usize {
-    parse_jobs(std::env::var("FLASH_JOBS").ok().as_deref())
+    knobs::JOBS
+        .count()
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// A `FLASH_JOBS` value as a worker count (surrounding whitespace
-/// allowed, 0 means 1); `None` when unset or unparsable.
-fn parse_jobs(value: Option<&str>) -> Option<usize> {
-    value?.trim().parse::<usize>().ok().map(|n| n.max(1))
 }
 
 /// Empties both memo caches (used by tests that compare cold serial and
@@ -298,9 +289,10 @@ pub fn cached_latency(kind: ControllerKind, class: MissClass) -> f64 {
     }
     maybe_inject_panic(&key);
     maybe_inject_hang(&key);
-    let v = crate::measure_class_uncached(kind, class);
+    let cfg = crate::base_cfg(kind, 3);
+    let v = crate::measure_class_uncached(&cfg, class);
     if let Some(dir) = observe_out_dir() {
-        export_observe(dir, &key, &crate::observed_class_scenario(kind, class));
+        export_observe(dir, &key, &crate::observed_class_scenario(&cfg, class));
     }
     *lock(lat_cache()).entry(key).or_insert(v)
 }
@@ -310,10 +302,11 @@ pub fn cached_latency(kind: ControllerKind, class: MissClass) -> f64 {
 /// established (so only a real simulation attempt trips it). Used by the
 /// panic-isolation tests; unset in normal operation.
 fn maybe_inject_panic(key: &str) {
-    if let Ok(pat) = std::env::var("FLASH_INJECT_PANIC") {
-        if !pat.is_empty() && key.contains(&pat) {
-            panic!("FLASH_INJECT_PANIC matched `{key}`");
-        }
+    if knobs::INJECT_PANIC
+        .text()
+        .is_some_and(|pat| key.contains(&pat))
+    {
+        panic!("FLASH_INJECT_PANIC matched `{key}`");
     }
 }
 
@@ -323,10 +316,11 @@ fn maybe_inject_panic(key: &str) {
 /// cycle budget. Exercises the wall-clock timeout and thread-abandonment
 /// path; unset in normal operation.
 fn maybe_inject_hang(key: &str) {
-    if let Ok(pat) = std::env::var("FLASH_INJECT_HANG") {
-        if !pat.is_empty() && key.contains(&pat) {
-            std::thread::sleep(Duration::from_secs(3600));
-        }
+    if knobs::INJECT_HANG
+        .text()
+        .is_some_and(|pat| key.contains(&pat))
+    {
+        std::thread::sleep(Duration::from_secs(3600));
     }
 }
 
@@ -355,21 +349,12 @@ pub fn drain_failures() -> Vec<JobFailure> {
     std::mem::take(&mut *lock(failure_log()))
 }
 
-/// A `FLASH_JOB_TIMEOUT` value in seconds (fractional allowed). Unset,
-/// unparsable, non-positive and unrepresentable (`inf`, `1e30`) values
-/// all mean no timeout.
-fn parse_timeout(value: Option<&str>) -> Option<Duration> {
-    let secs = value?.trim().parse::<f64>().ok().filter(|&s| s > 0.0)?;
-    Duration::try_from_secs_f64(secs).ok()
-}
-
 /// Prefetches a job list with the default worker count ([`jobs`]) and the
 /// `FLASH_JOB_TIMEOUT` wall-clock limit per job. Returns the number of
 /// points actually simulated (attempted points count even if they
 /// failed — see [`drain_failures`]).
 pub fn prefetch(list: &[Job]) -> usize {
-    let timeout = parse_timeout(std::env::var("FLASH_JOB_TIMEOUT").ok().as_deref());
-    prefetch_with(list, jobs(), timeout)
+    prefetch_with(list, jobs(), knobs::JOB_TIMEOUT.seconds())
 }
 
 /// Deduplicates `list`, drops already-cached points, and executes the rest
@@ -476,39 +461,6 @@ mod tests {
         let c = export_stem("lat.FlashEmulated.RemoteClean");
         assert_ne!(a, c);
         assert_eq!(&a[..a.len() - 17], &c[..c.len() - 17]);
-    }
-
-    #[test]
-    fn job_timeout_parser_never_panics() {
-        for (value, want) in [
-            (None, None),
-            (Some(""), None),
-            (Some("x"), None),
-            (Some("0"), None),
-            (Some("-3"), None),
-            (Some("NaN"), None),
-            (Some("inf"), None),
-            (Some("1e30"), None),
-            (Some(" 2.5 "), Some(Duration::from_millis(2500))),
-            (Some("60"), Some(Duration::from_secs(60))),
-        ] {
-            assert_eq!(parse_timeout(value), want, "FLASH_JOB_TIMEOUT={value:?}");
-        }
-    }
-
-    #[test]
-    fn jobs_parser_trims_and_clamps() {
-        for (value, want) in [
-            (None, None),
-            (Some(""), None),
-            (Some("x"), None),
-            (Some("-1"), None),
-            (Some(" 8 "), Some(8)),
-            (Some("3"), Some(3)),
-            (Some("0"), Some(1)),
-        ] {
-            assert_eq!(parse_jobs(value), want, "FLASH_JOBS={value:?}");
-        }
     }
 
     #[test]

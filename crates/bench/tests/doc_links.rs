@@ -1,7 +1,7 @@
 //! The documentation CI: every relative markdown link resolves, every
-//! anchor points at a real heading, the README's `FLASH_*` table and
-//! the source tree agree on the set of environment variables, and every
-//! documented `--bin` exists.
+//! anchor points at a real heading, the README's `FLASH_*` table equals
+//! the `flash_engine::knobs` table (the only environment reader), and
+//! every documented `--bin` exists.
 //!
 //! Hand-rolled scanners (no regex/markdown deps, per the frozen-deps
 //! rule): fenced code blocks are stripped before link extraction, and
@@ -9,6 +9,8 @@
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+
+use flash_engine::knobs;
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -166,30 +168,6 @@ fn every_doc_is_reachable_from_the_readme() {
     }
 }
 
-/// All `FLASH_[A-Z_0-9]*` tokens occurring in a text.
-fn flash_tokens(text: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let bytes = text.as_bytes();
-    let mut i = 0;
-    while let Some(rel) = text[i..].find("FLASH_") {
-        let start = i + rel;
-        let mut end = start + "FLASH_".len();
-        while end < bytes.len()
-            && (bytes[end].is_ascii_uppercase()
-                || bytes[end] == b'_'
-                || bytes[end].is_ascii_digit())
-        {
-            end += 1;
-        }
-        let tok = text[start..end].trim_end_matches('_');
-        if tok.len() > "FLASH_".len() {
-            out.insert(tok.to_string());
-        }
-        i = end;
-    }
-    out
-}
-
 /// Every file with extension `ext` under `dir`, skipping build output
 /// and version control.
 fn files_under(dir: &Path, ext: &str) -> Vec<PathBuf> {
@@ -213,52 +191,71 @@ fn files_under(dir: &Path, ext: &str) -> Vec<PathBuf> {
     out
 }
 
-/// Env-var tokens actually present in the Rust source tree.
-fn source_tokens(root: &Path) -> BTreeSet<String> {
-    [root.join("crates"), root.join("tests")]
-        .iter()
-        .flat_map(|dir| files_under(dir, "rs"))
-        .flat_map(|path| flash_tokens(&std::fs::read_to_string(path).unwrap()))
-        .collect()
-}
-
-/// Rows of the README's operator table (lines opening with a
-/// backtick-quoted variable cell).
-fn readme_table_vars(readme: &str) -> BTreeSet<String> {
+/// `(name, default)` of each row of the README's operator table (lines
+/// opening with a backtick-quoted variable cell), backticks stripped.
+fn readme_table_rows(readme: &str) -> Vec<(String, String)> {
     readme
         .lines()
         .filter(|l| l.starts_with("| `FLASH_"))
-        .flat_map(|l| {
-            let name = l.trim_start_matches("| `");
-            name.split('`').next().map(str::to_string)
+        .map(|l| {
+            let cells: Vec<&str> = l.split('|').map(|c| c.trim().trim_matches('`')).collect();
+            (cells[1].to_string(), cells[2].to_string())
         })
         .collect()
 }
 
-/// The README's `FLASH_*` operator table and the source tree agree both
-/// ways: every documented variable is grep-able in the code (no rot),
-/// and every variable the code reads appears in the table (no
-/// undocumented knobs).
+/// The README's `FLASH_*` operator table is `flash_engine::knobs::ALL`
+/// row for row: the same variables in the same order, with the same
+/// Default column. A knob added, removed or re-defaulted in the source
+/// fails here before the README can rot.
 #[test]
 fn readme_env_table_matches_the_source_tree() {
+    let readme = std::fs::read_to_string(workspace_root().join("README.md")).unwrap();
+    let documented = readme_table_rows(&readme);
+    let declared: Vec<(String, String)> = knobs::ALL
+        .iter()
+        .map(|k| (k.name.to_string(), k.default.to_string()))
+        .collect();
+    assert_eq!(
+        documented, declared,
+        "README operator table (variable, Default) rows must equal flash_engine::knobs::ALL"
+    );
+}
+
+/// `flash_engine::knobs` is the only environment reader under `crates/`,
+/// `tests/` and `examples/` (tests may still set and remove variables).
+/// The simulator core does not consult it either: `flash-magic` and
+/// `machine.rs` name no knob, and the rest of `flash`'s library names
+/// only `knobs::SHARDS`, the `MachineConfig::flash` shard default.
+#[test]
+fn only_the_knob_table_reads_the_environment() {
     let root = workspace_root();
-    let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
-    let documented = readme_table_vars(&readme);
-    let in_source = source_tokens(&root);
-    assert!(
-        documented.len() >= 16,
-        "README operator table looks truncated: {documented:?}"
-    );
-    let undocumented: Vec<_> = in_source.difference(&documented).collect();
-    assert!(
-        undocumented.is_empty(),
-        "env vars in source but missing from the README operator table: {undocumented:?}"
-    );
-    let rotten: Vec<_> = documented.difference(&in_source).collect();
-    assert!(
-        rotten.is_empty(),
-        "README operator table documents vars no source file mentions: {rotten:?}"
-    );
+    let reader = root.join("crates/engine/src/knobs.rs");
+    let read = concat!("env::", "var");
+    let mut offenders = Vec::new();
+    for dir in ["crates", "tests", "examples"] {
+        for path in files_under(&root.join(dir), "rs") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let rel = path.strip_prefix(&root).unwrap().display().to_string();
+            if path != reader && text.contains(read) {
+                offenders.push(format!("{rel}: reads the environment"));
+            }
+            if (path.starts_with(root.join("crates/magic"))
+                || path == root.join("crates/core/src/machine.rs"))
+                && text.contains("knobs")
+            {
+                offenders.push(format!("{rel}: consults a knob"));
+            }
+            if path.starts_with(root.join("crates/core/src"))
+                && text
+                    .match_indices("knobs::")
+                    .any(|(i, k)| !text[i + k.len()..].starts_with("SHARDS"))
+            {
+                offenders.push(format!("{rel}: consults a knob other than SHARDS"));
+            }
+        }
+    }
+    assert!(offenders.is_empty(), "{}", offenders.join("\n"));
 }
 
 /// The bin names that follow `--bin` in a text (code fences included:

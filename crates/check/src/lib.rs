@@ -44,7 +44,7 @@ pub mod stress;
 pub use audit::{audit_directory, check_pointer_store, walk_free_list, walk_sharers};
 pub use coherence::{check_line_coherence, CachedCopy};
 pub use oracle::{diff_invocation, encode, OracleState};
-pub use stress::{stress_streams, sweep_seeds};
+pub use stress::stress_streams;
 
 use std::fmt;
 

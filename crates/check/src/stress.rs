@@ -16,22 +16,6 @@
 use flash_cpu::WorkItem;
 use flash_engine::{Addr, DetRng, LINE_BYTES};
 
-/// Seeds per configuration for a soak sweep: the positive count in
-/// environment variable `name` (e.g. `FLASH_CHECK_SEEDS`; surrounding
-/// whitespace allowed), else `default`. Zero, empty and unparsable values
-/// also yield `default`, so a typo never turns a sweep into one that
-/// checks nothing.
-pub fn sweep_seeds(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| parse_seed_count(&v))
-        .unwrap_or(default)
-}
-
-fn parse_seed_count(raw: &str) -> Option<u64> {
-    raw.trim().parse().ok().filter(|&n| n > 0)
-}
-
 /// Builds `nodes` reference streams of roughly `items_per_proc` items
 /// each. Addresses are spread over `lines_per_node` lines on every home
 /// node using the explicit placement convention (`home` in bits 32+).
@@ -95,25 +79,6 @@ fn pick_addr(rng: &mut DetRng, nodes: u16, lines_per_node: u64) -> Addr {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seed_count_parser_trims_and_rejects_zero() {
-        assert_eq!(parse_seed_count("8"), Some(8));
-        assert_eq!(parse_seed_count(" 8 "), Some(8));
-        assert_eq!(parse_seed_count("\t10\n"), Some(10));
-        for bad in [
-            "0",
-            " 0 ",
-            "",
-            "  ",
-            "-1",
-            "eight",
-            "1.5",
-            "99999999999999999999",
-        ] {
-            assert_eq!(parse_seed_count(bad), None, "{bad:?}");
-        }
-    }
 
     #[test]
     fn deterministic_for_same_seed() {

@@ -5,7 +5,7 @@
 //! 14-cycle memory, the 16-node mesh's 22-cycle average network transit,
 //! and the MAGIC sub-operation latencies of Table 3.2.
 
-use flash_engine::{Addr, NodeId};
+use flash_engine::{knobs, Addr, NodeId};
 use flash_fault::FaultPlan;
 use flash_magic::{ControllerKind, PpBackend};
 use flash_mem::MemTiming;
@@ -26,18 +26,6 @@ pub const DEFAULT_WATCHDOG_WINDOW: u64 = 2_000_000;
 /// 64 nodes → 2M, 256 → 8M, 1024 → 32M.
 pub fn default_watchdog_window(nodes: u16) -> u64 {
     DEFAULT_WATCHDOG_WINDOW * ((nodes as u64).div_ceil(64)).max(1)
-}
-
-/// Process-wide default shard count, read from `FLASH_SHARDS` (≥ 1;
-/// unset, empty, or unparsable means 1 — the serial engine). Pinned the
-/// same way `FLASH_JOBS` is: results are byte-identical for every value,
-/// so this is a host-performance knob, never a model knob.
-pub fn shards_from_env() -> usize {
-    std::env::var("FLASH_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 /// How physical pages map to home nodes.
@@ -184,8 +172,9 @@ pub struct MachineConfig {
     /// PP execution backend for emulated controllers: the reference
     /// per-pair emulator or the pre-translated native fast path. The two
     /// are bit-identical in timing, statistics, and effects, so this is a
-    /// host-performance knob, never a model knob. Defaults to the
-    /// process-wide `FLASH_PP_BACKEND` setting (translated when unset).
+    /// host-performance knob, never a model knob. Defaults to
+    /// [`PpBackend::Translated`]; the emulator is the reference that
+    /// tests select with [`MachineConfig::with_pp_backend`].
     pub pp_backend: PpBackend,
     /// Shard count for the conservative-time-window parallel engine:
     /// mesh nodes are partitioned into this many contiguous shards, each
@@ -195,7 +184,9 @@ pub struct MachineConfig {
     /// never a model knob: every report, observation export, and repro
     /// line is byte-identical for any value (1 runs the same windowed
     /// engine serially, with no worker threads). Defaults to the
-    /// process-wide `FLASH_SHARDS` setting (1 when unset).
+    /// process-wide [`knobs::SHARDS`] setting (1 when unset): the one
+    /// environment default a machine config takes, so the whole test
+    /// suite can re-run sharded.
     pub shards: usize,
     /// Host-time profiler: bracket every processed event with monotonic
     /// host-clock stamps and attribute the simulator's wall-clock time
@@ -235,8 +226,8 @@ impl MachineConfig {
             faults: FaultPlan::none(),
             observe: false,
             watchdog_window: default_watchdog_window(nodes),
-            pp_backend: PpBackend::from_env(),
-            shards: shards_from_env(),
+            pp_backend: PpBackend::Translated,
+            shards: knobs::SHARDS.count().unwrap_or(1),
             host_profile: false,
             inline_runs: true,
         }
@@ -320,15 +311,14 @@ impl MachineConfig {
         self
     }
 
-    /// Returns the config with a specific PP execution backend
-    /// (overriding the `FLASH_PP_BACKEND` process default).
+    /// Returns the config with a specific PP execution backend.
     pub fn with_pp_backend(mut self, backend: PpBackend) -> Self {
         self.pp_backend = backend;
         self
     }
 
     /// Returns the config with a specific shard count (overriding the
-    /// `FLASH_SHARDS` process default; values below 1 are treated as 1).
+    /// [`knobs::SHARDS`] process default; values below 1 mean 1).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self

@@ -32,8 +32,8 @@
 //! With one shard the same windowed loop runs without any worker threads;
 //! with more, shards execute on `std::thread::scope` workers that
 //! ping-pong shard contexts with the coordinator over channels. The
-//! shard count is a host-performance knob (`FLASH_SHARDS` /
-//! [`MachineConfig::with_shards`]), never a model knob.
+//! shard count is a host-performance knob
+//! ([`MachineConfig::with_shards`]), never a model knob.
 
 use crate::config::MachineConfig;
 use crate::hostprof::{HostProfAcc, HostProfile, HostSeg};
@@ -384,9 +384,9 @@ pub struct Machine {
     finish: Vec<Cycle>,
     interv_deferrals: u64,
     check: Option<CheckCtx>,
-    /// Ring of recent message observations (wedge diagnostics; the
-    /// in-memory counterpart of `FLASH_TRACE_ADDR`). Rebuilt from the
-    /// per-shard rings at teardown.
+    /// Ring of recent message observations, always on: the message
+    /// history [`Machine::diagnose`] renders for a wedge's suspect lines.
+    /// Rebuilt from the per-shard rings at teardown.
     ring: MsgRing,
     /// Last cycle a retirement, message delivery, or handler invocation
     /// advanced (the forward-progress watchdog's reference point).
@@ -426,18 +426,6 @@ const RING_CAPACITY: usize = 64;
 /// How many ring entries a wedge report keeps when no suspect line
 /// stands out.
 const RECENT_TAIL: usize = 8;
-
-/// Line address to trace (set `FLASH_TRACE_ADDR=0x...` to dump every
-/// message touching that 128-byte line to stderr).
-fn trace_addr() -> Option<u64> {
-    static TRACE: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
-    *TRACE.get_or_init(|| {
-        std::env::var("FLASH_TRACE_ADDR")
-            .ok()
-            .and_then(|t| u64::from_str_radix(t.trim_start_matches("0x"), 16).ok())
-            .map(|a| a & !127)
-    })
-}
 
 /// The requester candidates (and charged segment) a message arriving at
 /// `node`'s inbox may belong to — the pure part of the serial machine's
@@ -1033,23 +1021,6 @@ impl<'a> ShardCtx<'a> {
         }
         let line_raw = wire.addr.line().raw();
         let home = self.cfg.placement.home_of(wire.addr, self.cfg.nodes);
-        if trace_addr() == Some(line_raw) {
-            // The home's header is only visible when this shard owns it.
-            let hdr = if shard_of(self.nodes, self.nshards, home.0) == self.shard {
-                format!(
-                    "{:#x}",
-                    self.chips[self.li(home.0)]
-                        .peek_header(flash_protocol::dir_addr(wire.addr))
-                        .0
-                )
-            } else {
-                "remote-shard".to_string()
-            };
-            eprintln!(
-                "[{}] magic_in node{} {:?} src={} aux={:#x} hdr={}",
-                now, node, wire.mtype, wire.src, wire.aux, hdr
-            );
-        }
         self.mark_progress();
         self.st.ring.push_back((
             self.cur,
@@ -1212,12 +1183,6 @@ impl<'a> ShardCtx<'a> {
             self.shard,
             "network sends originate on the sender's shard"
         );
-        if trace_addr() == Some(msg.addr.line().raw()) {
-            eprintln!(
-                "[{}] post_net at={} {:?} {}->{} aux={:#x}",
-                self.cur_t, at, msg.mtype, msg.src, msg.dst, msg.aux
-            );
-        }
         // Fault hooks on the outbound path: an output-queue freeze at the
         // source NI delays entry to the mesh; then the link verdict may
         // delay further (transient stall, hop spike) or hold the message

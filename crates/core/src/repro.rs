@@ -159,8 +159,9 @@ impl Repro {
     }
 
     /// The machine configuration this artifact replays under. Host knobs
-    /// (`shards`, `pp_backend`) come from the process environment — they
-    /// are byte-identity-pinned and not part of the artifact.
+    /// are byte-identity-pinned and not part of the artifact: `pp_backend`
+    /// is the translated default, and `shards` is the `FLASH_SHARDS`
+    /// process default of [`MachineConfig::flash`].
     pub fn config(&self) -> MachineConfig {
         let mut cfg = MachineConfig::flash(self.nodes);
         cfg.controller = self.controller;

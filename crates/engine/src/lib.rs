@@ -17,6 +17,8 @@
 //!   reproducible bit-for-bit.
 //! * [`Addr`] / [`NodeId`] / [`ProcId`] — newtypes for physical addresses
 //!   and node identifiers.
+//! * [`knobs`] — the table of every `FLASH_*` environment variable and
+//!   the one function that parses them.
 //!
 //! # Examples
 //!
@@ -36,6 +38,7 @@ pub mod addr;
 pub mod event;
 pub mod fasthash;
 pub mod json;
+pub mod knobs;
 pub mod queue;
 pub mod rng;
 pub mod stats;

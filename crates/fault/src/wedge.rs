@@ -4,8 +4,8 @@
 //! or handler invocations for a whole window, it assembles a
 //! [`WedgeReport`] instead of panicking `"stuck"`: who is waiting on
 //! what, which directory lines are PENDING, which links are held, and the
-//! last messages that touched the suspect lines (the `FLASH_TRACE_ADDR`
-//! plumbing, captured in a ring instead of stderr).
+//! last messages that touched the suspect lines (from the machine's
+//! always-on message ring).
 //!
 //! The report is plain data — no references into the machine — so it can
 //! ride a [`RunResult`](../../flash/machine/enum.RunResult.html) variant,
@@ -17,8 +17,8 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
 
-/// One message observation in the trace ring (mirrors what
-/// `FLASH_TRACE_ADDR=0x...` prints to stderr, kept for every line).
+/// One message observation in the machine's always-on message ring, kept
+/// for every line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Cycle of the observation.

@@ -39,38 +39,15 @@ impl ControllerKind {
 /// `flash_pp::translate` for the equivalence obligations and the suites
 /// that pin them), so this is a host-performance knob, never a model
 /// knob: results must not depend on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PpBackend {
     /// The per-pair instruction-stepping reference emulator
-    /// (`flash_pp::emu`).
+    /// (`flash_pp::emu`), the semantics of record.
     Emulated,
     /// Handlers pre-translated to native basic-block closures
     /// (`flash_pp::translate`); the default.
+    #[default]
     Translated,
-}
-
-impl PpBackend {
-    /// The process-wide default: `FLASH_PP_BACKEND=emu|translated` when
-    /// set (read once and cached), otherwise [`PpBackend::Translated`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized `FLASH_PP_BACKEND` value, so a typo can
-    /// never silently select the wrong backend.
-    pub fn from_env() -> Self {
-        static CACHED: std::sync::OnceLock<PpBackend> = std::sync::OnceLock::new();
-        *CACHED.get_or_init(|| match std::env::var("FLASH_PP_BACKEND").as_deref() {
-            Ok("") | Ok("translated") | Ok("translate") | Err(_) => PpBackend::Translated,
-            Ok("emu") | Ok("emulated") => PpBackend::Emulated,
-            Ok(v) => panic!("FLASH_PP_BACKEND must be `emu` or `translated`, got `{v}`"),
-        })
-    }
-}
-
-impl Default for PpBackend {
-    fn default() -> Self {
-        Self::from_env()
-    }
 }
 
 /// Chip-level latency parameters, in cycles (paper Table 3.2).
@@ -373,7 +350,7 @@ impl MagicChip {
             ControllerKind::Ideal => None,
             _ => Some(1),
         };
-        let backend = PpBackend::from_env();
+        let backend = PpBackend::default();
         let translated = (kind == ControllerKind::FlashEmulated
             && backend == PpBackend::Translated)
             .then(|| translate_shared(program.as_ref().expect("checked above")));

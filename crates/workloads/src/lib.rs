@@ -24,26 +24,15 @@ pub use openloop::OpenLoopWorkload;
 pub use phases::{Phase, PhaseStream};
 
 use flash::{Machine, MachineConfig, MachineReport, RunResult};
+use flash_engine::knobs;
 
 /// Default per-run cycle budget (deadlock guard).
 pub const DEFAULT_BUDGET: u64 = 40_000_000_000;
 
-/// The per-run cycle budget: [`DEFAULT_BUDGET`] unless the
-/// `FLASH_JOB_BUDGET` environment variable overrides it with a positive
-/// cycle count.
+/// The per-run cycle budget: [`knobs::JOB_BUDGET`] if set, otherwise
+/// [`DEFAULT_BUDGET`].
 pub fn budget() -> u64 {
-    parse_budget(std::env::var("FLASH_JOB_BUDGET").ok().as_deref())
-}
-
-/// A `FLASH_JOB_BUDGET` value as a cycle budget (surrounding whitespace
-/// allowed). Unset, empty, unparsable and zero values all mean
-/// [`DEFAULT_BUDGET`]: a zero budget would end every run
-/// `BudgetExhausted`.
-fn parse_budget(value: Option<&str>) -> u64 {
-    value
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_BUDGET)
+    knobs::JOB_BUDGET.count().unwrap_or(DEFAULT_BUDGET)
 }
 
 /// Builds a machine for `workload` under `cfg` (node count and placement
@@ -130,22 +119,6 @@ pub const PARALLEL_APPS: [&str; 6] = ["Barnes", "FFT", "LU", "MP3D", "Ocean", "R
 mod tests {
     use super::*;
     use flash_cpu::WorkItem;
-
-    #[test]
-    fn budget_parser_trims_and_rejects_zero() {
-        for (value, want) in [
-            (None, DEFAULT_BUDGET),
-            (Some(""), DEFAULT_BUDGET),
-            (Some("x"), DEFAULT_BUDGET),
-            (Some("-5"), DEFAULT_BUDGET),
-            (Some("0"), DEFAULT_BUDGET),
-            (Some(" 0 "), DEFAULT_BUDGET),
-            (Some(" 1000 "), 1000),
-            (Some("7"), 7),
-        ] {
-            assert_eq!(parse_budget(value), want, "FLASH_JOB_BUDGET={value:?}");
-        }
-    }
 
     #[test]
     fn all_workloads_produce_balanced_streams() {

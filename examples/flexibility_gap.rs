@@ -6,17 +6,23 @@
 //! zero time), and prints the slowdown — the paper's answer is 2%–12% for
 //! optimized applications, with the MP3D communication stress test worse.
 //!
+//! The optional argument is the problem-size divisor (default 8; 1 is
+//! the paper's size):
+//!
 //! ```sh
 //! cargo run --release --example flexibility_gap          # reduced sizes
-//! FLASH_FULL=1 cargo run --release --example flexibility_gap
+//! cargo run --release --example flexibility_gap -- 1     # paper sizes
 //! ```
 
 use flash::{compare, format_table, MachineConfig};
+use flash_engine::knobs::{parse, Kind, Value};
 use flash_workloads::{by_name, run_workload, PARALLEL_APPS};
 
 fn main() {
-    let full = std::env::var("FLASH_FULL").is_ok_and(|v| v == "1");
-    let scale = if full { 1 } else { 8 };
+    let scale = match parse(Kind::Count, std::env::args().nth(1).as_deref()) {
+        Some(Value::Count(n)) => u32::try_from(n).unwrap_or(8),
+        _ => 8,
+    };
     let procs = 16;
     let mut rows = Vec::new();
     for name in PARALLEL_APPS.iter().chain(["OS"].iter()) {
@@ -48,8 +54,8 @@ fn main() {
     );
     println!("paper: \"in most cases, FLASH is only 2%-12% slower than the idealized machine\"");
     println!("       (MP3D, the communication stress test, was 25% slower in the paper)");
-    if !full {
+    if scale > 1 {
         println!("note:  reduced problem sizes raise communication-to-computation ratios and");
-        println!("       widen every gap; run with FLASH_FULL=1 for the paper-size comparison");
+        println!("       widen every gap; pass `-- 1` for the paper-size comparison");
     }
 }

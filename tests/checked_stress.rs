@@ -14,12 +14,13 @@
 
 use flash::{Machine, MachineConfig, RunResult};
 use flash_cpu::{RefStream, SliceStream};
+use flash_engine::knobs;
 use flash_minimize::{Predicate, Spec};
 
-/// Seeds per configuration; `FLASH_CHECK_SEEDS` widens the sweep for
+/// Seeds per configuration; `FLASH_SOAK_SEEDS` widens the sweep for
 /// soak runs.
 fn seeds(default: u64) -> u64 {
-    flash_check::sweep_seeds("FLASH_CHECK_SEEDS", default)
+    knobs::SOAK_SEEDS.count().unwrap_or(default)
 }
 
 fn streams(nodes: u16, lines_per_node: u64, items: usize, seed: u64) -> Vec<Box<dyn RefStream>> {
@@ -145,15 +146,14 @@ fn checked_stress_ideal() {
 }
 
 #[test]
-fn checked_stress_translated_backend() {
-    // Obligation (b) of the translation architecture: the native-vs-PP
-    // differential oracle stays quiet with the translated backend
-    // explicitly armed (regardless of the process-wide FLASH_PP_BACKEND,
-    // so the CI reference job still covers the fast path here).
+fn checked_stress_emulated_backend() {
+    // The other sweeps run the default translated PP; this one arms the
+    // reference emulator, so the native-vs-PP differential oracle stays
+    // quiet on both backends.
     use flash::PpBackend;
     for seed in 0..seeds(3) {
         let m = run_checked(
-            MachineConfig::flash(4).with_pp_backend(PpBackend::Translated),
+            MachineConfig::flash(4).with_pp_backend(PpBackend::Emulated),
             16,
             300,
             200 + seed,

@@ -7,17 +7,18 @@
 //! correctness net quiet: timing-only faults may slow a run down but must
 //! never change what the protocol computes.
 //!
-//! `FLASH_FAULT_SEEDS=n` widens the per-configuration seed sweep for soak
+//! `FLASH_SOAK_SEEDS=n` widens the per-configuration seed sweep for soak
 //! runs (CI uses a small bounded sweep; the default keeps `cargo test`
 //! fast).
 
 use flash::{FaultPlan, Machine, MachineConfig, RunResult};
 use flash_cpu::{RefStream, SliceStream};
+use flash_engine::knobs;
 use flash_minimize::{FaultsSpec, Predicate, Spec};
 
-/// Seeds per configuration; `FLASH_FAULT_SEEDS` widens the sweep.
+/// Seeds per configuration; `FLASH_SOAK_SEEDS` widens the sweep.
 fn seeds(default: u64) -> u64 {
-    flash_check::sweep_seeds("FLASH_FAULT_SEEDS", default)
+    knobs::SOAK_SEEDS.count().unwrap_or(default)
 }
 
 fn streams(nodes: u16, lines_per_node: u64, items: usize, seed: u64) -> Vec<Box<dyn RefStream>> {

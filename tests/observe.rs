@@ -177,7 +177,7 @@ fn golden_trace_snapshot_2node() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../tests/golden/observe_trace_2node.json"
     );
-    if std::env::var_os("FLASH_BLESS").is_some() {
+    if flash_engine::knobs::BLESS.is_on() {
         std::fs::write(golden_path, &got).unwrap();
     }
     let want = std::fs::read_to_string(golden_path)

@@ -10,16 +10,17 @@
 //! [`flash_minimize::Spec`] source, which materializes arrival gaps into
 //! `Busy` pacing so the ordinary stream shrinker applies).
 //!
-//! `FLASH_TRAFFIC_SEEDS=n` widens the per-configuration seed sweep (CI
+//! `FLASH_SOAK_SEEDS=n` widens the per-configuration seed sweep (CI
 //! sets it; the default keeps `cargo test` fast).
 
 use flash::{FaultPlan, Machine, MachineConfig, RunResult};
+use flash_engine::knobs;
 use flash_minimize::{FaultsSpec, Predicate, Spec};
 use flash_traffic::TrafficSpec;
 
-/// Seeds per configuration; `FLASH_TRAFFIC_SEEDS` widens the sweep.
+/// Seeds per configuration; `FLASH_SOAK_SEEDS` widens the sweep.
 fn seeds(default: u64) -> u64 {
-    flash_check::sweep_seeds("FLASH_TRAFFIC_SEEDS", default)
+    knobs::SOAK_SEEDS.count().unwrap_or(default)
 }
 
 fn spec(nodes: u16, objects: u64, items: u64, gap: u64, seed: u64) -> TrafficSpec {
