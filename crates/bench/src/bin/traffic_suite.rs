@@ -31,7 +31,7 @@
 //! inside the process; the suite exits nonzero if any copy diverges.
 //!
 //! `--smoke` runs a scaled-down sweep and prints a compact table on
-//! stdout (no file), which CI diffs against
+//! stdout (no file), which the `doc_commands` test diffs against
 //! `tests/golden/traffic_smoke.txt`.
 
 use std::fmt::Write as _;

@@ -1,7 +1,8 @@
 //! Smoke tests for the commands the documentation tells users to run.
 //!
 //! README.md and METRICS.md promise specific invocations
-//! (`observe_breakdown`, `FLASH_OBSERVE_OUT=... table_3_3`); this suite
+//! (`observe_breakdown`, `traffic_suite --smoke`,
+//! `FLASH_OBSERVE_OUT=... table_3_3`); this suite
 //! runs each as a real subprocess so
 //! a doc command can never rot into a silent lie. Environment variables
 //! are per-subprocess, so the suite is safe under parallel test
@@ -114,6 +115,29 @@ fn observe_breakdown_stdout_matches_golden_across_shards() {
     }
 }
 
+/// `traffic_suite --smoke` stdout — the scaled-down load–latency sweep
+/// (README "Open-loop traffic and latency percentiles") — is pinned
+/// byte-for-byte against its golden transcript at 1 and 4 shards, so a
+/// knee shift, an arrival-stream change or a determinism break fails
+/// here.
+#[test]
+fn traffic_smoke_stdout_matches_golden_across_shards() {
+    let want = golden("traffic_smoke.txt");
+    for shards in ["1", "4"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_traffic_suite"))
+            .arg("--smoke")
+            .env("FLASH_SHARDS", shards)
+            .output()
+            .expect("spawn traffic_suite");
+        assert!(out.status.success(), "{shards} shards");
+        assert_eq!(
+            out.stdout, want,
+            "traffic_suite --smoke stdout drifted from tests/golden/traffic_smoke.txt \
+             ({shards} shards)"
+        );
+    }
+}
+
 /// `repro_all` — the full paper-reproduction sweep — is pinned against
 /// its golden transcript under the sharded engine. (The benchmark's
 /// `repro` workload re-checks this under the default serial config on
@@ -160,6 +184,7 @@ fn documented_binaries_exist() {
         env!("CARGO_BIN_EXE_sec_5_3_ppext"),
         env!("CARGO_BIN_EXE_ablations"),
         env!("CARGO_BIN_EXE_observe_breakdown"),
+        env!("CARGO_BIN_EXE_traffic_suite"),
     ] {
         assert!(
             std::path::Path::new(bin).exists(),

@@ -374,9 +374,10 @@ pub struct Machine {
     origin_seq: Vec<u64>,
     now: Cycle,
     parked: Vec<Park>,
-    /// Per-node open-loop feeds (`None` for closed-loop nodes — the
-    /// common case; a machine with no feeds takes no open-loop branch
-    /// anywhere, so traffic support is timing-invisible when off).
+    /// Per-node open-loop feeds: all `Some` on an open-loop machine, all
+    /// `None` on a closed-loop one (the common case; a machine with no
+    /// feeds takes no open-loop branch anywhere, so traffic support is
+    /// timing-invisible when off).
     feeds: Vec<Option<OpenFeed>>,
     barrier_waiters: Vec<(u16, Cycle)>,
     locks: FastMap<u32, LockState>,
@@ -1869,80 +1870,57 @@ impl Machine {
     /// Builds an open-loop machine: every node runs from an arrival
     /// source instead of a closed-loop reference stream.
     ///
+    /// Each node's stream is an admission mailbox fed from its source,
+    /// and the source's first arrival is scheduled as an event.
+    /// References then *arrive* on the source's schedule whether or not
+    /// the processor has kept up — arrivals the processor is not ready
+    /// for accumulate in a backlog ([`Machine::traffic_stats`] reports
+    /// the queueing).
+    ///
     /// # Panics
     ///
     /// Panics if `sources.len() != cfg.nodes`.
     pub fn new_open_loop(cfg: MachineConfig, sources: Vec<Box<dyn ArrivalSource>>) -> Self {
         assert_eq!(sources.len(), cfg.nodes as usize, "one source per node");
-        let streams = (0..cfg.nodes)
-            .map(|_| Box::new(flash_cpu::SliceStream::new(Vec::new())) as Box<dyn RefStream>)
+        let mailboxes: Vec<MailboxHandle> = sources.iter().map(|_| Mailbox::handle()).collect();
+        let streams = mailboxes
+            .iter()
+            .map(|mb| Box::new(MailboxStream::new(mb.clone())) as Box<dyn RefStream>)
             .collect();
         let mut m = Machine::new(cfg, streams);
-        for (i, src) in sources.into_iter().enumerate() {
-            m.attach_open_loop(NodeId(i as u16), src);
+        for (i, (mut source, mailbox)) in sources.into_iter().zip(mailboxes).enumerate() {
+            let pending = source.next_arrival();
+            if let Some((at, item)) = &pending {
+                assert_open_item(item);
+                let node = i as u16;
+                let s = shard_of(m.cfg.nodes, m.shards.len(), node);
+                let seq = m.origin_seq[i];
+                m.origin_seq[i] += 1;
+                m.shards[s]
+                    .queue
+                    .push_sub(*at, sub_key(node, seq), Ev::Arrival { node });
+            }
+            m.feeds[i] = Some(OpenFeed {
+                source,
+                mailbox,
+                backlog: VecDeque::new(),
+                exhausted: pending.is_none(),
+                pending,
+                stats: TrafficStats::default(),
+            });
         }
         m
     }
 
-    /// Converts `node` to open-loop execution: its reference stream is
-    /// replaced by an admission mailbox fed from `source`, and the
-    /// source's first arrival is scheduled as an event. References then
-    /// *arrive* on the source's schedule whether or not the processor
-    /// has kept up — arrivals the processor is not ready for accumulate
-    /// in a backlog ([`Machine::traffic_stats`] reports the queueing).
-    ///
-    /// Must be called before the machine runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range, already fed, or the machine has
-    /// started running.
-    pub fn attach_open_loop(&mut self, node: NodeId, mut source: Box<dyn ArrivalSource>) {
-        assert!(node.0 < self.cfg.nodes, "node out of range");
-        assert_eq!(self.now, Cycle::ZERO, "attach feeds before running");
-        assert!(self.feeds[node.index()].is_none(), "node already fed");
-        let mailbox = Mailbox::handle();
-        self.procs[node.index()].set_stream(Box::new(MailboxStream::new(mailbox.clone())));
-        let pending = source.next_arrival();
-        let exhausted = pending.is_none();
-        if let Some((at, item)) = &pending {
-            assert_open_item(item);
-            let s = shard_of(self.cfg.nodes, self.shards.len(), node.0);
-            let seq = self.origin_seq[node.index()];
-            self.origin_seq[node.index()] += 1;
-            self.shards[s]
-                .queue
-                .push_sub(*at, sub_key(node.0, seq), Ev::Arrival { node: node.0 });
-        }
-        self.feeds[node.index()] = Some(OpenFeed {
-            source,
-            mailbox,
-            backlog: VecDeque::new(),
-            pending,
-            exhausted,
-            stats: TrafficStats::default(),
-        });
-    }
-
-    /// Whether any node runs open-loop.
-    pub fn open_loop(&self) -> bool {
-        self.feeds.iter().any(|f| f.is_some())
-    }
-
-    /// Per-node admission statistics for open-loop nodes, or `None` for
-    /// a fully closed-loop machine. Entries are `(node, stats)` in node
-    /// order; unfed nodes are omitted.
+    /// Per-node admission statistics, `(node, stats)` in node order, for
+    /// an open-loop machine, or `None` for a closed-loop one.
     pub fn traffic_stats(&self) -> Option<Vec<(u16, TrafficStats)>> {
-        if !self.open_loop() {
-            return None;
-        }
-        Some(
-            self.feeds
-                .iter()
-                .enumerate()
-                .filter_map(|(i, f)| f.as_ref().map(|f| (i as u16, f.stats)))
-                .collect(),
-        )
+        // Every node is fed or none is, so this is all-`Some` or `None`.
+        self.feeds
+            .iter()
+            .enumerate()
+            .map(|(i, f)| f.as_ref().map(|f| (i as u16, f.stats)))
+            .collect()
     }
 
     /// Schedules a DMA write into `node`'s memory at time `at` (the OS
@@ -2650,8 +2628,7 @@ mod tests {
         // cache: nearly every reference is a multi-ten-cycle miss, so
         // offered load sits far beyond capacity and arrivals outpace
         // admission — the backlog must grow.
-        let mut spec = flash_traffic::TrafficSpec::poisson(2, 65_536, 50_000, 1, 3);
-        spec.write_permille = 0;
+        let spec = flash_traffic::TrafficSpec::poisson(2, 65_536, 50_000, 1, 3);
         let mut m = Machine::new_open_loop(MachineConfig::flash(2), spec.sources());
         match m.run(20_000) {
             RunResult::BudgetExhausted => {}
@@ -2684,26 +2661,6 @@ mod tests {
         assert!(cycles <= 1, "nothing to do, nothing to charge: {cycles}");
         let stats = m.traffic_stats().expect("feeds attached");
         assert!(stats.iter().all(|(_, t)| t.arrivals == 0));
-    }
-
-    #[test]
-    fn mixed_open_and_closed_loop_nodes_coexist() {
-        let spec = flash_traffic::TrafficSpec::poisson(4, 64, 200, 30, 9);
-        let mut m = machine_with(
-            MachineConfig::flash(4),
-            vec![
-                vec![WorkItem::Busy(4)], // replaced by the feed below
-                vec![WorkItem::Read(node_addr(NodeId(0), 0)), WorkItem::Busy(400)],
-                vec![WorkItem::Busy(40)],
-                vec![WorkItem::Write(node_addr(NodeId(1), 256))],
-            ],
-        );
-        m.attach_open_loop(NodeId(0), spec.source_for(0));
-        must_complete(&mut m, 50_000_000);
-        let stats = m.traffic_stats().expect("one fed node");
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].0, 0);
-        assert_eq!(stats[0].1.admitted, 200);
     }
 
     #[test]

@@ -719,8 +719,9 @@ mod tests {
     }
 
     /// `latency_buckets` is derived from the per-class `LogHist`s; it
-    /// must equal what a power-of-two [`flash_engine::Histogram`] fed the
-    /// same samples reports, or `observe_*.json` bytes would change.
+    /// must equal a power-of-two histogram of the same samples (bucket
+    /// floor 0 for 0, else the largest power of two at or below the
+    /// sample), or `observe_*.json` bytes would change.
     #[test]
     fn octave_buckets_match_power_of_two_histogram() {
         let mut samples = vec![0u64, 1, 2, 3, 5, 7, 8, 9, 15, 24, 143, 1000];
@@ -728,12 +729,17 @@ mod tests {
             samples.extend([(1u64 << k) - 1, 1 << k, (1 << k) + 1, 3 << (k - 1)]);
         }
         let mut log = LogHist::new();
-        let mut pow2 = flash_engine::Histogram::new();
+        let mut pow2 = BTreeMap::new();
         for &v in &samples {
             log.record(v);
-            pow2.record(v);
+            let floor = if v == 0 {
+                0
+            } else {
+                1 << (63 - v.leading_zeros())
+            };
+            *pow2.entry(floor).or_insert(0u64) += 1;
         }
-        assert_eq!(octave_buckets(&log), pow2.buckets().collect::<Vec<_>>());
+        assert_eq!(octave_buckets(&log), pow2.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::cache::{CpuAccess, L2Cache, LineState, Victim};
 use crate::mshr::{MissKind, MshrFile};
 use crate::stream::{RefStream, WorkItem};
-use flash_engine::{Addr, Cycle, Histogram};
+use flash_engine::{Addr, Cycle};
 
 /// Outbound coherence requests from the processor to MAGIC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,7 +163,6 @@ pub struct Processor {
     block_start_q: Option<u64>,
     block_kind: Option<BlockKind>,
     stats: ProcStats,
-    lat_hist: Histogram,
     finished: bool,
     finish_q: u64,
 }
@@ -191,23 +190,9 @@ impl Processor {
             block_start_q: None,
             block_kind: None,
             stats: ProcStats::default(),
-            lat_hist: Histogram::new(),
             finished: false,
             finish_q: 0,
         }
-    }
-
-    /// Replaces the reference stream. Used by the machine to attach an
-    /// open-loop [`crate::MailboxStream`] after construction; swapping the
-    /// stream of a running processor with a pending item is a logic error.
-    pub fn set_stream(&mut self, stream: Box<dyn RefStream>) {
-        debug_assert!(self.pending.is_none(), "stream swap with an item in flight");
-        self.stream = stream;
-    }
-
-    /// Distribution of miss transaction latencies (issue to reply).
-    pub fn miss_latency(&self) -> &Histogram {
-        &self.lat_hist
     }
 
     /// Current processor time in system cycles (rounded up).
@@ -256,7 +241,7 @@ impl Processor {
             // processor at a machine time before it blocked. That is an
             // early wakeup with no stall to charge — counted, not an
             // error, unlike the global-clock underflows in
-            // [`Processor::record_latency`].
+            // [`Processor::check_completion`].
             let stall = now_q.checked_sub(start).unwrap_or_else(|| {
                 self.stats.early_wakeups += 1;
                 0
@@ -273,18 +258,13 @@ impl Processor {
         self.block_kind = None;
     }
 
-    /// Records a completed miss's latency. A completion earlier than its
-    /// issue is a clock running backwards: asserted in debug builds,
-    /// counted (and recorded as 0 so histogram counts stay conserved) in
-    /// release.
-    fn record_latency(&mut self, now: Cycle, issued_at: Cycle) {
-        match now.raw().checked_sub(issued_at.raw()) {
-            Some(lat) => self.lat_hist.record(lat),
-            None => {
-                debug_assert!(false, "miss completed at {now} before issue at {issued_at}");
-                self.stats.clock_skew += 1;
-                self.lat_hist.record(0);
-            }
+    /// Checks a completed miss against its issue time. A completion
+    /// earlier than its issue is a clock running backwards: asserted in
+    /// debug builds, counted in release.
+    fn check_completion(&mut self, now: Cycle, issued_at: Cycle) {
+        if now.raw() < issued_at.raw() {
+            debug_assert!(false, "miss completed at {now} before issue at {issued_at}");
+            self.stats.clock_skew += 1;
         }
     }
 
@@ -503,7 +483,7 @@ impl Processor {
         let Some(m) = self.mshrs.release(addr) else {
             return; // stale reply (e.g. after an intervening invalidation)
         };
-        self.record_latency(now, m.issued_at);
+        self.check_completion(now, m.issued_at);
         // Planted bug (`planted-bugs`, test-only): pretend the grant was
         // never invalidated, so a stale exclusive reply resurrects a dead
         // owner — the historical merged-write reissue bug, re-introduced
@@ -545,7 +525,7 @@ impl Processor {
         let Some(m) = self.mshrs.release(addr) else {
             return;
         };
-        self.record_latency(now, m.issued_at);
+        self.check_completion(now, m.issued_at);
         if m.invalidated {
             // Poisoned grant: complete the write architecturally without
             // caching the line.

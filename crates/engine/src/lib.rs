@@ -50,8 +50,8 @@ pub use fasthash::{FastBuild, FastHasher, FastMap, FastSet};
 pub use queue::BoundedQueue;
 pub use rng::DetRng;
 pub use stats::{
-    Counter, Histogram, LatencySplit, LogHist, OccupancyTracker, Segment, LOG_HIST_BUCKETS,
-    LOG_HIST_SUB, LOG_HIST_SUB_BITS, SEGMENT_COUNT,
+    Counter, LatencySplit, LogHist, OccupancyTracker, Segment, LOG_HIST_BUCKETS, LOG_HIST_SUB,
+    LOG_HIST_SUB_BITS, SEGMENT_COUNT,
 };
 pub use time::Cycle;
 

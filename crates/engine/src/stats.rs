@@ -132,131 +132,6 @@ impl OccupancyTracker {
     }
 }
 
-/// A fixed-bucket histogram of `u64` samples (power-of-two buckets).
-///
-/// Used for latency distributions in the experiment reports.
-///
-/// # Examples
-///
-/// ```
-/// use flash_engine::Histogram;
-///
-/// let mut h = Histogram::new();
-/// h.record(24);
-/// h.record(143);
-/// assert_eq!(h.count(), 2);
-/// assert_eq!(h.mean(), (24.0 + 143.0) / 2.0);
-/// assert_eq!(h.max(), 143);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: [u64; 64],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; 64],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: u64) {
-        let b = 64 - sample.leading_zeros() as usize; // 0 for sample==0
-        self.buckets[b.min(63)] += 1;
-        self.count += 1;
-        self.sum += sample;
-        self.min = self.min.min(sample);
-        self.max = self.max.max(sample);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Mean sample (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Smallest sample (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
-    /// Iterates over the non-empty buckets as `(floor, count)` pairs.
-    ///
-    /// Bucket `b` holds samples in `[2^(b-1), 2^b)` (bucket 0 holds only
-    /// the sample 0), so `floor` is the smallest sample the bucket can
-    /// contain: 0 for bucket 0, otherwise `1 << (b - 1)`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use flash_engine::Histogram;
-    ///
-    /// let mut h = Histogram::new();
-    /// h.record(0);
-    /// h.record(5); // bucket floor 4
-    /// let buckets: Vec<_> = h.buckets().collect();
-    /// assert_eq!(buckets, vec![(0, 1), (4, 1)]);
-    /// ```
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c != 0)
-            .map(|(b, &c)| (if b == 0 { 0 } else { 1u64 << (b - 1) }, c))
-    }
-}
-
 /// Sub-bucket resolution of a [`LogHist`]: each power-of-two octave is
 /// split into `2^LOG_HIST_SUB_BITS` linear sub-buckets, bounding the
 /// relative quantization error of any reported quantile to `1/8 = 12.5%`.
@@ -652,47 +527,6 @@ mod tests {
         t.acquire(Cycle::new(0), 25);
         assert_eq!(t.occupancy(Cycle::new(100)), 0.25);
         assert_eq!(OccupancyTracker::new().occupancy(Cycle::ZERO), 0.0);
-    }
-
-    #[test]
-    fn histogram_stats() {
-        let mut h = Histogram::new();
-        for s in [1u64, 2, 3, 4] {
-            h.record(s);
-        }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.mean(), 2.5);
-        assert_eq!(h.min(), 1);
-        assert_eq!(h.max(), 4);
-        let mut h2 = Histogram::new();
-        h2.record(100);
-        h.merge(&h2);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.max(), 100);
-    }
-
-    #[test]
-    fn histogram_zero_sample() {
-        let mut h = Histogram::new();
-        h.record(0);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.min(), 0);
-    }
-
-    #[test]
-    fn histogram_bucket_floors() {
-        let mut h = Histogram::new();
-        for s in [0u64, 1, 2, 3, 4, 7, 8, 100] {
-            h.record(s);
-        }
-        let buckets: Vec<_> = h.buckets().collect();
-        // 0 → b0; 1 → b1; 2,3 → b2; 4..8 → b3; 8 → b4; 100 → b7 (floor 64).
-        assert_eq!(
-            buckets,
-            vec![(0, 1), (1, 1), (2, 2), (4, 2), (8, 1), (64, 1)]
-        );
-        let total: u64 = buckets.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, h.count());
     }
 
     /// NaN-guard pins for the zero-length-run paths (Issue 5 satellite):

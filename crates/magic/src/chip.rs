@@ -238,7 +238,7 @@ impl ReadClass {
 /// Per-emission latency attribution, recorded only when observation is on
 /// (see the `flash` crate's `MachineConfig::with_observe`).
 ///
-/// For every [`Emission`] produced by [`MagicChip::process`] in an
+/// For every [`Emission`] produced by [`MagicChip::process_into`] in an
 /// observed run, the chip records how the interval from message arrival
 /// to emission decomposes into chip-internal components. The invariant
 /// `parts.total() == emission.at() − arrival` holds exactly for all three
@@ -405,7 +405,7 @@ impl MagicChip {
     }
 
     /// Turns cycle-attribution recording on or off. When on, every
-    /// [`MagicChip::process`] call leaves one [`ObsParts`] per emission in
+    /// [`MagicChip::process_into`] call leaves one [`ObsParts`] per emission in
     /// [`MagicChip::obs_parts`] and the invocation record in
     /// [`MagicChip::obs_invocation`]. Recording is timing-invisible: it
     /// only appends to side buffers.
@@ -414,14 +414,14 @@ impl MagicChip {
     }
 
     /// Per-emission attributions from the most recent
-    /// [`MagicChip::process`] call (parallel to its return value; empty
+    /// [`MagicChip::process_into`] call (parallel to its emissions; empty
     /// unless observation is on).
     pub fn obs_parts(&self) -> &[ObsParts] {
         &self.obs_parts
     }
 
     /// The handler invocation from the most recent
-    /// [`MagicChip::process`] call (`None` unless observation is on).
+    /// [`MagicChip::process_into`] call (`None` unless observation is on).
     pub fn obs_invocation(&self) -> Option<&ObsInvocation> {
         self.obs_invocation.as_ref()
     }
@@ -488,7 +488,7 @@ impl MagicChip {
     }
 
     /// Classifies a read miss against current directory state and counts
-    /// it (call before [`MagicChip::process`] for `PiGet`/`NGet` at the
+    /// it (call before [`MagicChip::process_into`] for `PiGet`/`NGet` at the
     /// home with a known requester). Returns the class, or `None` for a
     /// pending line (the retry that gets served will be classified).
     pub fn classify_read(&mut self, msg: &InMsg, requester: NodeId) -> Option<ReadClass> {
@@ -520,20 +520,12 @@ impl MagicChip {
     }
 
     /// Processes one incoming message that became available to the inbox
-    /// at `arrival` (PI/NI inbound latency already charged by the caller).
-    /// Returns everything the chip emits, with timestamps.
+    /// at `arrival` (PI/NI inbound latency already charged by the caller),
+    /// leaving everything the chip emits, with timestamps, in `out`.
     ///
-    /// Allocates a fresh vector per call; the machine's hot path uses
-    /// [`MagicChip::process_into`] with a reused scratch buffer instead.
-    pub fn process(&mut self, msg: InMsg, arrival: Cycle) -> Vec<Emission> {
-        let mut out = Vec::new();
-        self.process_into(msg, arrival, &mut out);
-        out
-    }
-
-    /// [`MagicChip::process`] into a caller-owned buffer (cleared first),
-    /// so a steady-state event loop pays zero allocations per message
-    /// once the buffer has grown to the protocol's maximum fan-out.
+    /// `out` is cleared first and reused across calls, so a steady-state
+    /// event loop pays zero allocations per message once the buffer has
+    /// grown to the protocol's maximum fan-out.
     pub fn process_into(&mut self, mut msg: InMsg, arrival: Cycle, out: &mut Vec<Emission>) {
         out.clear();
         self.stats.messages += 1;
@@ -1023,6 +1015,13 @@ mod tests {
         )
     }
 
+    /// One [`MagicChip::process_into`] call into a fresh buffer.
+    fn process(chip: &mut MagicChip, msg: InMsg, arrival: Cycle) -> Vec<Emission> {
+        let mut out = Vec::new();
+        chip.process_into(msg, arrival, &mut out);
+        out
+    }
+
     fn local_get(addr: u64) -> InMsg {
         InMsg {
             mtype: MsgType::PiGet,
@@ -1059,7 +1058,7 @@ mod tests {
         // Paper Table 3.3: ideal local clean read = 24 cycles, of which
         // 7 are the processor-side path (miss detect 5 + bus 1 + PI in 1).
         let mut chip = mk_chip(ControllerKind::Ideal);
-        let ems = chip.process(local_get(0x1000), Cycle::new(7));
+        let ems = process(&mut chip, local_get(0x1000), Cycle::new(7));
         assert_eq!(ems.len(), 1);
         match ems[0] {
             Emission::Proc { at, msg } => {
@@ -1073,7 +1072,7 @@ mod tests {
     #[test]
     fn flash_local_read_clean_takes_27_cycles_total() {
         let mut chip = mk_chip(ControllerKind::FlashEmulated);
-        let ems = chip.process(local_get(0x1000), Cycle::new(7));
+        let ems = process(&mut chip, local_get(0x1000), Cycle::new(7));
         let at = match ems[..] {
             [Emission::Proc { at, msg }] => {
                 assert_eq!(msg.mtype, MsgType::PPut);
@@ -1085,8 +1084,8 @@ mod tests {
         // (the steady state: MDC miss rate < 1%), so warm the icache and
         // the MDC line holding this header first with a neighbouring line.
         let mut warm = mk_chip(ControllerKind::FlashEmulated);
-        warm.process(local_get(0x1080), Cycle::new(7));
-        let ems2 = warm.process(local_get(0x1000), Cycle::new(1007));
+        process(&mut warm, local_get(0x1080), Cycle::new(7));
+        let ems2 = process(&mut warm, local_get(0x1000), Cycle::new(1007));
         let at2 = ems2[0].at().raw() - 1000;
         assert!(
             (25..=29).contains(&at2),
@@ -1108,12 +1107,12 @@ mod tests {
                     .with_owner(NodeId(3)),
             );
         }
-        let ems = chip.process(local_get(0x2000), Cycle::new(7));
+        let ems = process(&mut chip, local_get(0x2000), Cycle::new(7));
         assert!(matches!(ems[0], Emission::Net { msg, .. } if msg.mtype == MsgType::NFwdGet));
         assert_eq!(chip.stats().spec_issued, 1);
         assert_eq!(chip.stats().spec_useless, 1);
         // A clean read is useful speculation.
-        chip.process(local_get(0x3000), Cycle::new(100));
+        process(&mut chip, local_get(0x3000), Cycle::new(100));
         assert_eq!(chip.stats().spec_issued, 2);
         assert_eq!(chip.stats().spec_useless, 1);
     }
@@ -1121,11 +1120,11 @@ mod tests {
     #[test]
     fn pp_occupancy_accumulates_and_serializes() {
         let mut chip = mk_chip(ControllerKind::FlashEmulated);
-        chip.process(local_get(0x1000), Cycle::new(7));
+        process(&mut chip, local_get(0x1000), Cycle::new(7));
         let busy1 = chip.pp_busy_cycles();
         assert!(busy1 > 0);
         // A second message arriving while the PP is busy is delayed.
-        let ems = chip.process(local_get(0x5000), Cycle::new(7));
+        let ems = process(&mut chip, local_get(0x5000), Cycle::new(7));
         assert!(ems[0].at() > Cycle::new(27));
         assert!(chip.pp_busy_cycles() > busy1);
     }
@@ -1133,7 +1132,7 @@ mod tests {
     #[test]
     fn cost_table_mode_charges_table_3_4() {
         let mut chip = mk_chip(ControllerKind::FlashCostTable);
-        chip.process(local_get(0x1000), Cycle::new(7));
+        process(&mut chip, local_get(0x1000), Cycle::new(7));
         assert_eq!(chip.pp_busy_cycles(), 11, "read from memory = 11 cycles");
         let (count, cycles) = chip.stats().handlers["pi_get_local"];
         assert_eq!((count, cycles), (1, 11));
@@ -1166,14 +1165,14 @@ mod tests {
     #[test]
     fn inbox_wait_accumulates_when_pp_is_busy() {
         let mut chip = mk_chip(ControllerKind::FlashEmulated);
-        chip.process(local_get(0x1000), Cycle::new(7));
+        process(&mut chip, local_get(0x1000), Cycle::new(7));
         assert_eq!(
             chip.stats().inbox_wait_cycles,
             0,
             "first message never waits"
         );
         // Arrives while the PP is still busy with the first.
-        chip.process(local_get(0x5000), Cycle::new(7));
+        process(&mut chip, local_get(0x5000), Cycle::new(7));
         assert!(chip.stats().inbox_wait_cycles > 0);
         assert!(chip.stats().inbox_wait_max >= chip.stats().inbox_wait_cycles / 2);
     }
@@ -1184,7 +1183,7 @@ mod tests {
     #[test]
     fn pp_occupancy_zero_length_run_is_zero_not_nan() {
         let mut chip = mk_chip(ControllerKind::FlashEmulated);
-        chip.process(local_get(0x1000), Cycle::new(7));
+        process(&mut chip, local_get(0x1000), Cycle::new(7));
         assert!(chip.pp_busy_cycles() > 0);
         let occ = chip.pp_occupancy(Cycle::ZERO);
         assert_eq!(occ, 0.0);
@@ -1207,7 +1206,7 @@ mod tests {
             // Cold then warm, plus a back-to-back pair to exercise waits.
             for (addr, t) in [(0x1000, 7), (0x1080, 7), (0x5000, 8), (0x1000, 500)] {
                 let arrival = Cycle::new(t);
-                let ems = chip.process(local_get(addr), arrival);
+                let ems = process(&mut chip, local_get(addr), arrival);
                 let parts = chip.obs_parts();
                 assert_eq!(ems.len(), parts.len(), "{kind:?}: parallel vectors");
                 for (e, p) in ems.iter().zip(parts) {
@@ -1239,8 +1238,8 @@ mod tests {
             let mut observed = mk_chip(kind);
             observed.set_observe(true);
             for (addr, t) in [(0x1000, 7), (0x2000, 9), (0x1000, 400)] {
-                let a = plain.process(local_get(addr), Cycle::new(t));
-                let b = observed.process(local_get(addr), Cycle::new(t));
+                let a = process(&mut plain, local_get(addr), Cycle::new(t));
+                let b = process(&mut observed, local_get(addr), Cycle::new(t));
                 assert_eq!(a, b, "{kind:?}: emissions must match");
             }
             assert_eq!(plain.pp_busy_cycles(), observed.pp_busy_cycles());
@@ -1278,8 +1277,8 @@ mod tests {
             (local_get(0x1000), 900),
         ];
         for (msg, t) in seq {
-            let a = emu.process(msg, Cycle::new(t));
-            let b = fast.process(msg, Cycle::new(t));
+            let a = process(&mut emu, msg, Cycle::new(t));
+            let b = process(&mut fast, msg, Cycle::new(t));
             assert_eq!(a, b, "emissions diverged at cycle {t}");
         }
         assert_eq!(emu.pp_busy_cycles(), fast.pp_busy_cycles());
@@ -1297,12 +1296,12 @@ mod tests {
     fn mdc_misses_stall_the_pp() {
         let mut chip = mk_chip(ControllerKind::FlashEmulated);
         // First access to a header line misses in the MDC.
-        chip.process(local_get(0x1000), Cycle::new(7));
+        process(&mut chip, local_get(0x1000), Cycle::new(7));
         assert!(chip.stats().mdc_stall_cycles > 0);
         assert!(chip.mdc().unwrap().read_misses() > 0);
         let stall1 = chip.stats().mdc_stall_cycles;
         // Same header line again: hit, no new stall.
-        chip.process(local_get(0x1080), Cycle::new(200));
+        process(&mut chip, local_get(0x1080), Cycle::new(200));
         assert_eq!(chip.stats().mdc_stall_cycles, stall1);
     }
 }

@@ -11,6 +11,7 @@
 //! ```text
 //!   --stress NODES,LINES,ITEMS,SEED   seeded stress-net streams
 //!   --workload NAME,PROCS,SCALE[,BOUND] named paper workload, bounded
+//!   --traffic NODES,OBJECTS,ITEMS,GAP,SEED[,BOUND] open-loop traffic, paced
 //!   --controller flash|cost-table|ideal    (default flash)
 //!   --cache BYTES                     cache capacity override
 //!   --check                           arm the flash-check net
@@ -78,10 +79,14 @@ fn run(args: &[String]) -> Result<i32, String> {
                     .map_err(|_| "bad --attempts")?;
             }
             "--timeout" => {
-                let secs: f64 = value(&mut i, "--timeout")?
-                    .parse()
-                    .map_err(|_| "bad --timeout")?;
-                opts.eval.timeout = Some(Duration::from_secs_f64(secs));
+                let secs = value(&mut i, "--timeout")?;
+                let limit = secs
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|&s| s > 0.0)
+                    .and_then(|s| Duration::try_from_secs_f64(s).ok())
+                    .ok_or(format!("bad --timeout `{secs}`: need positive seconds"))?;
+                opts.eval.timeout = Some(limit);
             }
             "--shards" => {
                 opts.eval.shards = Some(

@@ -304,8 +304,8 @@ impl Spec {
                         return Err("--stress needs NODES,LINES,ITEMS,SEED".into());
                     };
                     source = Some(Source::Stress {
-                        nodes: n.parse().map_err(|_| "bad --stress nodes")?,
-                        lines_per_node: l.parse().map_err(|_| "bad --stress lines")?,
+                        nodes: positive(n, "--stress nodes")?,
+                        lines_per_node: positive(l, "--stress lines")?,
                         items_per_proc: it.parse().map_err(|_| "bad --stress items")?,
                         seed: s.parse().map_err(|_| "bad --stress seed")?,
                     });
@@ -318,10 +318,13 @@ impl Spec {
                         [n, pr, sc, b] => (n, pr, sc, b),
                         _ => return Err("--workload needs NAME,PROCS,SCALE[,BOUND]".into()),
                     };
+                    if !flash_workloads::PARALLEL_APPS.contains(&name) && name != "OS" {
+                        return Err(format!("unknown workload `{name}`"));
+                    }
                     source = Some(Source::Workload {
                         name: name.to_string(),
-                        procs: procs.parse().map_err(|_| "bad --workload procs")?,
-                        scale: scale.parse().map_err(|_| "bad --workload scale")?,
+                        procs: positive(procs, "--workload procs")?,
+                        scale: positive(scale, "--workload scale")?,
                         bound: bound.parse().map_err(|_| "bad --workload bound")?,
                     });
                 }
@@ -339,10 +342,10 @@ impl Spec {
                     };
                     let items: u64 = it.parse().map_err(|_| "bad --traffic items")?;
                     source = Some(Source::Traffic {
-                        nodes: n.parse().map_err(|_| "bad --traffic nodes")?,
-                        objects: o.parse().map_err(|_| "bad --traffic objects")?,
+                        nodes: positive(n, "--traffic nodes")?,
+                        objects: positive(o, "--traffic objects")?,
                         items_per_node: items,
-                        mean_gap: g.parse().map_err(|_| "bad --traffic gap")?,
+                        mean_gap: positive(g, "--traffic gap")?,
                         seed: s.parse().map_err(|_| "bad --traffic seed")?,
                         bound: match b {
                             None => items as usize,
@@ -419,10 +422,19 @@ impl Spec {
             }
             i += 1;
         }
-        spec.source = source.ok_or("a --stress or --workload source is required")?;
+        spec.source = source.ok_or("a --stress, --workload or --traffic source is required")?;
         spec.predicate = predicate.ok_or("--predicate is required")?;
         Ok(spec)
     }
+}
+
+/// Parses a source-tuple field that must be a positive integer: a zero
+/// node, line, object, gap or scale count has no machine to build.
+fn positive<T: std::str::FromStr + Default + PartialEq>(v: &str, what: &str) -> Result<T, String> {
+    v.parse()
+        .ok()
+        .filter(|n| *n != T::default())
+        .ok_or(format!("bad {what}: need a positive integer"))
 }
 
 impl fmt::Display for Spec {
@@ -523,6 +535,15 @@ mod tests {
             "--stress 8,4,96,7 --faults heavy,1 --predicate wedge",
             "--stress 8,4,96,7 --frobnicate --predicate wedge",
             "--stress 8,4,96,7 --budget --predicate wedge",
+            // Zero counts would panic (or divide by zero) building the run.
+            "--traffic 4,0,50,30,11 --predicate wedge",
+            "--traffic 4,64,50,0,11 --predicate wedge",
+            "--traffic 0,64,50,30,11 --predicate wedge",
+            "--stress 0,2,40,21 --predicate wedge",
+            "--stress 4,0,40,21 --predicate wedge",
+            "--workload FFT,0,64 --predicate wedge",
+            "--workload FFT,4,0 --predicate wedge",
+            "--workload Nope,4,64 --predicate wedge",
         ] {
             assert!(parse(bad).is_err(), "{bad}");
         }

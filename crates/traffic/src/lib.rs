@@ -14,16 +14,8 @@
 //! * [`ArrivalSource`] — the one-method contract: a monotone stream of
 //!   `(cycle, WorkItem)` arrivals. The machine schedules an event per
 //!   arrival and feeds an admission mailbox (`flash_cpu::Mailbox`).
-//! * [`Pattern`] / [`ArrivalClock`] — seeded arrival schedules: Poisson
-//!   (memoryless), bursty (on/off trains), phased (piecewise rates).
-//! * [`Popularity`] / [`ObjectSampler`] — which object a reference
-//!   touches: uniform, Zipfian, or hotspot.
-//! * [`TrafficSpec`] — a declarative description (nodes × tenants ×
-//!   pattern × popularity × load) that builds one [`ArrivalSource`] per
-//!   node, deterministically from a seed.
-//! * [`TraceSource`] — streaming trace ingestion: arrivals parsed
-//!   line-by-line from any `BufRead`, O(1) memory no matter how long the
-//!   trace.
+//! * [`TrafficSpec`] — Poisson arrivals over uniformly drawn objects,
+//!   one [`OpenLoopSource`] per node, deterministically from a seed.
 //! * [`materialize`] — flattens a bounded prefix of a source into a
 //!   closed-loop item vector (`Busy` gaps standing in for inter-arrival
 //!   time), the bridge `flash-minimize` uses to shrink open-loop
@@ -53,15 +45,9 @@
 
 #![deny(missing_docs)]
 
-pub mod popularity;
-pub mod schedule;
 pub mod spec;
-pub mod trace;
 
-pub use popularity::{ObjectSampler, Popularity};
-pub use schedule::{ArrivalClock, Pattern};
-pub use spec::{materialize, OpenLoopSource, TenantMix, TrafficSpec};
-pub use trace::TraceSource;
+pub use spec::{materialize, OpenLoopSource, TrafficSpec};
 
 use flash_cpu::WorkItem;
 use flash_engine::Cycle;
@@ -71,8 +57,8 @@ use flash_engine::Cycle;
 /// The contract:
 ///
 /// * Cycles are **nondecreasing** — each arrival happens at or after the
-///   previous one. Ties are legal (a burst can land several references on
-///   the same cycle; they queue).
+///   previous one. Ties are legal (several references can land on the
+///   same cycle; they queue).
 /// * `None` is **final** — the source is exhausted and the machine closes
 ///   the processor's mailbox.
 /// * Items are plain references (`Read`/`Write`/`Busy`); sources must not

@@ -1,45 +1,36 @@
-//! Declarative traffic specs and the sources they build.
+//! The traffic spec and the per-node sources it builds.
 
-use crate::popularity::{ObjectSampler, Popularity};
-use crate::schedule::{ArrivalClock, Pattern};
 use crate::ArrivalSource;
 use flash_cpu::WorkItem;
 use flash_engine::{Addr, Cycle, DetRng, LINE_BYTES};
 
-/// A complete open-loop traffic description: everything needed to build
-/// one deterministic [`ArrivalSource`] per node.
+/// Store share of every arrival stream, in permille (the rest are loads).
+const WRITE_PERMILLE: u64 = 250;
+
+/// Open-loop Poisson/uniform traffic: everything needed to build one
+/// deterministic [`ArrivalSource`] per node.
 ///
-/// Object `o` lives at line `o / nodes` of node `o % nodes`'s memory
-/// (addresses use the `Placement::Explicit` encoding, home in bits
-/// 32..48), so a uniform object draw spreads homes round-robin and a
-/// Zipf/hotspot head concentrates traffic on the low-numbered nodes —
-/// the §4.3 hot-spot story, arrived at from the load side.
-#[derive(Debug, Clone, PartialEq)]
+/// Each node sees exponential inter-arrival gaps with mean `mean_gap`
+/// over objects drawn uniformly from `0..objects`, a quarter of them
+/// stores. Object `o` lives at line `o / nodes` of node `o % nodes`'s
+/// memory (addresses use the `Placement::Explicit` encoding, home in
+/// bits 32..48), so the draws spread homes round-robin.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficSpec {
     /// Nodes (= processors = per-node sources).
     pub nodes: u16,
     /// Distinct objects (cache lines) the traffic touches.
     pub objects: u64,
-    /// References per node over the whole run (split across tenants).
+    /// References per node over the whole run.
     pub items_per_node: u64,
-    /// Long-run mean cycles between arrivals at one node.
+    /// Mean cycles between arrivals at one node.
     pub mean_gap: u64,
-    /// Store fraction in permille (the rest are loads).
-    pub write_permille: u32,
-    /// Arrival schedule shape.
-    pub pattern: Pattern,
-    /// Object popularity law.
-    pub popularity: Popularity,
-    /// Independent interleaved streams per node (≥ 1). Each tenant has
-    /// its own clock and its own popularity stream; the node sees the
-    /// time-ordered merge.
-    pub tenants: u16,
     /// Run seed. Same spec + same seed = bit-identical arrivals.
     pub seed: u64,
 }
 
 impl TrafficSpec {
-    /// A plain Poisson/uniform spec — the baseline M-style load.
+    /// A Poisson/uniform spec — the baseline M-style load.
     pub fn poisson(
         nodes: u16,
         objects: u64,
@@ -52,10 +43,6 @@ impl TrafficSpec {
             objects,
             items_per_node,
             mean_gap,
-            write_permille: 250,
-            pattern: Pattern::Poisson,
-            popularity: Popularity::Uniform,
-            tenants: 1,
             seed,
         }
     }
@@ -71,55 +58,41 @@ impl TrafficSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the spec is degenerate (zero nodes, objects or tenants).
+    /// Panics if the spec is degenerate (zero nodes, objects or mean
+    /// gap) or `node` is out of range.
     pub fn source_for(&self, node: u16) -> Box<dyn ArrivalSource> {
-        assert!(self.nodes > 0 && self.tenants > 0, "degenerate spec");
+        assert!(
+            self.nodes > 0 && self.objects > 0 && self.mean_gap > 0,
+            "degenerate spec"
+        );
         assert!(node < self.nodes, "node out of range");
-        if self.tenants == 1 {
-            Box::new(self.tenant_source(node, 0, self.items_per_node))
-        } else {
-            let t = self.tenants as u64;
-            let each = self.items_per_node / t;
-            let spare = self.items_per_node % t;
-            let tenants = (0..self.tenants)
-                .map(|tenant| {
-                    let items = each + if (tenant as u64) < spare { 1 } else { 0 };
-                    Box::new(self.tenant_source(node, tenant, items)) as Box<dyn ArrivalSource>
-                })
-                .collect();
-            Box::new(TenantMix::new(tenants))
-        }
+        // Distinct, order-independent rng streams per (node, role).
+        let id = |role: u64| (role << 48) | ((node as u64) << 16);
+        Box::new(OpenLoopSource {
+            clock: DetRng::for_stream(self.seed, id(1)),
+            draws: DetRng::for_stream(self.seed, id(2)),
+            now: 0,
+            spec: self.clone(),
+            left: self.items_per_node,
+        })
     }
 
     /// All per-node sources, index = node.
     pub fn sources(&self) -> Vec<Box<dyn ArrivalSource>> {
         (0..self.nodes).map(|n| self.source_for(n)).collect()
     }
-
-    fn tenant_source(&self, node: u16, tenant: u16, items: u64) -> OpenLoopSource {
-        // Distinct, order-independent rng streams per (node, tenant, role).
-        let id = |role: u64| (role << 48) | ((node as u64) << 16) | tenant as u64;
-        OpenLoopSource {
-            clock: ArrivalClock::new(
-                self.pattern.clone(),
-                self.mean_gap,
-                DetRng::for_stream(self.seed, id(1)),
-            ),
-            sampler: ObjectSampler::new(self.popularity.clone(), self.objects),
-            rng: DetRng::for_stream(self.seed, id(2)),
-            spec: self.clone(),
-            left: items,
-        }
-    }
 }
 
-/// One tenant's arrival stream: a clock, a popularity sampler, and a
-/// finite reference budget.
+/// One node's arrival stream: an exponential clock, a uniform object
+/// draw, and a finite reference budget.
 #[derive(Debug, Clone)]
 pub struct OpenLoopSource {
-    clock: ArrivalClock,
-    sampler: ObjectSampler,
-    rng: DetRng,
+    /// Drives the inter-arrival gaps.
+    clock: DetRng,
+    /// Drives the object and the load/store choice.
+    draws: DetRng,
+    /// Cycle of the previous arrival.
+    now: u64,
     spec: TrafficSpec,
     left: u64,
 }
@@ -130,54 +103,16 @@ impl ArrivalSource for OpenLoopSource {
             return None;
         }
         self.left -= 1;
-        let at = self.clock.tick();
-        let addr = self.spec.object_addr(self.sampler.draw(&mut self.rng));
-        let item = if self.rng.below(1000) < self.spec.write_permille as u64 {
+        // Exponential gap by inversion, at least one cycle.
+        let u = self.clock.unit().max(1e-12);
+        self.now += ((-u.ln() * self.spec.mean_gap as f64).round() as u64).max(1);
+        let addr = self.spec.object_addr(self.draws.below(self.spec.objects));
+        let item = if self.draws.below(1000) < WRITE_PERMILLE {
             WorkItem::Write(addr)
         } else {
             WorkItem::Read(addr)
         };
-        Some((at, item))
-    }
-}
-
-/// Time-ordered merge of independent tenant sources: the node observes
-/// one interleaved arrival stream. Ties break toward the lowest tenant
-/// index, deterministically.
-pub struct TenantMix {
-    /// `(peeked next arrival, source)` per tenant.
-    tenants: Vec<PeekedTenant>,
-}
-
-/// One tenant in a [`TenantMix`]: its peeked next arrival and the
-/// source it came from.
-type PeekedTenant = (Option<(Cycle, WorkItem)>, Box<dyn ArrivalSource>);
-
-impl TenantMix {
-    /// Merges the given tenant sources.
-    pub fn new(sources: Vec<Box<dyn ArrivalSource>>) -> Self {
-        TenantMix {
-            tenants: sources
-                .into_iter()
-                .map(|mut s| (s.next_arrival(), s))
-                .collect(),
-        }
-    }
-}
-
-impl ArrivalSource for TenantMix {
-    fn next_arrival(&mut self) -> Option<(Cycle, WorkItem)> {
-        let best = self
-            .tenants
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (peek, _))| peek.map(|(at, _)| (at, i)))
-            .min()?
-            .1;
-        let slot = &mut self.tenants[best];
-        let out = slot.0.take();
-        slot.0 = slot.1.next_arrival();
-        out
+        Some((Cycle::new(self.now), item))
     }
 }
 
@@ -231,6 +166,18 @@ mod tests {
     }
 
     #[test]
+    fn poisson_mean_roughly_matches() {
+        let n = 20_000;
+        let mut src = TrafficSpec::poisson(1, 64, n, 40, 7).source_for(0);
+        let mut last = 0;
+        while let Some((at, _)) = src.next_arrival() {
+            last = at.raw();
+        }
+        let mean = last as f64 / n as f64;
+        assert!((mean - 40.0).abs() < 2.0, "mean gap was {mean}");
+    }
+
+    #[test]
     fn nodes_get_independent_streams() {
         let take = |node: u16| -> Vec<(u64, WorkItem)> {
             let mut src = spec().source_for(node);
@@ -255,22 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn tenant_mix_is_time_ordered_and_complete() {
-        let mut s = spec();
-        s.tenants = 3;
-        s.items_per_node = 100;
-        let mut src = s.source_for(0);
-        let mut last = 0;
-        let mut n = 0;
-        while let Some((at, _)) = src.next_arrival() {
-            assert!(at.raw() >= last, "merge must be time-ordered");
-            last = at.raw();
-            n += 1;
-        }
-        assert_eq!(n, 100, "tenant split must conserve the item budget");
-    }
-
-    #[test]
     fn materialize_preserves_pacing() {
         let mut src = spec().source_for(1);
         let (first_at, first_item) = {
@@ -288,16 +219,5 @@ mod tests {
                 .count(),
             10
         );
-    }
-
-    #[test]
-    fn writes_respect_the_permille_knob() {
-        let mut s = spec();
-        s.write_permille = 0;
-        s.items_per_node = 500;
-        let mut src = s.source_for(0);
-        while let Some((_, item)) = src.next_arrival() {
-            assert!(matches!(item, WorkItem::Read(_)), "0 permille = no writes");
-        }
     }
 }

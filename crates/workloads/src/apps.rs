@@ -20,7 +20,6 @@ use crate::phases::{Phase, PhaseStream};
 use flash::config::{node_addr, Placement};
 use flash_cpu::RefStream;
 use flash_engine::{Addr, Cycle, NodeId, LINE_BYTES};
-use flash_traffic::ArrivalSource;
 
 /// A complete multiprocessor workload.
 pub trait Workload {
@@ -37,15 +36,6 @@ pub trait Workload {
     /// DMA traffic to inject (time, node, line address).
     fn dma_events(&self) -> Vec<(Cycle, NodeId, Addr)> {
         Vec::new()
-    }
-    /// Open-loop arrival sources, one per processor. `None` (the
-    /// default) means the workload is closed-loop and drives the
-    /// machine through [`Workload::streams`]; `Some` makes
-    /// [`crate::build_machine`] feed the machine through admission
-    /// mailboxes instead (see
-    /// [`OpenLoopWorkload`](crate::OpenLoopWorkload)).
-    fn open_loop_sources(&self) -> Option<Vec<Box<dyn ArrivalSource>>> {
-        None
     }
 }
 

@@ -15,12 +15,10 @@
 
 pub mod apps;
 pub mod explicit;
-pub mod openloop;
 pub mod phases;
 
 pub use apps::{Barnes, Fft, HotspotFft, Lu, Mp3d, Ocean, OsWorkload, Radix, Workload};
 pub use explicit::ExplicitWorkload;
-pub use openloop::OpenLoopWorkload;
 pub use phases::{Phase, PhaseStream};
 
 use flash::{Machine, MachineConfig, MachineReport, RunResult};
@@ -41,10 +39,7 @@ pub fn build_machine(cfg: &MachineConfig, workload: &dyn Workload) -> Machine {
     let mut cfg = cfg.clone();
     cfg.nodes = workload.procs();
     cfg.placement = workload.placement();
-    let mut m = match workload.open_loop_sources() {
-        Some(sources) => Machine::new_open_loop(cfg, sources),
-        None => Machine::new(cfg, workload.streams()),
-    };
+    let mut m = Machine::new(cfg, workload.streams());
     for (at, node, addr) in workload.dma_events() {
         m.add_dma_write(at, node, addr);
     }

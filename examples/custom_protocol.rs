@@ -100,15 +100,16 @@ fn main() {
         ("lazy-hints custom protocol", lazy_jump),
     ] {
         let mut chip = chip_with(program.clone(), jump);
+        let mut emissions = Vec::new();
         let mut t = Cycle::new(10);
         let addr = 0x4000;
         for req in 1..=8 {
-            chip.process(get_msg(req, addr), t);
+            chip.process_into(get_msg(req, addr), t, &mut emissions);
             t += 400;
         }
         let before = chip.pp_busy_cycles();
         for src_node in 1..=8 {
-            chip.process(hint_msg(src_node, addr), t);
+            chip.process_into(hint_msg(src_node, addr), t, &mut emissions);
             t += 400;
         }
         let hint_cycles = chip.pp_busy_cycles() - before;

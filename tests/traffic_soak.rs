@@ -124,21 +124,6 @@ fn traffic_soak_overload() {
 }
 
 #[test]
-fn traffic_soak_multi_tenant_zipf() {
-    // Skewed popularity concentrates load on low-numbered homes while
-    // three tenants interleave per node — the richest arrival shape,
-    // composed with stress faults and checked mode.
-    for seed in 0..seeds(2) {
-        let mut t = spec(4, 512, 150, 40, 0x60 + seed);
-        t.tenants = 3;
-        t.popularity = flash_traffic::Popularity::Zipf {
-            theta_permille: 800,
-        };
-        soak(MachineConfig::flash(4), &t, FaultsSpec::Stress(0x61 + seed));
-    }
-}
-
-#[test]
 fn traffic_soak_sharded_is_identical() {
     // Faults + checked mode + open-loop arrivals, run under 1 and 2
     // shards: cycle-identical, stat-identical. The composition stress
