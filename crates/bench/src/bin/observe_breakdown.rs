@@ -39,5 +39,5 @@ fn render() {
 }
 
 fn main() -> ExitCode {
-    flash_bench::artifact_main("observe_breakdown", render)
+    flash_bench::suite_main(&mut [("observe_breakdown", Some(Box::new(render)))])
 }

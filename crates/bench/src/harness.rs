@@ -1,15 +1,15 @@
-//! Entry-point harness for the repro binaries.
+//! Entry-point harness for `repro_all` and `observe_breakdown`.
 //!
-//! Every `repro_*` binary renders one or more artifacts (tables/figures)
-//! whose simulation points run isolated in [`crate::runner`]'s worker
-//! pool. The harness completes the robustness story at the process
-//! boundary: a panicking render (one of its points failed, so
+//! Each renders one or more artifacts (tables/figures) whose simulation
+//! points run isolated in [`crate::runner`]'s worker pool.
+//! The harness completes the robustness story at the process boundary:
+//! a panicking render (one of its points failed, so
 //! [`crate::cached_run`] re-hit the panic at render time) is caught, the
 //! remaining artifacts still render, and the process exits nonzero with
 //! a per-job failure table on stdout.
 //!
 //! On a fully healthy run nothing extra is printed and the exit status is
-//! zero — repro output stays byte-identical to the pre-harness binaries.
+//! zero.
 
 use crate::isolate::first_line_of;
 use crate::runner::{drain_failures, JobFailure};
@@ -58,30 +58,11 @@ fn report_failures(artifacts: &[ArtifactFailure], jobs: &[JobFailure]) -> bool {
     true
 }
 
-/// Main body for a single-artifact repro binary: render with panic
-/// isolation, then print the failure tail and pick the exit status.
-///
-/// # Examples
-///
-/// ```no_run
-/// use std::process::ExitCode;
-///
-/// fn main() -> ExitCode {
-///     flash_bench::artifact_main("table_4_1", flash_bench::tables::table_4_1)
-/// }
-/// ```
-pub fn artifact_main(name: &'static str, f: impl FnOnce()) -> ExitCode {
-    if run_suite(&mut [(name, Some(Box::new(f)))]) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// Main body for a multi-artifact repro binary (`repro_all`): every
-/// artifact renders even if an earlier one fails; the failure tail lists
-/// the runner's per-job failures and any incompletely rendered
-/// artifacts, and the exit status is nonzero if anything failed.
+/// Main body for `repro_all`, `observe_breakdown` and perfbench's
+/// `repro` child: every artifact renders even if an earlier one fails;
+/// the failure tail lists the runner's per-job failures and any
+/// incompletely rendered artifacts, and the exit status is nonzero if
+/// anything failed.
 ///
 /// Artifacts are `(name, Some(render))` pairs; the `Option` is taken as
 /// each artifact runs.
@@ -94,9 +75,9 @@ pub fn suite_main(artifacts: &mut [(&'static str, Option<Box<dyn FnOnce() + '_>>
     }
 }
 
-/// Shared body for [`artifact_main`] / [`suite_main`]: renders every
-/// artifact, prints the failure tail, and returns whether anything
-/// failed (testable without comparing `ExitCode`s).
+/// Body of [`suite_main`]: renders every artifact, prints the failure
+/// tail, and returns whether anything failed (testable without
+/// comparing `ExitCode`s).
 #[allow(clippy::type_complexity)]
 fn run_suite(artifacts: &mut [(&'static str, Option<Box<dyn FnOnce() + '_>>)]) -> bool {
     let mut failed: Vec<ArtifactFailure> = Vec::new();

@@ -1,11 +1,12 @@
-//! Shared experiment drivers for the table/figure regeneration binaries.
+//! Shared experiment drivers for the paper's tables and figures.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation; this library holds the common machinery: scale
-//! selection, the Table 3.3 latency measurement harness, and the standard
-//! application suite runner.
+//! [`tables`] holds one render function per table or figure of the
+//! paper's evaluation, and the `repro_all` binary renders them; this
+//! library holds the common machinery: scale selection, the Table 3.3
+//! latency measurement harness, and the standard application suite
+//! runner.
 //!
-//! Scale control: the binaries default to reduced problem sizes
+//! Scale control: the artifacts default to reduced problem sizes
 //! (`scale = 4`) so the whole suite regenerates in seconds. Set
 //! `FLASH_SCALE=1` for the paper's Table 3.5 sizes, or `FLASH_SCALE=n`
 //! for another divisor.
@@ -15,7 +16,7 @@ pub mod isolate;
 pub mod runner;
 pub mod tables;
 
-pub use harness::{artifact_main, suite_main};
+pub use harness::suite_main;
 pub use runner::{
     cached_latency, cached_run, clear_caches, drain_failures, prefetch, prefetch_with, Job,
     JobFailure, RunSpec, WorkSpec,

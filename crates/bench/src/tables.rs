@@ -2,8 +2,9 @@
 //!
 //! Each function prints its artifact to stdout in plain text, with the
 //! paper's published value alongside the measured value wherever the paper
-//! reports one. The `src/bin/` wrappers call exactly one function each;
-//! `repro_all` calls all of them.
+//! reports one. [`ARTIFACTS`] lists them by name in `repro_all`'s output
+//! order; `repro_all` renders all of them, or the ones named on its
+//! command line.
 
 use crate::{
     apps_at, base_cfg, cached_run, latency_jobs, measure_latency_table, os_procs, parallel_procs,
@@ -32,6 +33,27 @@ fn banner(title: &str) {
     );
     println!("================================================================");
 }
+
+/// Every artifact by name, in `repro_all`'s output order.
+pub const ARTIFACTS: [(&str, fn()); 17] = [
+    ("table_3_2", table_3_2),
+    ("table_3_3", table_3_3),
+    ("table_3_4", table_3_4),
+    ("fig_4_1", fig_4_1),
+    ("table_4_1", table_4_1),
+    ("fig_4_2", fig_4_2),
+    ("fig_4_3", fig_4_3),
+    ("table_4_2", table_4_2),
+    ("sec_4_3_hotspot", sec_4_3_hotspot),
+    ("sec_4_5_scale64", sec_4_5_scale64),
+    ("table_5_1", table_5_1),
+    ("sec_5_2_mdc", sec_5_2_mdc),
+    ("table_5_2", table_5_2),
+    ("table_5_3", table_5_3),
+    ("sec_5_3_ppext", sec_5_3_ppext),
+    ("ablations", ablations),
+    ("flexibility_note", flexibility_note),
+];
 
 /// Table 3.2: sub-operation latencies (the machine configuration).
 pub fn table_3_2() {

@@ -1,8 +1,8 @@
 //! Smoke tests for the commands the documentation tells users to run.
 //!
 //! README.md and METRICS.md promise specific invocations
-//! (`observe_breakdown`, `traffic_suite --smoke`,
-//! `FLASH_OBSERVE_OUT=... table_3_3`); this suite
+//! (`observe_breakdown`, `traffic_suite --smoke`, `repro_all NAME...`,
+//! `FLASH_OBSERVE_OUT=... repro_all table_3_3`); this suite
 //! runs each as a real subprocess so
 //! a doc command can never rot into a silent lie. Environment variables
 //! are per-subprocess, so the suite is safe under parallel test
@@ -39,20 +39,22 @@ fn observe_breakdown_renders_all_classes_and_segments() {
     );
 }
 
-/// `FLASH_OBSERVE_OUT=<dir> cargo run ... --bin table_3_3`
+/// `FLASH_OBSERVE_OUT=<dir> cargo run ... --bin repro_all -- table_3_3`
 /// (METRICS.md "Exports"): table output unchanged, one schema-tagged
 /// report and one Chrome trace per job.
 #[test]
 fn observe_out_exports_schema_tagged_json_per_job() {
     let dir = temp_dir("observe-out");
-    let base = Command::new(env!("CARGO_BIN_EXE_table_3_3"))
+    let base = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+        .arg("table_3_3")
         .env_remove("FLASH_OBSERVE_OUT")
         .output()
-        .expect("spawn table_3_3");
-    let observed = Command::new(env!("CARGO_BIN_EXE_table_3_3"))
+        .expect("spawn repro_all table_3_3");
+    let observed = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+        .arg("table_3_3")
         .env("FLASH_OBSERVE_OUT", &dir)
         .output()
-        .expect("spawn table_3_3 observed");
+        .expect("spawn repro_all table_3_3 observed");
     assert!(observed.status.success());
     assert_eq!(
         base.stdout, observed.stdout,
@@ -157,32 +159,63 @@ fn repro_all_stdout_matches_golden_sharded() {
     );
 }
 
-/// The README quick-start commands build: every documented example and
-/// repro binary name resolves to a real target (compile-time check via
-/// `CARGO_BIN_EXE_*` for the bins this crate owns, plus a live run of
-/// the suite driver's `--help`-free happy path on the cheapest bin).
+/// `repro_all NAME...` (README "Individual artifacts") renders exactly
+/// the named artifacts: the first three are the golden's first three
+/// sections byte for byte, and the golden's next section is Figure 4.1.
+#[test]
+fn repro_all_named_artifacts_match_the_golden_sections() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+        .args(["table_3_2", "table_3_3", "table_3_4"])
+        .output()
+        .expect("spawn repro_all");
+    assert!(out.status.success());
+    let want = golden("repro_all.txt");
+    assert!(
+        want.starts_with(&out.stdout),
+        "repro_all table_3_2 table_3_3 table_3_4 is not a prefix of tests/golden/repro_all.txt"
+    );
+    let next = String::from_utf8_lossy(&want[out.stdout.len()..]);
+    assert_eq!(
+        next.lines().nth(2).map(|l| l.starts_with("Figure 4.1:")),
+        Some(true),
+        "the section after Table 3.4 must be Figure 4.1:\n{}",
+        &next[..next.len().min(200)]
+    );
+}
+
+/// An unknown artifact name is rejected before anything is simulated:
+/// exit status 2, nothing on stdout, the valid names on stderr.
+#[test]
+fn repro_all_rejects_an_unknown_artifact() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+        .args(["table_3_3", "nope"])
+        .output()
+        .expect("spawn repro_all");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("\"nope\""), "{stderr}");
+    for (name, _) in flash_bench::tables::ARTIFACTS {
+        assert!(
+            stderr.contains(name),
+            "valid name {name} not listed\n{stderr}"
+        );
+    }
+}
+
+/// The documented binaries exist (compile-time check via
+/// `CARGO_BIN_EXE_*` for the bins this crate owns), and the cheapest
+/// artifact renders its header on a real run.
 #[test]
 fn documented_binaries_exist() {
     // Compile-time: env!() fails the build if a documented binary is
     // renamed or dropped.
     for bin in [
         env!("CARGO_BIN_EXE_repro_all"),
-        env!("CARGO_BIN_EXE_table_3_2"),
-        env!("CARGO_BIN_EXE_table_3_3"),
-        env!("CARGO_BIN_EXE_table_3_4"),
-        env!("CARGO_BIN_EXE_fig_4_1"),
-        env!("CARGO_BIN_EXE_table_4_1"),
-        env!("CARGO_BIN_EXE_fig_4_2"),
-        env!("CARGO_BIN_EXE_fig_4_3"),
-        env!("CARGO_BIN_EXE_table_4_2"),
-        env!("CARGO_BIN_EXE_sec_4_3_hotspot"),
-        env!("CARGO_BIN_EXE_sec_4_5_scale64"),
-        env!("CARGO_BIN_EXE_table_5_1"),
-        env!("CARGO_BIN_EXE_sec_5_2_mdc"),
-        env!("CARGO_BIN_EXE_table_5_2"),
-        env!("CARGO_BIN_EXE_table_5_3"),
-        env!("CARGO_BIN_EXE_sec_5_3_ppext"),
-        env!("CARGO_BIN_EXE_ablations"),
         env!("CARGO_BIN_EXE_observe_breakdown"),
         env!("CARGO_BIN_EXE_traffic_suite"),
     ] {
@@ -191,10 +224,10 @@ fn documented_binaries_exist() {
             "documented binary missing: {bin}"
         );
     }
-    // Runtime: the cheapest artifact renders headers on a real run.
-    let out = Command::new(env!("CARGO_BIN_EXE_table_3_2"))
+    let out = Command::new(env!("CARGO_BIN_EXE_repro_all"))
+        .arg("table_3_2")
         .output()
-        .expect("spawn table_3_2");
+        .expect("spawn repro_all table_3_2");
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("Table 3.2"));
 }

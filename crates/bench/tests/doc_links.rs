@@ -280,7 +280,23 @@ fn bin_names(text: &str) -> Vec<String> {
     out
 }
 
-/// Every `--bin <name>` in the markdown names an existing
+/// The markdown a reader follows for commands and paths: the root
+/// [`DOCS`] except CHANGES.md (history names what has since gone) and
+/// every markdown file below the root. Other root markdown (the paper
+/// abstract, related work, reference snippets) describes no command of
+/// this repository.
+fn current_docs() -> Vec<PathBuf> {
+    let root = workspace_root();
+    files_under(&root, "md")
+        .into_iter()
+        .filter(|p| match p.strip_prefix(&root).unwrap().to_str() {
+            Some(rel) if !rel.contains('/') => DOCS.contains(&rel) && rel != "CHANGES.md",
+            _ => true,
+        })
+        .collect()
+}
+
+/// Every `--bin <name>` in the documentation names an existing
 /// `crates/*/src/bin/<name>.rs`, so documentation for a deleted or
 /// renamed bin fails here instead of failing the reader.
 #[test]
@@ -293,7 +309,7 @@ fn documented_bins_exist() {
         .collect();
     assert!(bins.contains("repro_all"), "bin scan found {bins:?}");
     let mut stale = Vec::new();
-    for path in files_under(&root, "md") {
+    for path in current_docs() {
         let text = std::fs::read_to_string(&path).unwrap();
         for name in bin_names(&text) {
             if !bins.contains(&name) {
@@ -305,6 +321,61 @@ fn documented_bins_exist() {
     assert!(
         stale.is_empty(),
         "documented bins with no crates/*/src/bin/<name>.rs:\n{}",
+        stale.join("\n")
+    );
+}
+
+/// The repository paths named in inline code spans (`` `crates/...` ``,
+/// `` `tests/...` ``, `` `examples/...` ``) outside code fences, cut at
+/// the first character that cannot be part of a path (so
+/// `` `crates/core/src/machine.rs:120` `` names `crates/core/src/machine.rs`).
+/// Spans holding a pattern (`*`, `<name>`, `{a,b}`) name no one path
+/// and are skipped.
+fn repo_paths(text: &str) -> Vec<String> {
+    strip_fences(text)
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|span| {
+            ["crates/", "tests/", "examples/"]
+                .iter()
+                .any(|p| span.starts_with(p))
+                && !span.contains(['*', '<', '{'])
+        })
+        .map(|span| {
+            span.chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || "_-./".contains(*c))
+                .collect()
+        })
+        .collect()
+}
+
+/// Every repository path the root documentation names in backticks
+/// exists, so a moved or deleted file fails here instead of sending the
+/// reader to nothing. CHANGES.md is history and may name what is gone.
+#[test]
+fn documented_repo_paths_exist() {
+    let root = workspace_root();
+    let named: Vec<(&str, String)> = DOCS
+        .iter()
+        .filter(|d| **d != "CHANGES.md")
+        .flat_map(|doc| {
+            let text = std::fs::read_to_string(root.join(doc)).unwrap();
+            repo_paths(&text).into_iter().map(move |path| (*doc, path))
+        })
+        .collect();
+    assert!(
+        named.iter().any(|(_, p)| p == "crates/core/src/machine.rs"),
+        "path scan found {named:?}"
+    );
+    let stale: Vec<String> = named
+        .iter()
+        .filter(|(_, path)| !root.join(path).exists())
+        .map(|(doc, path)| format!("{doc}: `{path}`"))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "documented repository paths that do not exist:\n{}",
         stale.join("\n")
     );
 }

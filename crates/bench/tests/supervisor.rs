@@ -4,10 +4,10 @@
 //! The library-level tests drive [`flash_bench::prefetch_with`] directly
 //! with the self-test hooks (`FLASH_INJECT_PANIC`, `FLASH_INJECT_HANG`)
 //! and assert that a poisoned job is isolated, recorded once, and never
-//! takes the rest of the matrix down. The subprocess tests run a real
-//! repro binary and pin the process contract: healthy runs exit zero with
-//! no failure tail; poisoned runs exit nonzero with the per-job failure
-//! table on stdout.
+//! takes the rest of the matrix down. The subprocess tests run
+//! `repro_all table_3_3` and pin the process contract: healthy runs
+//! exit zero with no failure tail; poisoned runs exit nonzero with the
+//! per-job failure table on stdout.
 
 use flash::MachineConfig;
 use flash_bench::runner::{clear_caches, drain_failures, prefetch_with, Job, RunSpec, WorkSpec};
@@ -107,11 +107,12 @@ fn hung_job_times_out_with_one_worker() {
 
 #[test]
 fn repro_binary_healthy_run_exits_zero_without_failure_tail() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table_3_3"))
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro_all"))
+        .arg("table_3_3")
         .env_remove("FLASH_INJECT_PANIC")
         .env_remove("FLASH_INJECT_HANG")
         .output()
-        .expect("spawn table_3_3");
+        .expect("spawn repro_all table_3_3");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
@@ -126,10 +127,11 @@ fn repro_binary_healthy_run_exits_zero_without_failure_tail() {
 
 #[test]
 fn repro_binary_poisoned_run_exits_nonzero_with_failure_table() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_table_3_3"))
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro_all"))
+        .arg("table_3_3")
         .env("FLASH_INJECT_PANIC", "lat|")
         .output()
-        .expect("spawn table_3_3");
+        .expect("spawn repro_all table_3_3");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         !out.status.success(),

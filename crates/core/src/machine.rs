@@ -447,21 +447,26 @@ fn observe_cands(node: u16, wire: &Wire) -> Option<([Option<u16>; 2], Segment)> 
         MsgType::PiIntervReply | MsgType::PiIntervMiss => {
             Some(([Some(aux::requester(wire.aux).0), None], Segment::Pi))
         }
-        MsgType::NGet
-        | MsgType::NGetX
-        | MsgType::NUpgrade
-        | MsgType::NFwdGet
-        | MsgType::NFwdGetX => Some(([Some(aux::requester(wire.aux).0), None], Segment::Mesh)),
-        MsgType::NPut
-        | MsgType::NPutX
-        | MsgType::NUpgAck
-        | MsgType::NNack
-        | MsgType::NIntervMiss => Some((
-            [Some(aux::requester(wire.aux).0), Some(node)],
-            Segment::Mesh,
-        )),
+        t if continues_request(t) => {
+            let reply = t.is_reply_class() || t == MsgType::NIntervMiss;
+            Some((
+                [Some(aux::requester(wire.aux).0), reply.then_some(node)],
+                Segment::Mesh,
+            ))
+        }
         _ => None,
     }
+}
+
+/// Whether a network message of type `t` continues a request path: the
+/// requests and forwards, which carry the requester, and the replies to
+/// them.
+fn continues_request(t: MsgType) -> bool {
+    use MsgType::*;
+    matches!(
+        t,
+        NGet | NGetX | NUpgrade | NFwdGet | NFwdGetX | NPut | NPutX | NUpgAck | NNack | NIntervMiss
+    )
 }
 
 /// Whether a chip emission continues the tracked request `key`
@@ -480,19 +485,7 @@ fn emission_continues(em: &Emission, key: (u16, u64), node: u16) -> bool {
         }
         Emission::Net { msg: m, .. } => {
             m.addr.line().raw() == key.1
-                && matches!(
-                    m.mtype,
-                    MsgType::NGet
-                        | MsgType::NGetX
-                        | MsgType::NUpgrade
-                        | MsgType::NFwdGet
-                        | MsgType::NFwdGetX
-                        | MsgType::NPut
-                        | MsgType::NPutX
-                        | MsgType::NUpgAck
-                        | MsgType::NNack
-                        | MsgType::NIntervMiss
-                )
+                && continues_request(m.mtype)
                 && (aux::requester(m.aux).0 == key.0 || m.dst.0 == key.0)
         }
     }
@@ -502,25 +495,12 @@ fn emission_continues(em: &Emission, key: (u16, u64), node: u16) -> bool {
 /// network-side subset of [`emission_continues`], used to charge NI-wait
 /// and mesh-transit cycles in `post_net`).
 fn net_msg_cands(msg: &Msg) -> Option<([u16; 2], u64)> {
-    if !matches!(
-        msg.mtype,
-        MsgType::NGet
-            | MsgType::NGetX
-            | MsgType::NUpgrade
-            | MsgType::NFwdGet
-            | MsgType::NFwdGetX
-            | MsgType::NPut
-            | MsgType::NPutX
-            | MsgType::NUpgAck
-            | MsgType::NNack
-            | MsgType::NIntervMiss
-    ) {
-        return None;
-    }
-    Some((
-        [aux::requester(msg.aux).0, msg.dst.0],
-        msg.addr.line().raw(),
-    ))
+    continues_request(msg.mtype).then(|| {
+        (
+            [aux::requester(msg.aux).0, msg.dst.0],
+            msg.addr.line().raw(),
+        )
+    })
 }
 
 /// Checks every invariant visible for one line right now: SWMR across
@@ -1817,7 +1797,7 @@ impl Machine {
         let horizon = (NetModel::new(Mesh::for_nodes(cfg.nodes), cfg.net).max_remote_transit()
             + cfg.lat.ni_in)
             * 4;
-        let mut shards: Vec<ShardState> = (0..nshards)
+        let shards: Vec<ShardState> = (0..nshards)
             .map(|_| ShardState {
                 queue: EventQueue::with_horizon(horizon),
                 net: NetModel::new(Mesh::for_nodes(cfg.nodes), cfg.net),
@@ -1829,28 +1809,19 @@ impl Machine {
                 last_progress: Cycle::ZERO,
             })
             .collect();
-        let mut origin_seq = vec![0u64; n];
-        for i in 0..cfg.nodes {
-            let s = shard_of(cfg.nodes, nshards, i);
-            let seq = origin_seq[i as usize];
-            origin_seq[i as usize] += 1;
-            shards[s]
-                .queue
-                .push_sub(Cycle::ZERO, sub_key(i, seq), Ev::ProcRun(i));
-        }
         let net = NetModel::new(Mesh::for_nodes(cfg.nodes), cfg.net);
         let check_enabled = cfg.check;
         let cfg_host_profile = cfg.host_profile;
         let observe = cfg
             .observe
             .then(|| Box::new(Observer::new(jump.handler_names())));
-        Machine {
+        let mut m = Machine {
             cfg,
             procs,
             chips,
             net,
             shards,
-            origin_seq,
+            origin_seq: vec![0; n],
             now: Cycle::ZERO,
             parked: vec![Park::Scheduled; n],
             feeds: (0..n).map(|_| None).collect(),
@@ -1864,7 +1835,20 @@ impl Machine {
             last_progress: Cycle::ZERO,
             observe,
             hostprof: cfg_host_profile.then(|| Box::new(HostProfile::default())),
+        };
+        for i in 0..m.cfg.nodes {
+            m.push_origin(i, Cycle::ZERO, Ev::ProcRun(i));
         }
+        m
+    }
+
+    /// Schedules `ev` at `at` under `origin`'s next canonical sub-key, on
+    /// the queue of the shard that owns `origin`.
+    fn push_origin(&mut self, origin: u16, at: Cycle, ev: Ev) {
+        let s = shard_of(self.cfg.nodes, self.shards.len(), origin);
+        let seq = self.origin_seq[origin as usize];
+        self.origin_seq[origin as usize] += 1;
+        self.shards[s].queue.push_sub(at, sub_key(origin, seq), ev);
     }
 
     /// Builds an open-loop machine: every node runs from an arrival
@@ -1893,12 +1877,7 @@ impl Machine {
             if let Some((at, item)) = &pending {
                 assert_open_item(item);
                 let node = i as u16;
-                let s = shard_of(m.cfg.nodes, m.shards.len(), node);
-                let seq = m.origin_seq[i];
-                m.origin_seq[i] += 1;
-                m.shards[s]
-                    .queue
-                    .push_sub(*at, sub_key(node, seq), Ev::Arrival { node });
+                m.push_origin(node, *at, Ev::Arrival { node });
             }
             m.feeds[i] = Some(OpenFeed {
                 source,
@@ -1926,12 +1905,9 @@ impl Machine {
     /// Schedules a DMA write into `node`'s memory at time `at` (the OS
     /// workload's zero-latency disk, paper §3.4).
     pub fn add_dma_write(&mut self, at: Cycle, node: NodeId, addr: Addr) {
-        let s = shard_of(self.cfg.nodes, self.shards.len(), node.0);
-        let seq = self.origin_seq[node.index()];
-        self.origin_seq[node.index()] += 1;
-        self.shards[s].queue.push_sub(
+        self.push_origin(
+            node.0,
             at,
-            sub_key(node.0, seq),
             Ev::MagicIn {
                 node: node.0,
                 wire: Wire {
@@ -2393,12 +2369,6 @@ impl Machine {
     /// The configuration this machine was built with.
     pub fn config(&self) -> &MachineConfig {
         &self.cfg
-    }
-
-    /// The shard count this machine actually runs with (the configured
-    /// knob clamped to the node count).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Wheel-vs-heap push routing summed over every shard queue (event

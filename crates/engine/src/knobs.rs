@@ -62,12 +62,12 @@ pub struct Knob {
     pub doc: &'static str,
 }
 
-/// Problem-size divisor of the table and figure bins.
+/// Problem-size divisor of the paper artifacts.
 pub const SCALE: Knob = Knob {
     name: "FLASH_SCALE",
     kind: Kind::Count,
     default: "4",
-    doc: "problem-size divisor of the table and figure bins; 1 is the paper's Table 3.5 sizes",
+    doc: "problem-size divisor of the paper artifacts; 1 is the paper's Table 3.5 sizes",
 };
 
 /// Processor count of the parallel applications.
@@ -92,14 +92,6 @@ pub const JOB_TIMEOUT: Knob = Knob {
     kind: Kind::Seconds,
     default: "none",
     doc: "wall-clock seconds per run-matrix job; an overrunning job is abandoned as failed",
-};
-
-/// Simulated-cycle budget per workload run.
-pub const JOB_BUDGET: Knob = Knob {
-    name: "FLASH_JOB_BUDGET",
-    kind: Kind::Count,
-    default: "40 G",
-    doc: "simulated-cycle budget per workload run (deadlock guard)",
 };
 
 /// Default shard count of every machine config.
@@ -151,12 +143,11 @@ pub const BLESS: Knob = Knob {
 };
 
 /// Every knob, in the README's order.
-pub const ALL: [Knob; 11] = [
+pub const ALL: [Knob; 10] = [
     SCALE,
     PROCS,
     JOBS,
     JOB_TIMEOUT,
-    JOB_BUDGET,
     SHARDS,
     SOAK_SEEDS,
     OBSERVE_OUT,

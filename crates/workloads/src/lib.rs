@@ -22,15 +22,13 @@ pub use explicit::ExplicitWorkload;
 pub use phases::{Phase, PhaseStream};
 
 use flash::{Machine, MachineConfig, MachineReport, RunResult};
-use flash_engine::knobs;
 
-/// Default per-run cycle budget (deadlock guard).
+/// Per-run cycle budget (deadlock guard).
 pub const DEFAULT_BUDGET: u64 = 40_000_000_000;
 
-/// The per-run cycle budget: [`knobs::JOB_BUDGET`] if set, otherwise
-/// [`DEFAULT_BUDGET`].
+/// The per-run cycle budget: [`DEFAULT_BUDGET`].
 pub fn budget() -> u64 {
-    knobs::JOB_BUDGET.count().unwrap_or(DEFAULT_BUDGET)
+    DEFAULT_BUDGET
 }
 
 /// Builds a machine for `workload` under `cfg` (node count and placement
