@@ -1,7 +1,8 @@
 //! The documentation CI: every relative markdown link resolves, every
 //! anchor points at a real heading, the README's `FLASH_*` table equals
-//! the `flash_engine::knobs` table (the only environment reader), and
-//! every documented `--bin` exists.
+//! the `flash_engine::knobs` table (the only environment reader), every
+//! documented `--bin` and repository path exists, and every documented
+//! Rust path names an item in the source.
 //!
 //! Hand-rolled scanners (no regex/markdown deps, per the frozen-deps
 //! rule): fenced code blocks are stripped before link extraction, and
@@ -376,6 +377,131 @@ fn documented_repo_paths_exist() {
     assert!(
         stale.is_empty(),
         "documented repository paths that do not exist:\n{}",
+        stale.join("\n")
+    );
+}
+
+/// The documentation that names Rust items: the root [`DOCS`] except
+/// CHANGES.md (history) and ROADMAP.md (plans name items not yet
+/// written), plus the paper map and the verify skill.
+const RUST_PATH_DOCS: &[&str] = &[
+    "README.md",
+    "ARCHITECTURE.md",
+    "DESIGN.md",
+    "METRICS.md",
+    "EXPERIMENTS.md",
+    "PAPER.md",
+    ".claude/skills/verify/SKILL.md",
+];
+
+/// The Rust paths (`` `A::b` ``, optionally called: `` `A::b(x)` ``) in
+/// inline code spans outside code fences, each as its list of segments.
+/// A trailing group (`` `A::{b, c}` ``) yields one path per member.
+/// `std::` and `cargo::` paths name nothing in this repository and are
+/// skipped, as are spans that are not a path.
+fn rust_paths(text: &str) -> Vec<Vec<String>> {
+    let ident = |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+    let mut out = Vec::new();
+    for span in strip_fences(text).split('`').skip(1).step_by(2) {
+        let path = match span.split_once('(') {
+            Some((path, _)) if span.ends_with(')') => path,
+            Some(_) => continue,
+            None => span,
+        };
+        let (stem, members): (&str, Vec<&str>) = match path.split_once("::{") {
+            Some((stem, group)) => match group.strip_suffix('}') {
+                Some(group) => (stem, group.split(',').map(str::trim).collect()),
+                None => continue,
+            },
+            None => match path.rsplit_once("::") {
+                Some((stem, last)) => (stem, vec![last]),
+                None => continue,
+            },
+        };
+        let segs: Vec<&str> = stem.split("::").collect();
+        let valid =
+            segs[0].split('-').all(ident) && segs[1..].iter().chain(&members).all(|s| ident(s));
+        if !valid || segs[0] == "std" || segs[0] == "cargo" {
+            continue;
+        }
+        for m in members {
+            out.push(segs.iter().chain([&m]).map(|s| s.to_string()).collect());
+        }
+    }
+    out
+}
+
+/// Whether `word` occurs in `text` as a whole identifier.
+fn has_ident(text: &str, word: &str) -> bool {
+    text.match_indices(word).any(|(i, _)| {
+        let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+        !text[..i].ends_with(is_ident) && !text[i + word.len()..].starts_with(is_ident)
+    })
+}
+
+/// Every Rust path the documentation names exists in the source: a
+/// lowercase last segment of a path that does not start at a crate
+/// (`Repro::config`, `native::handle`) must be a `fn` defined under
+/// `crates/` or `tests/`; any other last segment (a type, variant,
+/// constant, or a crate-rooted item such as `flash_engine::knobs`)
+/// must appear there as an identifier. A deleted or renamed item then
+/// fails here instead of sending the reader to nothing.
+#[test]
+fn documented_rust_paths_exist() {
+    let root = workspace_root();
+    let mut sources: Vec<PathBuf> = files_under(&root.join("crates"), "rs");
+    sources.extend(
+        std::fs::read_dir(root.join("tests"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "rs")),
+    );
+    let source: String = sources
+        .iter()
+        .map(|p| std::fs::read_to_string(p).unwrap())
+        .collect::<Vec<_>>()
+        .join("\n");
+    let crates: BTreeSet<String> = files_under(&root.join("crates"), "toml")
+        .iter()
+        .filter_map(|p| {
+            let toml = std::fs::read_to_string(p).unwrap();
+            let line = toml.lines().find(|l| l.starts_with("name = "))?;
+            Some(
+                line.trim_start_matches("name = ")
+                    .trim_matches('"')
+                    .to_string(),
+            )
+        })
+        .flat_map(|name| [name.replace('-', "_"), name])
+        .chain(["crate".to_string()])
+        .collect();
+    assert!(
+        crates.contains("flash_engine"),
+        "crate scan found {crates:?}"
+    );
+    let mut checked = 0;
+    let mut stale = Vec::new();
+    for doc in RUST_PATH_DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        for segs in rust_paths(&text) {
+            checked += 1;
+            let last = segs.last().unwrap();
+            let wants_fn =
+                !crates.contains(&segs[0]) && last.starts_with(|c: char| c.is_lowercase());
+            let found = if wants_fn {
+                has_ident(&source, &format!("fn {last}"))
+            } else {
+                has_ident(&source, last)
+            };
+            if !found {
+                stale.push(format!("{doc}: `{}`", segs.join("::")));
+            }
+        }
+    }
+    assert!(checked > 100, "path scan found only {checked} paths");
+    assert!(
+        stale.is_empty(),
+        "documented Rust paths with no definition under crates/ or tests/:\n{}",
         stale.join("\n")
     );
 }

@@ -84,22 +84,6 @@ impl HostProfAcc {
         self.inner = 0;
     }
 
-    /// Opens an outer bracket (resets the nested-claim counter).
-    #[inline]
-    pub fn open_outer(&mut self) -> Instant {
-        self.inner = 0;
-        Instant::now()
-    }
-
-    /// Closes an outer bracket: attributes `start..now` minus whatever
-    /// nested brackets already claimed.
-    #[inline]
-    pub fn add_outer(&mut self, seg: HostSeg, start: Instant) {
-        let ns = start.elapsed().as_nanos() as u64;
-        self.ns[seg as usize] += ns.saturating_sub(self.inner);
-        self.inner = 0;
-    }
-
     /// Attributes a flat interval (no nesting semantics).
     #[inline]
     pub fn add_flat(&mut self, seg: HostSeg, start: Instant) {
@@ -175,18 +159,18 @@ mod tests {
 
     #[test]
     fn nested_brackets_do_not_double_count() {
+        // The event loop's discipline: an outer bracket opens at a stamp
+        // with `reset_inner` and closes with `lap_outer`.
         let mut a = HostProfAcc::default();
-        let outer = a.open_outer();
+        let outer = Instant::now();
+        a.reset_inner();
         let inner = Instant::now();
         std::thread::sleep(std::time::Duration::from_millis(2));
         a.add_inner(HostSeg::Protocol, inner);
-        a.add_outer(HostSeg::Magic, outer);
+        let end = a.lap_outer(HostSeg::Magic, outer);
         let total: u64 = a.ns.iter().sum();
-        let wall = outer.elapsed().as_nanos() as u64;
+        let wall = end.duration_since(outer).as_nanos() as u64;
         assert!(a.ns[HostSeg::Protocol as usize] > 1_000_000);
-        assert!(
-            total <= wall,
-            "attributed {total} must not exceed wall {wall}"
-        );
+        assert_eq!(total, wall, "the nested bracket is counted exactly once");
     }
 }

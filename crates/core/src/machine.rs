@@ -2144,11 +2144,6 @@ impl Machine {
 
     // ---- observed mode ---------------------------------------------------
 
-    /// Whether the cycle-attribution observer is on.
-    pub fn observed_mode(&self) -> bool {
-        self.observe.is_some()
-    }
-
     /// The structured cycle-attribution report (`None` unless the machine
     /// was built with [`MachineConfig::with_observe`]). Per-handler rows
     /// aggregate invocation counts and occupancy over all chips.

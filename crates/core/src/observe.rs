@@ -198,13 +198,6 @@ impl Observer {
         self.pending.contains_key(&key)
     }
 
-    /// Every in-flight tracked key, in unspecified order (shard setup:
-    /// seeds each shard's local pending-key mirror so `is_pending`
-    /// queries can be answered without touching the master observer).
-    pub fn pending_keys(&self) -> impl Iterator<Item = (u16, u64)> + '_ {
-        self.pending.keys().copied()
-    }
-
     /// Applies a chip's exact per-emission decomposition: the frontier
     /// must already stand at the chip arrival time (the caller advanced
     /// it when the message reached the inbox), and `em_at − frontier ==
@@ -542,17 +535,6 @@ pub struct TrafficStats {
     pub wait_max: u64,
     /// Deepest the arrived-but-unadmitted backlog ever got.
     pub peak_backlog: u64,
-}
-
-impl TrafficStats {
-    /// Mean admission wait per admitted reference (0.0 when none).
-    pub fn mean_wait(&self) -> f64 {
-        if self.admitted == 0 {
-            0.0
-        } else {
-            self.wait_sum as f64 / self.admitted as f64
-        }
-    }
 }
 
 /// One per-class row of a [`LatencyReport`]: integer-exact percentile

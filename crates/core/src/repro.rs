@@ -23,7 +23,7 @@
 use crate::config::{MachineConfig, Placement};
 use crate::machine::{Machine, RunResult};
 use flash_check::Violation;
-use flash_cpu::{SliceStream, WorkItem};
+use flash_cpu::{L2Cache, SliceStream, WorkItem};
 use flash_engine::json::Json;
 use flash_engine::{Addr, Cycle, NodeId};
 use flash_fault::{FaultAtom, FaultPlan};
@@ -122,39 +122,6 @@ impl Repro {
             predicate: String::new(),
             expect: None,
             provenance: String::new(),
-        }
-    }
-
-    /// Captures the model-relevant knobs of an existing config. The
-    /// timing tables must be the defaults (see the module docs); panics
-    /// in debug builds otherwise so a minimizer can't silently emit an
-    /// artifact that replays under different timing.
-    pub fn from_config(cfg: &MachineConfig) -> Self {
-        debug_assert_eq!(
-            cfg.mem_timing,
-            Default::default(),
-            "flash-repro-v1 fixes the default memory timing"
-        );
-        debug_assert_eq!(
-            cfg.net,
-            Default::default(),
-            "flash-repro-v1 fixes the default network config"
-        );
-        Repro {
-            nodes: cfg.nodes,
-            controller: cfg.controller,
-            cache_bytes: cfg.cache_bytes,
-            mshrs: cfg.mshrs,
-            speculation: cfg.speculation,
-            codegen: cfg.codegen,
-            mdc_enabled: cfg.mdc_enabled,
-            monitoring: cfg.monitoring,
-            check: cfg.check,
-            placement: cfg.placement,
-            watchdog_window: cfg.watchdog_window,
-            fault_seed: cfg.faults.seed,
-            fault_atoms: cfg.faults.atoms(),
-            ..Self::flash(cfg.nodes)
         }
     }
 
@@ -326,7 +293,11 @@ impl Repro {
         Self::from_json(&v)
     }
 
-    /// Deserializes an artifact from its JSON value form.
+    /// Deserializes an artifact from its JSON value form. An artifact that
+    /// could not replay is an `Err` naming the offending field: `nodes`
+    /// outside `1..=u16::MAX`, more `streams` than nodes, a `dma` node
+    /// outside the machine, a `cache_bytes` whose set count is not a power
+    /// of two, zero `mshrs`, or a zero `page_bytes`.
     pub fn from_json(v: &Json) -> Result<Repro, String> {
         match v.get("schema").and_then(Json::as_str) {
             Some(REPRO_SCHEMA) => {}
@@ -343,6 +314,24 @@ impl Repro {
                 .and_then(Json::as_bool)
                 .ok_or(format!("repro: missing `{key}`"))
         };
+        let nodes = u("nodes")?;
+        if !(1..=u16::MAX as u64).contains(&nodes) {
+            return Err(format!(
+                "repro: `nodes` must be 1..={}, got {nodes}",
+                u16::MAX
+            ));
+        }
+        let nodes = nodes as u16;
+        let cache_bytes = u("cache_bytes")?;
+        if L2Cache::sets_for(cache_bytes).is_none() {
+            return Err(format!(
+                "repro: `cache_bytes` {cache_bytes} does not give a power-of-two set count"
+            ));
+        }
+        let mshrs = u("mshrs")? as usize;
+        if mshrs == 0 {
+            return Err("repro: `mshrs` must be at least 1".into());
+        }
         let controller = match v.get("controller").and_then(Json::as_str) {
             Some("flash-emulated") => ControllerKind::FlashEmulated,
             Some("flash-cost-table") => ControllerKind::FlashCostTable,
@@ -356,7 +345,8 @@ impl Repro {
                 page_bytes: pv
                     .get("page_bytes")
                     .and_then(Json::as_u64)
-                    .ok_or("repro: placement missing `page_bytes`")?,
+                    .filter(|&p| p > 0)
+                    .ok_or("repro: placement needs a nonzero `page_bytes`")?,
             },
             Some("first_node") => Placement::FirstNode,
             other => return Err(format!("repro: bad placement {other:?}")),
@@ -383,6 +373,12 @@ impl Repro {
                     .collect::<Result<Vec<_>, _>>()?,
             );
         }
+        if streams.len() > nodes as usize {
+            return Err(format!(
+                "repro: {} `streams` for {nodes} `nodes`",
+                streams.len()
+            ));
+        }
         let mut dma = Vec::new();
         for d in v
             .get("dma")
@@ -392,17 +388,20 @@ impl Repro {
             match d.as_arr() {
                 Some([at, node, addr]) => dma.push((
                     at.as_u64().ok_or("repro: bad dma cycle")?,
-                    node.as_u64().ok_or("repro: bad dma node")? as u16,
+                    node.as_u64()
+                        .filter(|&n| n < nodes as u64)
+                        .ok_or(format!("repro: `dma` node is not below `nodes` ({nodes})"))?
+                        as u16,
                     addr.as_u64().ok_or("repro: bad dma addr")?,
                 )),
                 _ => return Err("repro: dma entry is not [at, node, addr]".into()),
             }
         }
         Ok(Repro {
-            nodes: u("nodes")? as u16,
+            nodes,
             controller,
-            cache_bytes: u("cache_bytes")?,
-            mshrs: u("mshrs")? as usize,
+            cache_bytes,
+            mshrs,
             speculation: b("speculation")?,
             codegen: CodegenOptions {
                 special_instrs: b("special_instrs")?,
@@ -436,22 +435,6 @@ impl Repro {
     /// each is one stream element the minimizer could have removed).
     pub fn reference_count(&self) -> usize {
         self.streams.iter().map(Vec::len).sum()
-    }
-}
-
-impl MachineConfig {
-    /// The configuration a [`Repro`] artifact replays under (see
-    /// [`Repro::config`]).
-    pub fn from_repro(repro: &Repro) -> Self {
-        repro.config()
-    }
-}
-
-impl Machine {
-    /// Builds a machine replaying a [`Repro`] artifact exactly (see
-    /// [`Repro::build`]).
-    pub fn from_repro(repro: &Repro) -> Self {
-        repro.build()
     }
 }
 
@@ -586,7 +569,7 @@ mod tests {
     #[test]
     fn config_reconstruction_matches() {
         let r = sample();
-        let cfg = MachineConfig::from_repro(&r);
+        let cfg = r.config();
         assert_eq!(cfg.nodes, 3);
         assert_eq!(cfg.cache_bytes, 64 << 10);
         assert!(cfg.check);
@@ -642,6 +625,39 @@ mod tests {
         assert!(Repro::parse("not json").is_err());
         let truncated = r#"{"schema":"flash-repro-v1","nodes":2}"#;
         assert!(Repro::parse(truncated).is_err());
+    }
+
+    #[test]
+    fn artifacts_that_cannot_replay_are_rejected_by_field() {
+        let good = sample().to_json_string();
+        assert!(good.contains(r#""nodes":3,"#) && good.contains(r#""dma":[[500,2,"#));
+        for (from, to, field) in [
+            (r#""nodes":3,"#, r#""nodes":0,"#, "`nodes`"),
+            (r#""nodes":3,"#, r#""nodes":65540,"#, "`nodes`"),
+            (r#""nodes":3,"#, r#""nodes":2,"#, "`streams`"),
+            (r#""dma":[[500,2,"#, r#""dma":[[500,3,"#, "`dma`"),
+            (r#""dma":[[500,2,"#, r#""dma":[[500,65538,"#, "`dma`"),
+            (
+                r#""cache_bytes":65536,"#,
+                r#""cache_bytes":1000,"#,
+                "`cache_bytes`",
+            ),
+            (
+                r#""cache_bytes":65536,"#,
+                r#""cache_bytes":0,"#,
+                "`cache_bytes`",
+            ),
+            (r#""mshrs":4,"#, r#""mshrs":0,"#, "`mshrs`"),
+            (
+                r#"{"kind":"explicit"}"#,
+                r#"{"kind":"round_robin_pages","page_bytes":0}"#,
+                "`page_bytes`",
+            ),
+        ] {
+            assert!(good.contains(from), "{from} not in the sample");
+            let err = Repro::parse(&good.replace(from, to)).expect_err(to);
+            assert!(err.contains(field), "{to}: {err}");
+        }
     }
 
     #[test]

@@ -81,13 +81,10 @@ impl L2Cache {
     ///
     /// # Panics
     ///
-    /// Panics unless the resulting set count is a power of two.
+    /// Panics unless [`L2Cache::sets_for`] accepts `size_bytes`.
     pub fn new(size_bytes: u64) -> Self {
-        let sets = size_bytes / (LINE_BYTES * ASSOC as u64);
-        assert!(
-            sets.is_power_of_two() && sets > 0,
-            "bad cache size {size_bytes}"
-        );
+        let sets =
+            Self::sets_for(size_bytes).unwrap_or_else(|| panic!("bad cache size {size_bytes}"));
         L2Cache {
             sets,
             ways: vec![[0; 2]; sets as usize * ASSOC],
@@ -96,6 +93,12 @@ impl L2Cache {
             misses: Counter::default(),
             upgrades: Counter::default(),
         }
+    }
+
+    /// The set count of a `size_bytes` cache, or `None` when it is not a
+    /// power of two (the sizes [`L2Cache::new`] rejects).
+    pub fn sets_for(size_bytes: u64) -> Option<u64> {
+        Some(size_bytes / (LINE_BYTES * ASSOC as u64)).filter(|s| s.is_power_of_two())
     }
 
     /// Cache index (set number) of an address — used for the paper's

@@ -136,11 +136,6 @@ impl Mailbox {
     pub fn close(&mut self) {
         self.closed = true;
     }
-
-    /// Whether the mailbox has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.closed
-    }
 }
 
 /// A processor stream fed by a [`Mailbox`] — the open-loop counterpart of

@@ -96,9 +96,6 @@ pub type FastBuild = BuildHasherDefault<FastHasher>;
 /// iteration-order caveat.
 pub type FastMap<K, V> = std::collections::HashMap<K, V, FastBuild>;
 
-/// A `HashSet` with deterministic fast hashing.
-pub type FastSet<K> = std::collections::HashSet<K, FastBuild>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -85,15 +85,6 @@ impl Json {
         }
     }
 
-    /// The value as a signed integer, if exactly representable.
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Json::Int(i) => Some(i),
-            Json::UInt(u) => i64::try_from(u).ok(),
-            _ => None,
-        }
-    }
-
     /// The value as a float (integers convert).
     pub fn as_f64(&self) -> Option<f64> {
         match *self {

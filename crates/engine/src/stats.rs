@@ -35,23 +35,14 @@ impl Counter {
     pub fn get(self) -> u64 {
         self.0
     }
-
-    /// This count as a fraction of `total` (0.0 if `total` is zero).
-    pub fn fraction_of(self, total: u64) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.0 as f64 / total as f64
-        }
-    }
 }
 
 /// Tracks the busy time of a serially reusable resource.
 ///
 /// The paper reports "Avg. PP Occupancy" and "Avg. Mem Occupancy" (Tables
 /// 4.1/4.2) as the fraction of total execution time the resource spent
-/// busy. A resource is used by calling [`OccupancyTracker::acquire`], which
-/// returns when the resource is next free and books the busy interval.
+/// busy. The owner serializes access itself and books each busy interval
+/// with [`OccupancyTracker::record_busy`].
 ///
 /// # Examples
 ///
@@ -59,21 +50,15 @@ impl Counter {
 /// use flash_engine::{Cycle, OccupancyTracker};
 ///
 /// let mut pp = OccupancyTracker::new();
-/// // A handler arriving at cycle 10 that needs 11 cycles:
-/// let start = pp.acquire(Cycle::new(10), 11);
-/// assert_eq!(start, Cycle::new(10));
-/// // A second handler arriving at cycle 15 queues behind it:
-/// let start = pp.acquire(Cycle::new(15), 5);
-/// assert_eq!(start, Cycle::new(21));
+/// // Two handlers of 11 and 5 cycles:
+/// pp.record_busy(11);
+/// pp.record_busy(5);
 /// assert_eq!(pp.busy_cycles(), 16);
 /// assert_eq!(pp.occupancy(Cycle::new(32)), 0.5);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct OccupancyTracker {
-    free_at: Cycle,
     busy: u64,
-    uses: u64,
-    queue_delay: u64,
 }
 
 impl OccupancyTracker {
@@ -82,44 +67,14 @@ impl OccupancyTracker {
         Self::default()
     }
 
-    /// Requests the resource at time `at` for `duration` cycles.
-    ///
-    /// Returns the time service actually starts (≥ `at`; later if the
-    /// resource is still busy with earlier work).
-    pub fn acquire(&mut self, at: Cycle, duration: u64) -> Cycle {
-        let start = at.max(self.free_at);
-        self.queue_delay += start - at;
-        self.free_at = start + duration;
-        self.busy += duration;
-        self.uses += 1;
-        start
-    }
-
-    /// Books a busy interval without queueing semantics (used when the
-    /// caller has already serialized access, e.g. the emulated PP).
+    /// Books a busy interval of `duration` cycles.
     pub fn record_busy(&mut self, duration: u64) {
         self.busy += duration;
-        self.uses += 1;
-    }
-
-    /// Next time the resource is free.
-    pub fn free_at(&self) -> Cycle {
-        self.free_at
     }
 
     /// Total busy cycles accumulated.
     pub fn busy_cycles(&self) -> u64 {
         self.busy
-    }
-
-    /// Number of acquisitions.
-    pub fn uses(&self) -> u64 {
-        self.uses
-    }
-
-    /// Total cycles requests spent waiting for the resource.
-    pub fn queue_delay_cycles(&self) -> u64 {
-        self.queue_delay
     }
 
     /// Busy fraction over a run that ended at `end` (0.0 for an empty run).
@@ -387,9 +342,8 @@ impl Segment {
 /// Accumulates per-segment latency attributions for a class of requests.
 ///
 /// Each call to [`LatencySplit::record`] adds one completed request's
-/// six-way decomposition (see [`Segment`]). Totals, means, and fractions
-/// are all zero-guarded: an empty split reports 0.0 everywhere rather
-/// than NaN.
+/// six-way decomposition (see [`Segment`]). Means are zero-guarded: an
+/// empty split reports 0.0 rather than NaN.
 ///
 /// # Examples
 ///
@@ -401,7 +355,7 @@ impl Segment {
 /// assert_eq!(s.count(), 1);
 /// assert_eq!(s.total(), 50);
 /// assert_eq!(s.mean(), 50.0);
-/// assert_eq!(s.fraction(Segment::Handler), 0.22);
+/// assert_eq!(s.mean_seg(Segment::Handler), 11.0);
 /// assert_eq!(LatencySplit::new().mean(), 0.0); // zero-guarded
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -462,36 +416,11 @@ impl LatencySplit {
         }
     }
 
-    /// Fraction of total latency attributed to one segment (0.0 when the
-    /// total is zero).
-    pub fn fraction(&self, s: Segment) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.seg(s) as f64 / total as f64
-        }
-    }
-
     /// Merges another split into this one.
     pub fn merge(&mut self, other: &LatencySplit) {
         self.count += other.count;
         for (a, b) in self.segs.iter_mut().zip(other.segs.iter()) {
             *a += b;
-        }
-    }
-
-    /// Per-segment difference `self − other` (saturating at zero), with
-    /// the count also differenced. Used to isolate the contribution of a
-    /// single measured request between two accumulated snapshots.
-    pub fn minus(&self, other: &LatencySplit) -> LatencySplit {
-        let mut segs = [0u64; SEGMENT_COUNT];
-        for (i, s) in segs.iter_mut().enumerate() {
-            *s = self.segs[i].saturating_sub(other.segs[i]);
-        }
-        LatencySplit {
-            count: self.count.saturating_sub(other.count),
-            segs,
         }
     }
 }
@@ -501,45 +430,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_fraction() {
-        let mut c = Counter::default();
-        c.add(25);
-        assert_eq!(c.fraction_of(100), 0.25);
-        assert_eq!(c.fraction_of(0), 0.0);
-    }
-
-    #[test]
-    fn occupancy_serializes_back_to_back() {
-        let mut t = OccupancyTracker::new();
-        assert_eq!(t.acquire(Cycle::new(0), 10), Cycle::new(0));
-        // Arrives while busy: queues.
-        assert_eq!(t.acquire(Cycle::new(4), 10), Cycle::new(10));
-        assert_eq!(t.queue_delay_cycles(), 6);
-        // Arrives after idle gap: no queueing.
-        assert_eq!(t.acquire(Cycle::new(100), 1), Cycle::new(100));
-        assert_eq!(t.busy_cycles(), 21);
-        assert_eq!(t.uses(), 3);
-    }
-
-    #[test]
     fn occupancy_fraction() {
         let mut t = OccupancyTracker::new();
-        t.acquire(Cycle::new(0), 25);
+        t.record_busy(25);
         assert_eq!(t.occupancy(Cycle::new(100)), 0.25);
         assert_eq!(OccupancyTracker::new().occupancy(Cycle::ZERO), 0.0);
     }
 
-    /// NaN-guard pins for the zero-length-run paths (Issue 5 satellite):
-    /// `Counter::fraction_of(0)` and `OccupancyTracker::occupancy(ZERO)`
-    /// must return exactly 0.0 (not NaN) even after activity.
+    /// NaN-guard pin for the zero-length-run path:
+    /// `OccupancyTracker::occupancy(ZERO)` must return exactly 0.0 (not
+    /// NaN) even after activity.
     #[test]
     fn zero_length_run_reports_zero_not_nan() {
-        let mut c = Counter::default();
-        c.add(17);
-        let f = c.fraction_of(0);
-        assert_eq!(f, 0.0);
-        assert!(!f.is_nan());
-
         let mut t = OccupancyTracker::new();
         t.record_busy(123); // busy > 0 but run length 0
         let occ = t.occupancy(Cycle::ZERO);
@@ -551,7 +453,6 @@ mod tests {
     fn latency_split_accumulates_and_guards_zero() {
         let mut s = LatencySplit::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.fraction(Segment::Pi), 0.0);
         assert_eq!(s.mean_seg(Segment::Mesh), 0.0);
         s.record([5, 3, 11, 14, 5, 12]);
         s.record([5, 1, 11, 14, 5, 12]);
@@ -560,7 +461,6 @@ mod tests {
         assert_eq!(s.mean(), 49.0);
         assert_eq!(s.seg(Segment::InboxWait), 4);
         assert_eq!(s.mean_seg(Segment::Handler), 11.0);
-        assert!((s.fraction(Segment::Mem) - 28.0 / 98.0).abs() < 1e-12);
 
         let mut other = LatencySplit::new();
         other.record([1, 1, 1, 1, 1, 1]);
@@ -568,14 +468,7 @@ mod tests {
         merged.merge(&other);
         assert_eq!(merged.count(), 3);
         assert_eq!(merged.total(), 104);
-
-        let diff = merged.minus(&s);
-        assert_eq!(diff.count(), 1);
-        assert_eq!(diff.segs(), [1, 1, 1, 1, 1, 1]);
-        // Saturating: subtracting the larger from the smaller pins at 0.
-        let sat = other.minus(&s);
-        assert_eq!(sat.count(), 0);
-        assert_eq!(sat.total(), 0);
+        assert_eq!(merged.segs(), [11, 5, 23, 29, 11, 25]);
     }
 
     #[test]

@@ -39,12 +39,6 @@ impl Cycle {
         self.0
     }
 
-    /// Saturating subtraction of an absolute time, yielding a duration.
-    #[inline]
-    pub fn saturating_since(self, earlier: Cycle) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
-
     /// The later of two times.
     #[inline]
     pub fn max(self, other: Cycle) -> Cycle {
@@ -112,12 +106,6 @@ mod tests {
         assert!(a < b);
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
-    }
-
-    #[test]
-    fn saturating_since_clamps() {
-        assert_eq!(Cycle::new(3).saturating_since(Cycle::new(10)), 0);
-        assert_eq!(Cycle::new(10).saturating_since(Cycle::new(3)), 7);
     }
 
     #[test]

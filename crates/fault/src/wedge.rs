@@ -90,15 +90,6 @@ impl MsgRing {
         self.buf.iter().copied().collect()
     }
 
-    /// Surviving observations touching `line`, oldest first.
-    pub fn for_line(&self, line: u64) -> Vec<TraceEntry> {
-        self.buf
-            .iter()
-            .filter(|e| e.line == line)
-            .copied()
-            .collect()
-    }
-
     /// Distinct lines observed, most recent last.
     pub fn lines(&self) -> Vec<u64> {
         let mut v: Vec<u64> = Vec::new();
@@ -489,10 +480,6 @@ mod tests {
         let e = r.entries();
         assert_eq!(e.len(), 3);
         assert_eq!(e[0].at, 2);
-        assert_eq!(
-            r.for_line(0x80).iter().map(|e| e.at).collect::<Vec<_>>(),
-            [3]
-        );
         assert_eq!(r.lines(), vec![0, 0x80]);
     }
 

@@ -26,13 +26,6 @@ pub enum ControllerKind {
     Ideal,
 }
 
-impl ControllerKind {
-    /// Whether this kind charges PP occupancy.
-    pub fn is_flash(self) -> bool {
-        !matches!(self, ControllerKind::Ideal)
-    }
-}
-
 /// Which execution engine runs PP handlers on a
 /// [`ControllerKind::FlashEmulated`] controller. The two backends are
 /// bit-identical in timing, statistics, and effects (see
@@ -917,11 +910,6 @@ impl MagicChip {
         &self.stats
     }
 
-    /// Mutable statistics (for the machine layer's classification hooks).
-    pub fn stats_mut(&mut self) -> &mut MagicStats {
-        &mut self.stats
-    }
-
     /// The node's memory controller.
     pub fn memory(&self) -> &MemController {
         &self.mem
@@ -977,12 +965,6 @@ impl MagicChip {
     /// This chip's node id.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Replaces the jump table (protocol experimentation; the flexibility
-    /// showcase).
-    pub fn set_jump_table(&mut self, jump: JumpTable) {
-        self.jump = jump;
     }
 
     /// Computes the home-relative directory address for `addr` (inbox

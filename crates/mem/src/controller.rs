@@ -88,7 +88,6 @@ pub struct MemController {
     inflight: VecDeque<Cycle>,
     busy: u64,
     requests: Counter,
-    queue_wait: u64,
     /// Refresh-style external block: no request is accepted before this
     /// cycle ([`MemController::block_until`], the fault-injection hook).
     /// `Cycle::ZERO` when unused, making the hook timing-invisible.
@@ -104,15 +103,13 @@ impl MemController {
             inflight: VecDeque::new(),
             busy: 0,
             requests: Counter::default(),
-            queue_wait: 0,
             blocked_until: Cycle::ZERO,
         }
     }
 
     /// Blocks the controller until `t` (a DRAM refresh-style stall, the
-    /// `flash-fault` hook): requests issued earlier wait, with the wait
-    /// charged to [`MemController::queue_wait_cycles`]. Timing-only — no
-    /// request is ever lost or reordered.
+    /// `flash-fault` hook): requests issued earlier wait as they would for
+    /// queue space. Timing-only — no request is ever lost or reordered.
     pub fn block_until(&mut self, t: Cycle) {
         if t > self.blocked_until {
             self.blocked_until = t;
@@ -123,8 +120,8 @@ impl MemController {
     /// If the bounded queue is full, `accept` reflects the stall the
     /// issuing unit (PP or inbox) experiences.
     pub fn request(&mut self, at: Cycle) -> MemResult {
-        // An external (refresh) block delays issue; the wait is charged
-        // below like any queue-space wait.
+        // An external (refresh) block delays issue like any queue-space
+        // wait.
         let issue = at.max(self.blocked_until);
         let service = self.timing.access + self.timing.transfer;
         // Retire finished requests (a request completes `service` cycles
@@ -153,7 +150,6 @@ impl MemController {
         self.inflight.push_back(start);
         self.busy += self.timing.issue_interval;
         self.requests.incr();
-        self.queue_wait += accept - at;
         MemResult {
             accept,
             start,
@@ -203,11 +199,6 @@ impl MemController {
         self.requests.get()
     }
 
-    /// Total cycles requests waited for queue space.
-    pub fn queue_wait_cycles(&self) -> u64 {
-        self.queue_wait
-    }
-
     /// The configured timing.
     pub fn timing(&self) -> MemTiming {
         self.timing
@@ -253,7 +244,6 @@ mod tests {
         let c = m.request(Cycle::new(0));
         // Queue space frees when the first request retires.
         assert_eq!(c.accept, a.done);
-        assert!(m.queue_wait_cycles() > 0);
     }
 
     #[test]

@@ -16,8 +16,6 @@
 
 pub mod mesh;
 pub mod model;
-pub mod ni;
 
 pub use mesh::Mesh;
 pub use model::{NetConfig, NetModel};
-pub use ni::NiQueue;

@@ -30,9 +30,9 @@ impl Default for NetConfig {
 }
 
 /// The interconnect: computes message transit latencies and counts
-/// traffic. Queue backpressure is modelled at the MAGIC network-interface
-/// queues (see `flash-magic`), matching the paper's "messages back up into
-/// the network" semantics.
+/// traffic. Messages are never queued or dropped here: of paper Table
+/// 3.1's MAGIC queue limits the machine models the single-entry memory
+/// queue (`flash-mem`) and PP serialization (`flash-magic`).
 ///
 /// # Examples
 ///
@@ -109,11 +109,6 @@ impl NetModel {
         self.mesh
     }
 
-    /// The fixed average transit charged when `fixed_average` is set.
-    pub fn fixed_transit(&self) -> u64 {
-        self.fixed_transit
-    }
-
     /// The minimum transit latency between two *distinct* nodes — the
     /// conservative-lookahead bound for parallel simulation: no message
     /// posted at time `t` can arrive at another node before
@@ -166,18 +161,18 @@ mod tests {
     #[test]
     fn sixteen_node_transit_matches_paper() {
         let net = NetModel::new(Mesh::for_nodes(16), NetConfig::default());
-        assert_eq!(net.fixed_transit(), 22, "paper: 220 ns = 22 cycles");
+        assert_eq!(net.fixed_transit, 22, "paper: 220 ns = 22 cycles");
     }
 
     #[test]
     fn sixty_four_nodes_cost_more() {
         let n16 = NetModel::new(Mesh::for_nodes(16), NetConfig::default());
         let n64 = NetModel::new(Mesh::for_nodes(64), NetConfig::default());
-        assert!(n64.fixed_transit() > n16.fixed_transit());
+        assert!(n64.fixed_transit > n16.fixed_transit);
         assert!(
-            (30..40).contains(&n64.fixed_transit()),
+            (30..40).contains(&n64.fixed_transit),
             "{}",
-            n64.fixed_transit()
+            n64.fixed_transit
         );
     }
 
@@ -209,7 +204,7 @@ mod tests {
     fn loopback_is_cheap_but_not_free() {
         let net = NetModel::new(Mesh::for_nodes(16), NetConfig::default());
         let lb = net.transit(NodeId(3), NodeId(3));
-        assert!(lb > 0 && lb < net.fixed_transit());
+        assert!(lb > 0 && lb < net.fixed_transit);
     }
 
     #[test]

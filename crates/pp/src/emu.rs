@@ -618,16 +618,6 @@ impl FlatEnv {
         let a = addr as usize;
         u64::from_le_bytes(self.mem[a..a + 8].try_into().expect("in range"))
     }
-
-    /// Writes a 64-bit value (for test setup).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr + 8` exceeds the memory size.
-    pub fn poke64(&mut self, addr: u64, val: u64) {
-        let a = addr as usize;
-        self.mem[a..a + 8].copy_from_slice(&val.to_le_bytes());
-    }
 }
 
 impl Env for FlatEnv {

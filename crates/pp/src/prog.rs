@@ -149,11 +149,6 @@ impl Program {
     pub fn static_bytes(&self) -> u64 {
         self.pairs.len() as u64 * 2 * INSTR_BYTES
     }
-
-    /// Total issue slots that hold real instructions.
-    pub fn static_useful_instrs(&self) -> u64 {
-        self.pairs.iter().map(|p| p.useful() as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -214,7 +209,6 @@ mod tests {
             BTreeMap::new(),
         );
         assert_eq!(p.static_bytes(), 8);
-        assert_eq!(p.static_useful_instrs(), 1);
         let m = p.pair_meta(0);
         assert_eq!((m.instrs, m.special, m.alu_branch), (1, 0, 1));
         // Out-of-range pcs fall back to the zero meta.

@@ -263,11 +263,6 @@ impl Translated {
         self.full
     }
 
-    /// Number of lowered basic blocks (0 when not fully translated).
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Executes the handler entered at pair index `entry`, bit-identical
     /// to [`emu::run_into`]: same result, statistics, effect timeline,
     /// and environment call sequence. `regs`/`sink` are reset on entry;

@@ -220,16 +220,6 @@ impl JumpTable {
         t
     }
 
-    /// Reprograms the table with all speculative reads disabled (the
-    /// paper's Table 5.1 counterfactual: "the PP is responsible for
-    /// initiating the memory access after reading the directory state").
-    pub fn without_speculation(mut self) -> Self {
-        for e in self.entries.values_mut() {
-            e.speculative = false;
-        }
-        self
-    }
-
     /// Replaces the handler for one (type, locality) slot — the
     /// flexibility hook that lets users drop in custom protocol code.
     pub fn reprogram(&mut self, mtype: MsgType, local_home: bool, entry: JumpEntry) {
@@ -292,14 +282,6 @@ mod tests {
             "no data needed"
         );
         assert!(!t.lookup(MsgType::NWriteback, true).speculative);
-    }
-
-    #[test]
-    fn without_speculation_clears_everything() {
-        let t = JumpTable::dpa_protocol().without_speculation();
-        for (_, e) in t.iter() {
-            assert!(!e.speculative);
-        }
     }
 
     #[test]
