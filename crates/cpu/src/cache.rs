@@ -1,6 +1,6 @@
 //! The processor's two-way set-associative cache.
 
-use flash_engine::{Addr, Counter, LINE_BYTES};
+use flash_engine::{Addr, LINE_BYTES};
 
 /// Coherence state of a cached line. `Exclusive` implies ownership and is
 /// treated as dirty (DASH-style: exclusive lines are written back on
@@ -68,9 +68,6 @@ pub struct L2Cache {
     sets: u64,
     ways: Vec<Way>,
     tick: u64,
-    hits: Counter,
-    misses: Counter,
-    upgrades: Counter,
 }
 
 const ASSOC: usize = 2;
@@ -89,9 +86,6 @@ impl L2Cache {
             sets,
             ways: vec![[0; 2]; sets as usize * ASSOC],
             tick: 0,
-            hits: Counter::default(),
-            misses: Counter::default(),
-            upgrades: Counter::default(),
         }
     }
 
@@ -116,24 +110,30 @@ impl L2Cache {
     }
 
     /// Looks up an access without modifying tag state (miss handling is
-    /// the processor's job). Counts hit/miss/upgrade statistics.
+    /// the processor's job); a present line becomes most recently used.
     pub fn probe(&mut self, addr: Addr, write: bool) -> CpuAccess {
         self.tick += 1;
         match self.find(addr) {
             Some(w) => {
                 self.ways[w][1] = self.tick;
                 if write && self.ways[w][0] & EXCL == 0 {
-                    self.upgrades.incr();
                     CpuAccess::NeedsUpgrade
                 } else {
-                    self.hits.incr();
                     CpuAccess::Hit
                 }
             }
-            None => {
-                self.misses.incr();
-                CpuAccess::Miss
-            }
+            None => CpuAccess::Miss,
+        }
+    }
+
+    /// The LRU effect of `n` more probes of `addr` with no tag change in
+    /// between, in O(1): the clock advances by `n` and a present line is
+    /// stamped with the last tick, as `n` calls to [`L2Cache::probe`]
+    /// would leave it.
+    pub(crate) fn reprobe(&mut self, addr: Addr, n: u64) {
+        self.tick += n;
+        if let Some(w) = self.find(addr) {
+            self.ways[w][1] = self.tick;
         }
     }
 
@@ -220,32 +220,6 @@ impl L2Cache {
             LineState::Shared
         }
     }
-
-    /// Hits recorded by [`L2Cache::probe`].
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Misses recorded by [`L2Cache::probe`].
-    pub fn misses(&self) -> u64 {
-        self.misses.get()
-    }
-
-    /// Write-upgrade probes recorded.
-    pub fn upgrades(&self) -> u64 {
-        self.upgrades.get()
-    }
-
-    /// Overall miss rate counting upgrades as misses (they occupy the
-    /// coherence machinery like misses do).
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits.get() + self.misses.get() + self.upgrades.get();
-        if total == 0 {
-            0.0
-        } else {
-            (self.misses.get() + self.upgrades.get()) as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -279,7 +253,6 @@ mod tests {
         assert_eq!(c.probe(a, true), CpuAccess::NeedsUpgrade);
         c.install(a, LineState::Exclusive); // upgrade completes in place
         assert_eq!(c.probe(a, true), CpuAccess::Hit);
-        assert_eq!(c.upgrades(), 1);
     }
 
     #[test]
@@ -326,13 +299,22 @@ mod tests {
     }
 
     #[test]
-    fn miss_rate_counts_upgrades() {
-        let mut c = L2Cache::new(4 << 10);
-        let a = Addr::new(0);
-        c.probe(a, false); // miss
-        c.install(a, LineState::Shared);
-        c.probe(a, false); // hit
-        c.probe(a, true); // upgrade
-        assert!((c.miss_rate() - 2.0 / 3.0).abs() < 1e-9);
+    fn reprobe_is_repeated_probes() {
+        for write in [false, true] {
+            for state in [None, Some(LineState::Shared), Some(LineState::Exclusive)] {
+                let a = Addr::new(0x80);
+                let mut probed = L2Cache::new(4 << 10);
+                probed.install(Addr::new(16 * 128), LineState::Shared);
+                if let Some(st) = state {
+                    probed.install(a, st);
+                }
+                let mut reprobed = probed.clone();
+                for _ in 0..5 {
+                    probed.probe(a, write);
+                }
+                reprobed.reprobe(a, 5);
+                assert_eq!(format!("{probed:?}"), format!("{reprobed:?}"));
+            }
+        }
     }
 }

@@ -23,4 +23,6 @@ pub mod stream;
 pub use cache::{CpuAccess, L2Cache, LineState, Victim};
 pub use mshr::{MissKind, Mshr, MshrFile};
 pub use proc::{CpuOut, ProcStats, Processor, RunOutcome};
-pub use stream::{Mailbox, MailboxHandle, MailboxStream, RefStream, SliceStream, WorkItem};
+pub use stream::{
+    LineRun, Mailbox, MailboxHandle, MailboxStream, RefStream, Run, SliceStream, WorkItem,
+};

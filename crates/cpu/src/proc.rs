@@ -9,7 +9,7 @@
 
 use crate::cache::{CpuAccess, L2Cache, LineState, Victim};
 use crate::mshr::{MissKind, MshrFile};
-use crate::stream::{RefStream, WorkItem};
+use crate::stream::{LineRun, RefStream, Run, WorkItem};
 use flash_engine::{Addr, Cycle};
 
 /// Outbound coherence requests from the processor to MAGIC.
@@ -52,7 +52,7 @@ pub enum RunOutcome {
 
 /// Execution-time accounting in quarter-cycles, the raw material for the
 /// paper's Figure 4.1 breakdown.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcStats {
     /// Useful computation (and hit references).
     pub busy_q: u64,
@@ -159,7 +159,9 @@ pub struct Processor {
     /// Absolute time in quarter-cycles.
     qtime: u64,
     cache_busy_q: u64,
-    pending: Option<WorkItem>,
+    /// The run to resume, and whether its first reference was already
+    /// counted (it blocked and replays).
+    pending: Option<(Run, bool)>,
     block_start_q: Option<u64>,
     block_kind: Option<BlockKind>,
     stats: ProcStats,
@@ -304,6 +306,10 @@ impl Processor {
     /// Interprets the stream from time `now` until the processor blocks,
     /// finishes, or exhausts its quantum. Outbound requests are appended
     /// to `out` with their issue times.
+    ///
+    /// A [`LineRun`] is interpreted exactly as its expanded items would
+    /// be: its first reference resolves like a lone one, and the rest
+    /// retire in O(1), cut where the item-by-item loop would cut.
     pub fn run(&mut self, now: Cycle, out: &mut Vec<(Cycle, CpuOut)>) -> RunOutcome {
         if self.finished {
             return RunOutcome::Finished;
@@ -316,157 +322,216 @@ impl Processor {
                 return RunOutcome::Quantum;
             }
             budget -= 1;
-            // `retrying` marks an item replayed after a block: reference
-            // counters must not double-count it.
-            let (item, retrying) = match self.pending.take() {
-                Some(it) => (it, true),
-                None => match self.stream.try_next() {
-                    Some(it) => (it, false),
+            let (run, retrying) = match self.pending.take() {
+                Some(pending) => pending,
+                None => match self.stream.next_run() {
+                    Some(run) => (run, false),
                     None => {
                         self.block(BlockKind::Idle);
                         return RunOutcome::Starved;
                     }
                 },
             };
-            match item {
-                WorkItem::Busy(n) => {
+            let line = match run {
+                Run::Line(line) => line,
+                Run::Item(item @ (WorkItem::Read(addr) | WorkItem::Write(addr))) => LineRun {
+                    addr,
+                    write: matches!(item, WorkItem::Write(_)),
+                    refs: 1,
+                    busy_per_ref: 0,
+                    busy_first: false,
+                },
+                Run::Item(WorkItem::Busy(n)) => {
                     self.qtime += n;
                     self.stats.busy_q += n;
+                    continue;
                 }
-                WorkItem::Read(a) => {
-                    // Count the reference when it first leaves the stream,
-                    // not when it resolves: a read whose first encounter
-                    // blocks (MSHR conflict, data in flight) would otherwise
-                    // never be counted, making the totals timing-sensitive.
-                    if !retrying {
-                        self.stats.reads += 1;
-                    }
-                    self.wait_for_cache();
-                    match self.cache.probe(a, false) {
-                        CpuAccess::Hit => {
-                            self.stats.busy_q += 1;
-                            self.qtime += 1;
-                        }
-                        CpuAccess::NeedsUpgrade => unreachable!("reads never need upgrades"),
-                        CpuAccess::Miss => {
-                            if self.mshrs.find(a).is_some() {
-                                // Data already in flight: wait for it.
-                                self.pending = Some(item);
-                                self.block(BlockKind::Read);
-                                return RunOutcome::BlockedRead;
-                            }
-                            if self.mshrs.is_full() || self.mshrs.index_conflict(a, &self.cache) {
-                                self.pending = Some(item);
-                                self.block(BlockKind::Read);
-                                return RunOutcome::BlockedRead;
-                            }
-                            self.stats.read_misses += 1;
-                            let at = self.cycle();
-                            self.mshrs.allocate(a, MissKind::Read, at);
-                            out.push((at, CpuOut::Get(a.line())));
-                            // Keep the read pending: a wakeup for some
-                            // other line's completion must re-block on
-                            // this one, not skip past it.
-                            self.pending = Some(item);
-                            self.block(BlockKind::Read);
-                            return RunOutcome::BlockedRead;
-                        }
-                    }
-                }
-                WorkItem::Write(a) => {
-                    // Counted at first stream take, as for reads above.
-                    if !retrying {
-                        self.stats.writes += 1;
-                    }
-                    self.wait_for_cache();
-                    match self.cache.probe(a, true) {
-                        CpuAccess::Hit => {
-                            self.stats.busy_q += 1;
-                            self.qtime += 1;
-                        }
-                        CpuAccess::NeedsUpgrade => {
-                            if self.mshrs.find(a).is_some() {
-                                // Upgrade (or miss) already outstanding: merge.
-                                self.stats.merges += 1;
-                                self.stats.busy_q += 1;
-                                self.qtime += 1;
-                            } else if self.mshrs.is_full()
-                                || self.mshrs.index_conflict(a, &self.cache)
-                            {
-                                self.pending = Some(item);
-                                self.block(BlockKind::Write);
-                                return RunOutcome::BlockedWrite;
-                            } else {
-                                self.stats.upgrades += 1;
-                                let at = self.cycle();
-                                self.mshrs.allocate(a, MissKind::Upgrade, at);
-                                self.cache.set_locked(a, true);
-                                out.push((at, CpuOut::Upgrade(a.line())));
-                                self.stats.busy_q += 1;
-                                self.qtime += 1;
-                            }
-                        }
-                        CpuAccess::Miss => {
-                            if let Some(m) = self.mshrs.find_mut(a) {
-                                if m.kind == MissKind::Read {
-                                    m.write_merged = true;
-                                }
-                                self.stats.merges += 1;
-                                self.stats.busy_q += 1;
-                                self.qtime += 1;
-                            } else if self.mshrs.is_full()
-                                || self.mshrs.index_conflict(a, &self.cache)
-                            {
-                                self.pending = Some(item);
-                                self.block(BlockKind::Write);
-                                return RunOutcome::BlockedWrite;
-                            } else {
-                                self.stats.write_misses += 1;
-                                let at = self.cycle();
-                                self.mshrs.allocate(a, MissKind::Write, at);
-                                out.push((at, CpuOut::GetX(a.line())));
-                                self.stats.busy_q += 1;
-                                self.qtime += 1;
-                            }
-                        }
-                    }
-                }
-                WorkItem::Barrier => {
-                    // Synchronization operations are fences: outstanding
-                    // writes must drain first.
-                    if self.mshrs.in_use() > 0 {
-                        self.pending = Some(item);
-                        self.block(BlockKind::Write);
-                        return RunOutcome::BlockedWrite;
-                    }
-                    self.block(BlockKind::Sync);
-                    return RunOutcome::Barrier;
-                }
-                WorkItem::Lock(id) => {
-                    if self.mshrs.in_use() > 0 {
-                        self.pending = Some(item);
-                        self.block(BlockKind::Write);
-                        return RunOutcome::BlockedWrite;
-                    }
-                    self.block(BlockKind::Sync);
-                    return RunOutcome::Lock(id);
-                }
-                WorkItem::Unlock(id) => {
-                    if self.mshrs.in_use() > 0 {
-                        self.pending = Some(item);
-                        self.block(BlockKind::Write);
-                        return RunOutcome::BlockedWrite;
-                    }
-                    self.block(BlockKind::Sync);
-                    return RunOutcome::Unlock(id);
-                }
-                WorkItem::Done => {
+                Run::Item(WorkItem::Barrier) => return self.fence(run, RunOutcome::Barrier),
+                Run::Item(WorkItem::Lock(id)) => return self.fence(run, RunOutcome::Lock(id)),
+                Run::Item(WorkItem::Unlock(id)) => return self.fence(run, RunOutcome::Unlock(id)),
+                Run::Item(WorkItem::Done) => {
                     self.finished = true;
                     self.finish_q = self.qtime;
                     return RunOutcome::Finished;
                 }
+            };
+            debug_assert!(line.refs > 0, "a line run holds at least one reference");
+            if line.busy_first {
+                self.qtime += line.busy_per_ref;
+                self.stats.busy_q += line.busy_per_ref;
+                let rest = LineRun {
+                    busy_first: false,
+                    ..line
+                };
+                self.pending = Some((Run::Line(rest), false));
+                continue;
+            }
+            match self.reference(line.addr, line.write, retrying, out) {
+                Ok(merging) if line.refs > 1 => {
+                    budget -= self.retire_tail(line, merging, budget, entry_q);
+                }
+                Ok(_) => {}
+                Err(blocked) => {
+                    // The whole run waits: its first reference replays.
+                    self.pending = Some((Run::Line(line), true));
+                    return blocked;
+                }
             }
         }
+    }
+
+    /// Handles a synchronization item. Synchronization operations are
+    /// fences: outstanding writes must drain first.
+    fn fence(&mut self, run: Run, outcome: RunOutcome) -> RunOutcome {
+        if self.mshrs.in_use() > 0 {
+            self.pending = Some((run, false));
+            self.block(BlockKind::Write);
+            return RunOutcome::BlockedWrite;
+        }
+        self.block(BlockKind::Sync);
+        outcome
+    }
+
+    /// Resolves one reference to `a`. `retrying` marks a reference
+    /// replayed after a block, which the counters already hold.
+    ///
+    /// On retiring, returns whether later writes to the line merge into
+    /// its outstanding miss or upgrade (`true`) or hit (`false`). On
+    /// blocking, returns the outcome; the caller keeps the reference
+    /// pending.
+    fn reference(
+        &mut self,
+        a: Addr,
+        write: bool,
+        retrying: bool,
+        out: &mut Vec<(Cycle, CpuOut)>,
+    ) -> Result<bool, RunOutcome> {
+        // Count the reference when it first leaves the stream, not when it
+        // resolves: a read whose first encounter blocks (MSHR conflict,
+        // data in flight) would otherwise never be counted, making the
+        // totals timing-sensitive.
+        if !retrying {
+            if write {
+                self.stats.writes += 1;
+            } else {
+                self.stats.reads += 1;
+            }
+        }
+        self.wait_for_cache();
+        let merging = match self.cache.probe(a, write) {
+            CpuAccess::Hit => false,
+            CpuAccess::Miss if !write => {
+                // A read blocks whether its data is already in flight or it
+                // sends the miss; it stays pending either way, so a wakeup
+                // for some other line's completion re-blocks on this one.
+                if self.mshrs.find(a).is_none()
+                    && !self.mshrs.is_full()
+                    && !self.mshrs.index_conflict(a, &self.cache)
+                {
+                    self.stats.read_misses += 1;
+                    let at = self.cycle();
+                    self.mshrs.allocate(a, MissKind::Read, at);
+                    out.push((at, CpuOut::Get(a.line())));
+                }
+                self.block(BlockKind::Read);
+                return Err(RunOutcome::BlockedRead);
+            }
+            // Only writes need upgrades.
+            CpuAccess::NeedsUpgrade => {
+                if self.mshrs.find(a).is_some() {
+                    // Upgrade (or miss) already outstanding: merge.
+                    self.stats.merges += 1;
+                } else if self.mshrs.is_full() || self.mshrs.index_conflict(a, &self.cache) {
+                    self.block(BlockKind::Write);
+                    return Err(RunOutcome::BlockedWrite);
+                } else {
+                    self.stats.upgrades += 1;
+                    let at = self.cycle();
+                    self.mshrs.allocate(a, MissKind::Upgrade, at);
+                    self.cache.set_locked(a, true);
+                    out.push((at, CpuOut::Upgrade(a.line())));
+                }
+                true
+            }
+            CpuAccess::Miss => {
+                if let Some(m) = self.mshrs.find_mut(a) {
+                    if m.kind == MissKind::Read {
+                        m.write_merged = true;
+                    }
+                    self.stats.merges += 1;
+                } else if self.mshrs.is_full() || self.mshrs.index_conflict(a, &self.cache) {
+                    self.block(BlockKind::Write);
+                    return Err(RunOutcome::BlockedWrite);
+                } else {
+                    self.stats.write_misses += 1;
+                    let at = self.cycle();
+                    self.mshrs.allocate(a, MissKind::Write, at);
+                    out.push((at, CpuOut::GetX(a.line())));
+                }
+                true
+            }
+        };
+        self.stats.busy_q += 1;
+        self.qtime += 1;
+        Ok(merging)
+    }
+
+    /// Retires the tail of `line` (every reference after the first, each
+    /// with its `Busy` item) in O(1) and returns the number of items
+    /// retired.
+    ///
+    /// The first reference just resolved, and nothing else can touch the
+    /// cache or the MSHRs inside one [`Processor::run`] call: completions,
+    /// [`Processor::inval`] and [`Processor::intervention`] all run
+    /// between calls. So every tail reference resolves as a hit, or, when
+    /// `merging`, as a write merged into the line's outstanding miss or
+    /// upgrade. For the same reason `wait_for_cache` cannot charge inside
+    /// a tail: `cache_busy_q` only moves in `inval` and `intervention`.
+    ///
+    /// The tail stops at exactly the item where the item-by-item loop
+    /// would cut: when the item `budget` runs out, or at the first item
+    /// that starts more than [`TIME_QUANTUM_Q`] after `entry_q`. The rest
+    /// of the line stays pending. (Stopping short would still be correct,
+    /// since the loop-top check makes the cut, but would cost a turn.)
+    fn retire_tail(&mut self, line: LineRun, merging: bool, budget: u64, entry_q: u64) -> u64 {
+        let b = line.busy_per_ref;
+        let tail_refs = line.refs - 1;
+        // The tail's items cost b, 1, b, 1, ... quarter-cycles (Busy,
+        // reference, ...), or 1 each when b is 0. An item starts while the
+        // items before it fit in `room`.
+        let items_per_ref = if b > 0 { 2 } else { 1 };
+        let by_time = match (entry_q + TIME_QUANTUM_Q).checked_sub(self.qtime) {
+            None => 0,
+            Some(room) if b == 0 => room + 1,
+            // `room / (b + 1)` whole pairs fit; then one more Busy starts,
+            // and its reference too if the remainder covers the Busy.
+            Some(room) => 2 * (room / (b + 1)) + 1 + u64::from(room % (b + 1) == b),
+        };
+        let items = (tail_refs * items_per_ref).min(budget).min(by_time);
+        let refs = items / items_per_ref;
+        let spent = refs + (items - refs) * b;
+        self.qtime += spent;
+        self.stats.busy_q += spent;
+        if line.write {
+            self.stats.writes += refs;
+        } else {
+            self.stats.reads += refs;
+        }
+        if merging {
+            self.stats.merges += refs;
+        }
+        self.cache.reprobe(line.addr, refs);
+        if refs < tail_refs {
+            // Cut mid-line: the rest starts on a Busy unless the last item
+            // retired was one.
+            let rest = LineRun {
+                refs: tail_refs - refs,
+                busy_first: b > 0 && items % 2 == 0,
+                ..line
+            };
+            self.pending = Some((Run::Line(rest), false));
+        }
+        items
     }
 
     /// Delivers read-miss data (`PPut`/`PPutX`). Installs the line, frees
@@ -629,7 +694,7 @@ impl Processor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::SliceStream;
+    use crate::stream::{Mailbox, MailboxHandle, MailboxStream, SliceStream};
 
     fn proc(items: Vec<WorkItem>) -> Processor {
         Processor::new(4 << 10, 4, Box::new(SliceStream::new(items)))
@@ -867,7 +932,6 @@ mod tests {
 
     #[test]
     fn mailbox_stream_starves_resumes_and_finishes() {
-        use crate::stream::{Mailbox, MailboxStream};
         let handle = Mailbox::handle();
         let mut p = Processor::new(4 << 10, 4, Box::new(MailboxStream::new(handle.clone())));
         let mut out = Vec::new();
@@ -891,7 +955,6 @@ mod tests {
 
     #[test]
     fn starved_mid_stream_preserves_reference_counts() {
-        use crate::stream::{Mailbox, MailboxStream};
         let a = Addr::new(0x1000);
         let handle = Mailbox::handle();
         handle.lock().unwrap().push(WorkItem::Read(a));
@@ -912,23 +975,148 @@ mod tests {
         assert_eq!(p.stats().idle_q, 120 - 97);
     }
 
-    #[test]
-    fn quantum_yields_without_blocking() {
-        // A very long busy stream split into many items.
-        let items: Vec<WorkItem> = (0..60_000).map(|_| WorkItem::Busy(1)).collect();
-        let mut p = proc(items);
-        let mut out = Vec::new();
-        assert_eq!(p.run(Cycle::ZERO, &mut out), RunOutcome::Quantum);
-        let mut rounds = 1;
-        loop {
-            match p.run(p.now(), &mut out) {
-                RunOutcome::Quantum => rounds += 1,
-                RunOutcome::Finished => break,
-                other => panic!("unexpected {other:?}"),
-            }
-            assert!(rounds < 100, "too many quanta");
+    /// A closed mailbox holding `items`: `len()` then shows how many
+    /// items each `run` call consumed.
+    fn mailbox_proc(items: impl IntoIterator<Item = WorkItem>) -> (Processor, MailboxHandle) {
+        let handle = Mailbox::handle();
+        {
+            let mut mb = handle.lock().unwrap();
+            items.into_iter().for_each(|it| mb.push(it));
+            mb.close();
         }
-        assert!(rounds >= 2, "both item and time quanta should trigger");
-        assert_eq!(p.stats().busy_q, 60_000);
+        let p = Processor::new(4 << 10, 4, Box::new(MailboxStream::new(handle.clone())));
+        (p, handle)
+    }
+
+    #[test]
+    fn time_quantum_cuts_after_exact_item_count() {
+        // `Busy(1)` items: item j starts j-1 quarter-cycles after entry,
+        // so items 1..=8001 start within TIME_QUANTUM_Q and 8002 does not.
+        let (mut p, handle) = mailbox_proc((0..20_000).map(|_| WorkItem::Busy(1)));
+        let mut out = Vec::new();
+        for left in [11_999, 3_998] {
+            assert_eq!(p.run(p.now(), &mut out), RunOutcome::Quantum);
+            assert_eq!(handle.lock().unwrap().len(), left);
+            assert_eq!(p.stats().busy_q, 20_000 - left as u64);
+        }
+        assert_eq!(p.run(p.now(), &mut out), RunOutcome::Finished);
+        assert_eq!(p.stats().busy_q, 20_000);
+    }
+
+    #[test]
+    fn item_quantum_cuts_after_exactly_run_quantum_items() {
+        // Free items never reach the time cut: only RUN_QUANTUM stops them.
+        let (mut p, handle) = mailbox_proc((0..120_000).map(|_| WorkItem::Busy(0)));
+        let mut out = Vec::new();
+        for left in [70_000, 20_000] {
+            assert_eq!(p.run(Cycle::ZERO, &mut out), RunOutcome::Quantum);
+            assert_eq!(handle.lock().unwrap().len(), left);
+        }
+        assert_eq!(p.run(Cycle::ZERO, &mut out), RunOutcome::Finished);
+        assert_eq!(handle.lock().unwrap().len(), 0);
+    }
+
+    /// Yields fixed runs, as a phase stream would.
+    struct RunStream(std::collections::VecDeque<Run>);
+
+    impl RefStream for RunStream {
+        fn next_item(&mut self) -> WorkItem {
+            unreachable!("the processor pulls runs")
+        }
+
+        fn next_run(&mut self) -> Option<Run> {
+            Some(self.0.pop_front().unwrap_or(Run::Item(WorkItem::Done)))
+        }
+    }
+
+    /// The items `runs` stand for.
+    fn expand(runs: &[Run]) -> Vec<WorkItem> {
+        let mut items = Vec::new();
+        for run in runs {
+            match *run {
+                Run::Item(it) => items.push(it),
+                Run::Line(l) => {
+                    for r in 0..l.refs {
+                        if l.busy_per_ref > 0 && (r > 0 || l.busy_first) {
+                            items.push(WorkItem::Busy(l.busy_per_ref));
+                        }
+                        items.push(if l.write {
+                            WorkItem::Write(l.addr)
+                        } else {
+                            WorkItem::Read(l.addr)
+                        });
+                    }
+                }
+            }
+        }
+        items
+    }
+
+    /// Runs `runs` and their expansion side by side to the end, completing
+    /// the oldest miss whenever they block, and asserts that every `run`
+    /// call returns, emits and accounts identically.
+    fn assert_runs_match_items(runs: Vec<Run>) {
+        let items = expand(&runs);
+        let mut a = Processor::new(4 << 10, 4, Box::new(RunStream(runs.into())));
+        let mut b = proc(items);
+        let mut now = Cycle::ZERO;
+        for _ in 0..10_000 {
+            let (mut oa, mut ob) = (Vec::new(), Vec::new());
+            let outcome = a.run(now, &mut oa);
+            assert_eq!(outcome, b.run(now, &mut ob));
+            assert_eq!(oa, ob);
+            assert_eq!(a.stats(), b.stats());
+            assert_eq!(a.now(), b.now());
+            now = now.max(a.now());
+            match outcome {
+                RunOutcome::Finished => return,
+                RunOutcome::BlockedRead | RunOutcome::BlockedWrite => {
+                    let line = a.mshr_entries().next().expect("blocked on a miss").line;
+                    now = Cycle::new(now.raw() + 30);
+                    a.deliver_reply(line, false, now, &mut oa);
+                    b.deliver_reply(line, false, now, &mut ob);
+                    assert_eq!(oa, ob);
+                }
+                _ => {}
+            }
+        }
+        panic!("runs did not finish");
+    }
+
+    fn line(addr: u64, write: bool, refs: u64, busy_per_ref: u64) -> Run {
+        Run::Line(LineRun {
+            addr: Addr::new(addr),
+            write,
+            refs,
+            busy_per_ref,
+            busy_first: busy_per_ref > 0,
+        })
+    }
+
+    #[test]
+    fn item_quantum_cuts_a_line_run_mid_line() {
+        // Free items, then a line whose tail crosses RUN_QUANTUM: the cut
+        // lands between two references, between a reference and the next
+        // Busy, and between a Busy and its reference.
+        for (free, busy) in [(49_990, 0), (49_990, 5), (49_989, 5)] {
+            let mut runs = vec![Run::Item(WorkItem::Busy(0)); free];
+            runs.push(line(0x1000, true, 100, busy));
+            runs.push(line(0x1000, false, 100, busy));
+            assert_runs_match_items(runs);
+        }
+    }
+
+    #[test]
+    fn line_runs_resolve_like_their_items() {
+        // Hits, merges into a write miss and into an upgrade, a blocked
+        // read, and tails long enough for the time cut.
+        assert_runs_match_items(vec![
+            line(0x1000, true, 5_000, 3),
+            line(0x1000, false, 9_000, 0),
+            line(0x2000, false, 40, 2),
+            line(0x2000, true, 3_000, 2),
+            Run::Item(WorkItem::Barrier),
+            line(0x2000, true, 10, 1),
+        ]);
     }
 }

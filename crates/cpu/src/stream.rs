@@ -25,6 +25,39 @@ pub enum WorkItem {
     Done,
 }
 
+/// The rest of one sweep line: `refs` references to the line of `addr`,
+/// all reads or all writes, each preceded by `Busy(busy_per_ref)` when
+/// `busy_per_ref > 0`.
+///
+/// Expanded item by item it is `[Busy(busy_per_ref), Read/Write(addr)]`
+/// repeated `refs` times (just the references when `busy_per_ref` is 0),
+/// minus the first `Busy` when `busy_first` is false. Only the line of
+/// `addr` matters to the processor: the word within it never reaches the
+/// cache, the MSHRs or MAGIC.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineRun {
+    /// An address in the line.
+    pub addr: Addr,
+    /// Whether the references are writes.
+    pub write: bool,
+    /// References left in the run; at least 1.
+    pub refs: u64,
+    /// Instructions before each reference.
+    pub busy_per_ref: u64,
+    /// Whether the run starts on the first reference's `Busy` item rather
+    /// than on the reference itself; false when `busy_per_ref` is 0.
+    pub busy_first: bool,
+}
+
+/// What [`RefStream::next_run`] yields: one item, or the rest of a line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Run {
+    /// A single work item.
+    Item(WorkItem),
+    /// The rest of one sweep line.
+    Line(LineRun),
+}
+
 /// A lazily generated stream of work items for one processor.
 ///
 /// Implementations must keep returning [`WorkItem::Done`] once finished.
@@ -45,6 +78,14 @@ pub trait RefStream: Send {
     /// mailbox and wakes it.
     fn try_next(&mut self) -> Option<WorkItem> {
         Some(self.next_item())
+    }
+
+    /// Polls for the next run: the item [`RefStream::try_next`] would
+    /// yield, or several of them at once as a [`LineRun`]. The processor
+    /// pulls runs; expanding every run yields exactly the items
+    /// `try_next` would have. The default is a run of one item.
+    fn next_run(&mut self) -> Option<Run> {
+        self.try_next().map(Run::Item)
     }
 }
 
@@ -84,12 +125,6 @@ impl RefStream for SliceStream {
             }
             None => WorkItem::Done,
         }
-    }
-}
-
-impl<F: FnMut() -> WorkItem + Send> RefStream for F {
-    fn next_item(&mut self) -> WorkItem {
-        self()
     }
 }
 
@@ -180,26 +215,5 @@ impl RefStream for MailboxStream {
             None if mb.closed => Some(WorkItem::Done),
             None => None,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn closure_streams_work() {
-        let mut n = 0;
-        let mut s = move || {
-            n += 1;
-            if n <= 2 {
-                WorkItem::Busy(n)
-            } else {
-                WorkItem::Done
-            }
-        };
-        assert_eq!(s.next_item(), WorkItem::Busy(1));
-        assert_eq!(s.next_item(), WorkItem::Busy(2));
-        assert_eq!(s.next_item(), WorkItem::Done);
     }
 }

@@ -6,7 +6,7 @@
 //! methodology: what reaches the memory system is the *address stream* of
 //! the algorithm, not its arithmetic.
 
-use flash_cpu::{RefStream, WorkItem};
+use flash_cpu::{LineRun, RefStream, Run, WorkItem};
 use flash_engine::{Addr, DetRng, LINE_BYTES};
 
 /// One phase of an application's execution on one processor.
@@ -178,6 +178,37 @@ impl RefStream for PhaseStream {
                 }
             }
         }
+    }
+
+    /// The rest of the current sweep line as one run; any other phase
+    /// yields a run of one item.
+    fn next_run(&mut self) -> Option<Run> {
+        while let Some(&Phase::Sweep {
+            base,
+            lines,
+            stride,
+            write,
+            refs_per_line,
+            busy_per_ref,
+        }) = self.phases.get(self.pi)
+        {
+            if self.line >= lines {
+                self.advance_phase();
+                continue;
+            }
+            let run = LineRun {
+                addr: base.offset(self.line * stride * LINE_BYTES),
+                write,
+                refs: u64::from(refs_per_line.max(1) - self.r),
+                busy_per_ref: u64::from(busy_per_ref),
+                busy_first: busy_per_ref > 0 && !self.emitted_busy,
+            };
+            self.r = 0;
+            self.line += 1;
+            self.emitted_busy = false;
+            return Some(Run::Line(run));
+        }
+        Some(Run::Item(self.next_item()))
     }
 }
 

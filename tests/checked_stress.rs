@@ -231,3 +231,30 @@ fn monitoring_disarms_oracle_but_keeps_invariants() {
     let violations = m.check_violations();
     assert!(violations.is_empty(), "{violations:?}");
 }
+
+/// Runs `name` (4 processors, problem size / 16) on `cfg` to completion
+/// and returns its execution cycles and any check violations.
+fn run_app(name: &str, cfg: &MachineConfig) -> (u64, Vec<flash_check::Violation>) {
+    let w = flash_workloads::by_name(name, 4, 16);
+    let mut m = flash_workloads::build_machine(cfg, w.as_ref());
+    let RunResult::Completed { exec_cycles } = m.run(flash_workloads::budget()) else {
+        panic!("{name} did not complete (check {})", cfg.check);
+    };
+    (exec_cycles, m.check_violations())
+}
+
+#[test]
+fn checked_phase_workloads() {
+    // The application workloads reach the processor as whole sweep lines
+    // (runs), which the stress streams above never produce: the net must
+    // stay quiet on them, and checking must not move their finish cycle.
+    for name in ["LU", "MP3D"] {
+        let (plain, _) = run_app(name, &MachineConfig::flash(4));
+        let (checked, violations) = run_app(name, &MachineConfig::flash(4).with_check(true));
+        assert!(violations.is_empty(), "{name}: {violations:?}");
+        assert_eq!(
+            plain, checked,
+            "{name}: checked mode changed the finish cycle"
+        );
+    }
+}

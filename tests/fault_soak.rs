@@ -233,3 +233,37 @@ fn fault_soak_replays_byte_identically() {
     assert_eq!(c0, c1, "replay must be cycle-identical");
     assert_eq!(s0, s1, "replay must inject the identical fault schedule");
 }
+
+#[test]
+fn fault_soak_phase_workloads() {
+    // The application workloads reach the processor as whole sweep lines
+    // (runs), which the stress streams above never produce. Under the
+    // light plan the net must stay quiet on them, and checking must not
+    // move the faulted finish cycle.
+    for name in ["LU", "MP3D"] {
+        let w = flash_workloads::by_name(name, 4, 16);
+        let run = |check: bool| {
+            let cfg = MachineConfig::flash(4)
+                .with_check(check)
+                .with_faults(FaultPlan::light(0x5A));
+            let mut m = flash_workloads::build_machine(&cfg, w.as_ref());
+            let RunResult::Completed { exec_cycles } = m.run(flash_workloads::budget()) else {
+                panic!("{name} did not converge under faults (check {check})");
+            };
+            (exec_cycles, m)
+        };
+        let (plain, _) = run(false);
+        let (checked, m) = run(true);
+        let violations = m.check_violations();
+        assert!(violations.is_empty(), "{name}: {violations:?}");
+        let stats = m.fault_stats().expect("injector armed");
+        assert!(
+            stats.hop_spikes + stats.pp_bursts + stats.dram_stalls > 0,
+            "{name}: the light plan must actually inject"
+        );
+        assert_eq!(
+            plain, checked,
+            "{name}: checked mode changed the finish cycle"
+        );
+    }
+}
