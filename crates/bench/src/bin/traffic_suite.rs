@@ -26,9 +26,9 @@
 //!
 //! Unlike `BENCH_PR1/PR6/PR7`, this report contains **no wall-clock
 //! numbers**: every value is simulated, so the file is byte-identical
-//! under any `FLASH_SHARDS` setting and either PP backend. One load
-//! point is additionally re-run under shards 1/2/4 and both PP backends
-//! inside the process; the suite exits nonzero if any copy diverges.
+//! under either PP backend. One load point is additionally re-run under
+//! both PP backends inside the process; the suite exits nonzero if the
+//! copies diverge.
 //!
 //! `--smoke` runs a scaled-down sweep and prints a compact table on
 //! stdout (no file), which the `doc_commands` test diffs against
@@ -150,22 +150,16 @@ fn knee(points: &[Point]) -> Option<u64> {
         .map(|p| p.pct)
 }
 
-/// Re-runs one load point under shards 1/2/4 × both PP backends and
-/// demands identical latency reports (the determinism contract that
-/// makes this file reproducible under any `FLASH_SHARDS` setting and
-/// either PP backend).
+/// Re-runs one load point under both PP backends and demands identical
+/// latency reports (the determinism contract that makes this file
+/// reproducible under either PP backend).
 fn cross_check(shape: Shape, pct: u64, mean_gap: u64) -> bool {
-    let mut copies = Vec::new();
-    for shards in [1usize, 2, 4] {
-        for backend in [PpBackend::Translated, PpBackend::Emulated] {
-            let cfg = MachineConfig::flash(shape.nodes)
-                .with_shards(shards)
-                .with_pp_backend(backend);
-            let p = run_point(shape, pct, mean_gap, cfg);
-            copies.push((p.exec_cycles, p.report));
-        }
-    }
-    copies.iter().all(|c| *c == copies[0])
+    let [a, b] = [PpBackend::Translated, PpBackend::Emulated].map(|backend| {
+        let cfg = MachineConfig::flash(shape.nodes).with_pp_backend(backend);
+        let p = run_point(shape, pct, mean_gap, cfg);
+        (p.exec_cycles, p.report)
+    });
+    a == b
 }
 
 fn point_json(p: &Point, out: &mut String) {
@@ -277,9 +271,9 @@ fn main() {
     }
     let _ = writeln!(
         json,
-        "  \"deterministic_across_shards_and_backends\": {deterministic},"
+        "  \"deterministic_across_backends\": {deterministic},"
     );
-    json.push_str("  \"notes\": \"All values are simulated cycles - no wall-clock numbers - so this file is byte-identical under any FLASH_SHARDS setting and either PP backend (one load point is re-run under shards 1/2/4 x both backends in-process to prove it). The knee is where mean admission wait first exceeds p50 service latency: below it the open-loop machine tracks the closed-loop latency tables, above it the backlog grows without bound and latency is queueing, not service (see EXPERIMENTS.md).\"\n");
+    json.push_str("  \"notes\": \"All values are simulated cycles - no wall-clock numbers - so this file is byte-identical under either PP backend (one load point is re-run under both backends in-process to prove it). The knee is where mean admission wait first exceeds p50 service latency: below it the open-loop machine tracks the closed-loop latency tables, above it the backlog grows without bound and latency is queueing, not service (see EXPERIMENTS.md).\"\n");
     json.push_str("}\n");
 
     if let Some(path) = arg {
@@ -288,7 +282,7 @@ fn main() {
     print!("{json}");
     if !deterministic {
         eprintln!(
-            "traffic_suite: DETERMINISM VIOLATION - latency reports differ across shards/backends"
+            "traffic_suite: DETERMINISM VIOLATION - latency reports differ across PP backends"
         );
         std::process::exit(1);
     }

@@ -96,66 +96,53 @@ fn golden(name: &str) -> Vec<u8> {
 }
 
 /// `observe_breakdown` stdout is pinned byte-for-byte against the golden
-/// transcript at 1 and 4 shards: the sharded engine and the inline run
-/// fast path are host implementation details that must never reach an
-/// observable. (The PP backend is the same kind of detail; the
-/// `pp_backends_agree_on_every_miss_class` unit test pins it in-process.)
+/// transcript. (The PP backend is a host detail that must never reach
+/// an observable; the `pp_backends_agree_on_every_miss_class` unit test
+/// pins it in-process.)
 #[test]
-fn observe_breakdown_stdout_matches_golden_across_shards() {
-    let want = golden("observe_breakdown.txt");
-    for shards in ["1", "4"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_observe_breakdown"))
-            .env("FLASH_SHARDS", shards)
-            .output()
-            .expect("spawn observe_breakdown");
-        assert!(out.status.success(), "{shards} shards");
-        assert_eq!(
-            out.stdout, want,
-            "observe_breakdown stdout drifted from tests/golden/observe_breakdown.txt \
-             ({shards} shards)"
-        );
-    }
+fn observe_breakdown_stdout_matches_golden() {
+    let out = Command::new(env!("CARGO_BIN_EXE_observe_breakdown"))
+        .output()
+        .expect("spawn observe_breakdown");
+    assert!(out.status.success());
+    assert_eq!(
+        out.stdout,
+        golden("observe_breakdown.txt"),
+        "observe_breakdown stdout drifted from tests/golden/observe_breakdown.txt"
+    );
 }
 
 /// `traffic_suite --smoke` stdout — the scaled-down load–latency sweep
 /// (README "Open-loop traffic and latency percentiles") — is pinned
-/// byte-for-byte against its golden transcript at 1 and 4 shards, so a
-/// knee shift, an arrival-stream change or a determinism break fails
-/// here.
+/// byte-for-byte against its golden transcript, so a knee shift, an
+/// arrival-stream change or a determinism break fails here.
 #[test]
-fn traffic_smoke_stdout_matches_golden_across_shards() {
-    let want = golden("traffic_smoke.txt");
-    for shards in ["1", "4"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_traffic_suite"))
-            .arg("--smoke")
-            .env("FLASH_SHARDS", shards)
-            .output()
-            .expect("spawn traffic_suite");
-        assert!(out.status.success(), "{shards} shards");
-        assert_eq!(
-            out.stdout, want,
-            "traffic_suite --smoke stdout drifted from tests/golden/traffic_smoke.txt \
-             ({shards} shards)"
-        );
-    }
+fn traffic_smoke_stdout_matches_golden() {
+    let out = Command::new(env!("CARGO_BIN_EXE_traffic_suite"))
+        .arg("--smoke")
+        .output()
+        .expect("spawn traffic_suite");
+    assert!(out.status.success());
+    assert_eq!(
+        out.stdout,
+        golden("traffic_smoke.txt"),
+        "traffic_suite --smoke stdout drifted from tests/golden/traffic_smoke.txt"
+    );
 }
 
 /// `repro_all` — the full paper-reproduction sweep — is pinned against
-/// its golden transcript under the sharded engine. (The benchmark's
-/// `repro` workload re-checks this under the default serial config on
-/// every CI perf-smoke run; here the 4-shard config exercises the
-/// boundary machinery end to end.)
+/// its golden transcript. (The benchmark's `repro` workload re-checks
+/// this on every CI perf-smoke run.)
 #[test]
-fn repro_all_stdout_matches_golden_sharded() {
+fn repro_all_stdout_matches_golden() {
     let out = Command::new(env!("CARGO_BIN_EXE_repro_all"))
-        .env("FLASH_SHARDS", "4")
         .output()
         .expect("spawn repro_all");
     assert!(out.status.success());
     assert_eq!(
         out.stdout,
         golden("repro_all.txt"),
-        "repro_all stdout drifted from tests/golden/repro_all.txt (4 shards)"
+        "repro_all stdout drifted from tests/golden/repro_all.txt"
     );
 }
 

@@ -5,7 +5,7 @@
 //! 14-cycle memory, the 16-node mesh's 22-cycle average network transit,
 //! and the MAGIC sub-operation latencies of Table 3.2.
 
-use flash_engine::{knobs, Addr, NodeId};
+use flash_engine::{Addr, NodeId};
 use flash_fault::FaultPlan;
 use flash_magic::{ControllerKind, PpBackend};
 use flash_mem::MemTiming;
@@ -176,18 +176,6 @@ pub struct MachineConfig {
     /// [`PpBackend::Translated`]; the emulator is the reference that
     /// tests select with [`MachineConfig::with_pp_backend`].
     pub pp_backend: PpBackend,
-    /// Shard count for the conservative-time-window parallel engine:
-    /// mesh nodes are partitioned into this many contiguous shards, each
-    /// stepping its own event queue, synchronized every
-    /// minimum-cross-node-latency window. Clamped to the node count at
-    /// run time. Like `pp_backend` this is a host-performance knob and
-    /// never a model knob: every report, observation export, and repro
-    /// line is byte-identical for any value (1 runs the same windowed
-    /// engine serially, with no worker threads). Defaults to the
-    /// process-wide [`knobs::SHARDS`] setting (1 when unset): the one
-    /// environment default a machine config takes, so the whole test
-    /// suite can re-run sharded.
-    pub shards: usize,
     /// Host-time profiler: bracket every processed event with monotonic
     /// host-clock stamps and attribute the simulator's wall-clock time
     /// per subsystem (the host-time mirror of the cycle-attribution
@@ -196,7 +184,7 @@ pub struct MachineConfig {
     /// timing or any report. Read through `Machine::host_profile`.
     pub host_profile: bool,
     /// Hit fast path: a processor wakeup or quantum yield whose
-    /// continuation is provably the shard's next event executes inline in
+    /// continuation is provably the next event executes inline in
     /// the run loop instead of round-tripping through the event queue.
     /// The elision condition (`(at, sub) < queue head`, inside the
     /// current window and budget) makes the inlined execution exactly the
@@ -227,7 +215,6 @@ impl MachineConfig {
             observe: false,
             watchdog_window: default_watchdog_window(nodes),
             pp_backend: PpBackend::Translated,
-            shards: knobs::SHARDS.count().unwrap_or(1),
             host_profile: false,
             inline_runs: true,
         }
@@ -314,13 +301,6 @@ impl MachineConfig {
     /// Returns the config with a specific PP execution backend.
     pub fn with_pp_backend(mut self, backend: PpBackend) -> Self {
         self.pp_backend = backend;
-        self
-    }
-
-    /// Returns the config with a specific shard count (overriding the
-    /// [`knobs::SHARDS`] process default; values below 1 mean 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 

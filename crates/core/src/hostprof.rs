@@ -14,19 +14,17 @@
 //! * `protocol` — protocol-processor handler execution and directory
 //!   state (native, emulated, or translated backend)
 //! * `net_mesh` — mesh routing, link fault verdicts, NI egress
-//! * `event_queue` — timing-wheel/heap pops, window advance, staged
-//!   cross-shard delivery
-//! * `observe_check` — cycle-attribution journal replay and coherence
-//!   checking (zero unless those modes are armed)
-//! * `boundary` — window selection and synchronization replay (the
-//!   sharded engine's coordination tax)
+//! * `event_queue` — timing-wheel/heap pops, window selection and
+//!   advance
+//! * `observe_check` — cycle attribution of MAGIC events and coherence
+//!   checking (zero unless those modes are armed); the observer's
+//!   bookkeeping on processor and mesh events counts in their segments
+//! * `boundary` — synchronization replay at time-window boundaries
 //!
 //! The profiler is a pure observer of the host clock: it never reads or
 //! writes simulation state, so arming it cannot change `exec_cycles`,
 //! reports, traces, or any other simulated observable (pinned by
-//! `machine_properties::host_profile_is_timing_invisible`). Per-shard
-//! accumulators merge at run teardown; on multi-shard runs the segment
-//! sum is CPU time across workers and may exceed wall time. Read it
+//! `machine_properties::host_profile_is_timing_invisible`). Read it
 //! through `Machine::host_profile`; perfbench's `--trace 1` reports it.
 
 use std::time::Instant;
@@ -44,17 +42,16 @@ pub enum HostSeg {
     Net = 3,
     /// Event-queue operations.
     Queue = 4,
-    /// Observer replay and coherence checks.
+    /// Observer attribution of MAGIC events and coherence checks.
     ObsCheck = 5,
-    /// Window coordination (sync replay, window selection).
+    /// Synchronization replay at time-window boundaries.
     Boundary = 6,
 }
 
 /// Number of host-time segments.
 pub const HOST_SEG_COUNT: usize = 7;
 
-/// One accumulator of attributed nanoseconds (per shard, or the
-/// coordinator's boundary-side instance).
+/// One accumulator of attributed nanoseconds.
 #[derive(Debug, Default, Clone)]
 pub struct HostProfAcc {
     /// Attributed nanoseconds per segment.
@@ -126,7 +123,7 @@ impl HostProfAcc {
 /// the coordinator measured around the drive loop.
 #[derive(Debug, Default, Clone)]
 pub struct HostProfile {
-    /// Merged attributed nanoseconds (shards + coordinator).
+    /// Attributed nanoseconds.
     pub acc: HostProfAcc,
     /// Wall nanoseconds of the profiled `run()` calls, measured on the
     /// coordinator around the drive loop.
@@ -141,10 +138,8 @@ impl HostProfile {
         self.acc.ns.iter().sum()
     }
 
-    /// Fraction of measured wall time the segments explain. On a
-    /// single-shard run this is the coverage guarantee (≥ 0.95 on any
-    /// non-trivial run); multi-shard runs sum worker CPU time and can
-    /// exceed 1.0.
+    /// Fraction of measured wall time the segments explain (≥ 0.95 on
+    /// any non-trivial run).
     pub fn coverage(&self) -> f64 {
         if self.wall_ns == 0 {
             return 0.0;

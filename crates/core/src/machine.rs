@@ -1,39 +1,20 @@
 //! The machine: nodes, network, and the event loop (the FlashLite role).
 //!
-//! # Sharded conservative-window execution
+//! # Conservative time windows
 //!
-//! The machine partitions its nodes into `cfg.shards` contiguous shards,
-//! each owning its nodes' processors, MAGIC chips, event queue, network
-//! counters, and fault streams. Simulation advances in conservative time
-//! windows: every window starts at the earliest pending event time `W`
-//! across all shards and extends to `W + L`, where the lookahead `L` is
-//! the minimum latency any cross-node message can experience (minimum
-//! remote mesh transit plus the receiving NI's input stage). Within a
-//! window each shard processes its own events independently — no event
-//! it handles can affect another shard sooner than `L` cycles out, so
-//! cross-shard messages always land in a later window.
+//! Simulation advances in time windows: every window starts at the
+//! earliest pending event time `W` and extends to `W + L`, where the
+//! lookahead `L` (`Machine::lookahead`) is the minimum latency any
+//! cross-node message can experience (minimum remote mesh transit plus
+//! the receiving NI's input stage). The window length is part of the
+//! simulated schedule, not a host detail: everything nodes share — locks,
+//! barriers and the finish count — is resolved only at window
+//! boundaries, from a journal of synchronization requests replayed in
+//! canonical key order, and the forward-progress watchdog checks there.
 //!
-//! Determinism is the design's non-negotiable: results are byte-identical
-//! for **any** shard count, including 1. Three mechanisms carry that:
-//!
-//! * **Canonical event keys.** Every event carries a `(cycle, sub)` key
-//!   where `sub` encodes the *originating node* and a per-origin sequence
-//!   number. Keys are independent of shard layout and globally unique, so
-//!   any set of events sorts the same way no matter which queue held them.
-//! * **Boundary-resolved shared state.** Everything nodes share — locks,
-//!   barriers, the finish count, the checker, the observer — is owned by
-//!   the coordinator and updated only at window boundaries, by replaying
-//!   per-shard journals merged in canonical key order.
-//! * **Staged cross-shard delivery.** A message bound for another shard
-//!   is staged with its precomputed key and drained into the destination
-//!   queue at the boundary (provably at or past the window's end, by the
-//!   lookahead argument above).
-//!
-//! With one shard the same windowed loop runs without any worker threads;
-//! with more, shards execute on `std::thread::scope` workers that
-//! ping-pong shard contexts with the coordinator over channels. The
-//! shard count is a host-performance knob
-//! ([`MachineConfig::with_shards`]), never a model knob.
+//! Every event carries a `(cycle, sub)` key, where `sub` encodes the
+//! *originating node* and a per-origin sequence number. Keys are globally
+//! unique, so the queue's order is total and every run is deterministic.
 
 use crate::config::MachineConfig;
 use crate::hostprof::{HostProfAcc, HostProfile, HostSeg};
@@ -47,13 +28,12 @@ use flash_fault::{
     FaultInjector, FaultStats, LinkVerdict, MsgRing, MshrSnap, NiDir, NodeWedge, PendingLine,
     TraceEntry, WedgeReport,
 };
-use flash_magic::{ControllerKind, Emission, MagicChip, ObsInvocation, ObsParts, ReadClass};
+use flash_magic::{ControllerKind, Emission, MagicChip};
 use flash_net::{Mesh, NetModel};
 use flash_protocol::fields::aux;
 use flash_protocol::{dir_addr, InMsg, JumpTable, Msg, MsgType, ProcMsg};
 use flash_traffic::ArrivalSource;
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::mpsc;
 use std::time::Instant;
 
 /// Simulation events.
@@ -108,7 +88,6 @@ struct LockState {
 }
 
 /// Canonical event identity: `(cycle, sub)` with `sub` from [`sub_key`].
-/// Orders identically regardless of shard layout.
 type EvKey = (u64, u64);
 
 /// Bits of the per-origin sequence counter inside a sub-key (the origin
@@ -123,41 +102,8 @@ fn sub_key(origin: u16, seq: u64) -> u64 {
     ((origin as u64) << SUB_SEQ_BITS) | seq
 }
 
-/// First node and one-past-last node of shard `s` (contiguous partition;
-/// the first `nodes % shards` shards take one extra node).
-fn shard_bounds(nodes: u16, shards: usize, s: usize) -> (u16, u16) {
-    let n = nodes as usize;
-    let base = n / shards;
-    let rem = n % shards;
-    let lo = s * base + s.min(rem);
-    let hi = lo + base + usize::from(s < rem);
-    (lo as u16, hi as u16)
-}
-
-/// Which shard owns `node` under the contiguous partition.
-fn shard_of(nodes: u16, shards: usize, node: u16) -> usize {
-    let n = nodes as usize;
-    let base = n / shards;
-    let rem = n % shards;
-    let node = node as usize;
-    let cut = (base + 1) * rem;
-    if node < cut {
-        node / (base + 1)
-    } else {
-        rem + (node - cut) / base.max(1)
-    }
-}
-
-/// `(shard, index within the shard's slices)` for `node`.
-fn locate(nodes: u16, shards: usize, node: u16) -> (usize, usize) {
-    let s = shard_of(nodes, shards, node);
-    let (lo, _) = shard_bounds(nodes, shards, s);
-    (s, (node - lo) as usize)
-}
-
-/// A synchronization request journaled by a shard for boundary
-/// resolution, tagged with the requesting event's canonical key so the
-/// coordinator applies them in a shard-count-invariant order.
+/// A synchronization request journaled during a window for boundary
+/// resolution, tagged with the requesting event's canonical key.
 #[derive(Debug, Clone, Copy)]
 enum SyncOp {
     /// `node` arrived at the global barrier at its pipeline time `pt`.
@@ -170,71 +116,14 @@ enum SyncOp {
     Finished,
 }
 
-/// One observer mutation journaled by a shard, replayed against the
-/// master [`Observer`] at the boundary in canonical key order. Arrival
-/// ops carry *candidate* requester keys instead of a resolved key: the
-/// replay resolves them against the master's live pending set, exactly
-/// as the serial machine resolved against its own — so attribution is
-/// bit-identical for every shard count.
-#[derive(Debug, Clone, Copy)]
-enum ObsOp {
-    /// A miss left a processor: start tracking (from `post_cpu_outs`).
-    Begin {
-        node: u16,
-        line: u64,
-        issue: Cycle,
-        kind: ReqKind,
-    },
-    /// Inbox arrival: advance the resolved candidate's frontier.
-    ArriveAdvance {
-        cands: [Option<u16>; 2],
-        line: u64,
-        seg: Segment,
-        now: Cycle,
-    },
-    /// Handler invocation trace (independent of any tracked request).
-    TraceHandler { node: u16, inv: ObsInvocation },
-    /// Post-handler bookkeeping for the same arrival: read class plus the
-    /// per-candidate continuing emission's exact decomposition.
-    ArriveApply {
-        cands: [Option<u16>; 2],
-        line: u64,
-        class: Option<ReadClass>,
-        parts: [Option<(Cycle, ObsParts, bool)>; 2],
-    },
-    /// A network hop charged to the resolved candidate.
-    NetHop {
-        cands: [u16; 2],
-        line: u64,
-        depart: Cycle,
-        arrive: Cycle,
-    },
-    /// Frontier advance with a fixed key (delivery-side ops).
-    Advance {
-        key: (u16, u64),
-        now: Cycle,
-        seg: Segment,
-    },
-    /// The reply reached the processor: close the tracked request.
-    Complete { key: (u16, u64), now: Cycle },
-}
-
-/// A cross-shard message staged for boundary delivery. The lookahead
-/// guarantees `at` is at or past the window's end, so staging never
-/// reorders against events the destination already processed.
-#[derive(Debug, Clone, Copy)]
-struct Staged {
-    at: Cycle,
-    sub: u64,
-    node: u16,
-    wire: Wire,
-}
-
 /// Checked-mode bookkeeping (allocated only when `cfg.check`).
 #[derive(Debug, Default)]
 struct CheckCtx {
     /// Every 128-byte line that ever saw protocol activity.
     touched: BTreeSet<u64>,
+    /// Lines the current window's events touched, checked and cleared at
+    /// its boundary.
+    window_lines: BTreeSet<u64>,
     /// Invariant violations detected so far (machine-level checks; the
     /// per-chip differential oracle keeps its own list).
     violations: Vec<flash_check::Violation>,
@@ -256,6 +145,25 @@ struct CheckCtx {
     /// `copy-not-listed` depends only on what the header looks like when
     /// the checker happens to observe the window.)
     provisional_rogues: FastMap<(u16, u64), (Cycle, flash_check::Violation)>,
+    /// In-flight `PInval` deliveries, keyed by (node, line address).
+    ///
+    /// The protocol acknowledges an invalidation as soon as the sharer's
+    /// MAGIC processes `NInval` — the bus-side `PInval` rides a later
+    /// `ProcDeliver` event, so the stale copy legitimately outlives the
+    /// directory's PENDING window (the paper's relaxed-consistency
+    /// ordering, §2). A copy with a queued `PInval` is logically dead and
+    /// exempt from the coherence checks; one still queued at quiescence
+    /// is a message-conservation violation.
+    inflight_invals: FastMap<(u16, u64), u32>,
+    /// In-flight `PIntervGet`/`PIntervGetX` deliveries, keyed the same
+    /// way. A copy with a queued intervention is mid-handoff: the home
+    /// may have already granted (exclusive) ownership to the requester
+    /// while this bus transaction — possibly deferred for many retries —
+    /// has yet to invalidate or downgrade the old owner's copy. Such a
+    /// copy is exempt from the coherence checks until the intervention
+    /// executes; one still queued at quiescence is a conservation
+    /// violation.
+    inflight_intervs: FastMap<(u16, u64), u32>,
 }
 
 /// Why [`Machine::run`] stopped.
@@ -284,54 +192,13 @@ pub enum RunResult {
     },
 }
 
-/// Per-shard state that persists across windows and runs: the shard's
-/// event queue, its slice of the network's traffic counters, its fault
-/// streams, its recent-message ring, and its checker exemption maps.
-struct ShardState {
-    queue: EventQueue<Ev>,
-    /// Per-shard traffic counters; the machine's master [`NetModel`] is
-    /// rebuilt from these at teardown.
-    net: NetModel,
-    /// Fault-injection runtime (`None` when `cfg.faults` is disarmed).
-    /// Draw streams are keyed per (fault class, entity), so schedules
-    /// are shard-layout-invariant.
-    injector: Option<FaultInjector>,
-    /// Recent message observations with canonical keys; merged into the
-    /// machine's [`MsgRing`] at teardown.
-    ring: VecDeque<(EvKey, TraceEntry)>,
-    /// In-flight `PInval` deliveries for this shard's nodes, keyed by
-    /// (node, line address).
-    ///
-    /// The protocol acknowledges an invalidation as soon as the sharer's
-    /// MAGIC processes `NInval` — the bus-side `PInval` rides a later
-    /// `ProcDeliver` event, so the stale copy legitimately outlives the
-    /// directory's PENDING window (the paper's relaxed-consistency
-    /// ordering, §2). A copy with a queued `PInval` is logically dead and
-    /// exempt from the coherence checks; one still queued at quiescence
-    /// is a message-conservation violation.
-    inflight_invals: FastMap<(u16, u64), u32>,
-    /// In-flight `PIntervGet`/`PIntervGetX` deliveries, keyed the same
-    /// way. A copy with a queued intervention is mid-handoff: the home
-    /// may have already granted (exclusive) ownership to the requester
-    /// while this bus transaction — possibly deferred for many retries —
-    /// has yet to invalidate or downgrade the old owner's copy. Such a
-    /// copy is exempt from the coherence checks until the intervention
-    /// executes; one still queued at quiescence is a conservation
-    /// violation.
-    inflight_intervs: FastMap<(u16, u64), u32>,
-    /// Latest event time this shard has processed.
-    now: Cycle,
-    /// Last cycle this shard saw forward progress.
-    last_progress: Cycle,
-}
-
 /// One node's open-loop feed: the arrival source, the admission mailbox
 /// its processor drains, and the backlog of references that have arrived
 /// but not yet been admitted.
 ///
-/// The mailbox mutex is uncontended by construction — arrivals are
-/// admitted and drained on the node's owning shard; the lock exists only
-/// so the handle can cross the worker-thread boundary with its shard.
+/// The mailbox mutex is uncontended: arrivals are admitted and drained by
+/// the same event loop. It exists because the mailbox is shared between
+/// the feed and the processor's stream.
 struct OpenFeed {
     source: Box<dyn ArrivalSource>,
     mailbox: MailboxHandle,
@@ -366,12 +233,14 @@ pub struct Machine {
     cfg: MachineConfig,
     procs: Vec<Processor>,
     chips: Vec<MagicChip>,
-    /// Merged lifetime traffic totals (rebuilt from shard models at every
-    /// teardown so repeated runs never double-count).
+    /// Lifetime traffic totals.
     net: NetModel,
-    shards: Vec<ShardState>,
+    queue: EventQueue<Ev>,
+    /// Fault-injection runtime (`None` when `cfg.faults` is disarmed).
+    injector: Option<FaultInjector>,
     /// Per-origin event sequence counters (canonical sub-key allocation).
     origin_seq: Vec<u64>,
+    /// Latest event time processed.
     now: Cycle,
     parked: Vec<Park>,
     /// Per-node open-loop feeds: all `Some` on an open-loop machine, all
@@ -387,19 +256,28 @@ pub struct Machine {
     check: Option<CheckCtx>,
     /// Ring of recent message observations, always on: the message
     /// history [`Machine::diagnose`] renders for a wedge's suspect lines.
-    /// Rebuilt from the per-shard rings at teardown.
     ring: MsgRing,
     /// Last cycle a retirement, message delivery, or handler invocation
     /// advanced (the forward-progress watchdog's reference point).
     last_progress: Cycle,
     /// Cycle-attribution observer (`None` when `cfg.observe` is off).
-    /// Owned by the coordinator; shards journal mutations and the
-    /// boundary replays them in canonical order.
     observe: Option<Box<Observer>>,
     /// Host-time profile (`None` unless `cfg.host_profile` arms it). A
     /// pure observer of the host clock — it never feeds back into
     /// simulated state.
     hostprof: Option<Box<HostProfile>>,
+    // The current window and event cursor.
+    end: Cycle,
+    budget: u64,
+    cur: EvKey,
+    cur_t: Cycle,
+    /// Synchronization requests of the current window, resolved at its
+    /// boundary.
+    sync_ops: Vec<(EvKey, SyncOp)>,
+    // Steady-state scratch: reused across events so the hot loop makes
+    // no heap allocations (tests/alloc_budget.rs pins this).
+    cpu_outs: Vec<(Cycle, CpuOut)>,
+    emit_buf: Vec<Emission>,
 }
 
 impl std::fmt::Debug for Machine {
@@ -429,8 +307,8 @@ const RING_CAPACITY: usize = 64;
 const RECENT_TAIL: usize = 8;
 
 /// The requester candidates (and charged segment) a message arriving at
-/// `node`'s inbox may belong to — the pure part of the serial machine's
-/// key resolution; the pending-set lookup happens at boundary replay.
+/// `node`'s inbox may belong to; [`pending_cand`] picks the one the
+/// observer tracks.
 ///
 /// Requests and forwards carry the requester in their aux field; replies
 /// from third-party owners carry the responder, so replies also try the
@@ -456,6 +334,14 @@ fn observe_cands(node: u16, wire: &Wire) -> Option<([Option<u16>; 2], Segment)> 
         }
         _ => None,
     }
+}
+
+/// The first candidate whose request on `line` the observer is tracking.
+fn pending_cand(obs: &Observer, cands: [Option<u16>; 2], line: u64) -> Option<u16> {
+    cands
+        .into_iter()
+        .flatten()
+        .find(|&c| obs.is_pending((c, line)))
 }
 
 /// Whether a network message of type `t` continues a request path: the
@@ -491,35 +377,20 @@ fn emission_continues(em: &Emission, key: (u16, u64), node: u16) -> bool {
     }
 }
 
-/// The requester candidates a network message continues (the
-/// network-side subset of [`emission_continues`], used to charge NI-wait
-/// and mesh-transit cycles in `post_net`).
-fn net_msg_cands(msg: &Msg) -> Option<([u16; 2], u64)> {
-    continues_request(msg.mtype).then(|| {
-        (
-            [aux::requester(msg.aux).0, msg.dst.0],
-            msg.addr.line().raw(),
-        )
-    })
-}
-
 /// Checks every invariant visible for one line right now: SWMR across
 /// all processor caches, directory structural audit, and cache/
 /// directory agreement at the line's home. Shared by the boundary
-/// checker (reading through shard contexts) and the quiescence audit
-/// (reading the machine directly) via the accessor closures.
-fn check_line_at<'a>(
+/// checker and the quiescence audit.
+fn check_line_at(
     cfg: &MachineConfig,
     ctx: &mut CheckCtx,
     line: Addr,
     now: Cycle,
-    proc_at: &dyn Fn(u16) -> &'a Processor,
-    chip_at: &dyn Fn(u16) -> &'a MagicChip,
-    doomed: &dyn Fn((u16, u64)) -> bool,
+    procs: &[Processor],
+    chips: &[MagicChip],
 ) {
     let mut copies = Vec::new();
-    for i in 0..cfg.nodes {
-        let p = proc_at(i);
+    for (i, p) in (0..cfg.nodes).zip(procs) {
         // A copy with a queued `PInval` is logically dead (the sharer's
         // MAGIC already acknowledged the invalidation), and one with a
         // queued `PIntervGet`/`PIntervGetX` is mid-handoff (the requester
@@ -527,7 +398,7 @@ fn check_line_at<'a>(
         // from SWMR/agreement.
         let key = (i, line.raw());
         if let Some(state) = p.cache().state_of(line) {
-            if !doomed(key) {
+            if !ctx.inflight_invals.contains_key(&key) && !ctx.inflight_intervs.contains_key(&key) {
                 copies.push(flash_check::CachedCopy {
                     node: i,
                     exclusive: state == flash_cpu::LineState::Exclusive,
@@ -546,7 +417,7 @@ fn check_line_at<'a>(
     }
     let home = cfg.placement.home_of(line, cfg.nodes);
     let da = dir_addr(line);
-    let mem = chip_at(home.0).proto_mem();
+    let mem = chips[home.index()].proto_mem();
     ctx.violations
         .extend(flash_check::audit_directory(mem, da, home.0, false));
     if let Ok(sharers) = flash_check::walk_sharers(mem, da) {
@@ -578,123 +449,96 @@ fn check_line_at<'a>(
     }
 }
 
-/// One shard's working view for a window: its slices of the machine's
-/// node-indexed state, its persistent [`ShardState`], and the journals
-/// the boundary will replay. Moves between the coordinator and a worker
-/// thread when the machine runs more than one shard.
-struct ShardCtx<'a> {
-    cfg: &'a MachineConfig,
-    shard: usize,
-    /// First node this shard owns (its slices start here).
-    lo: u16,
-    nodes: u16,
-    nshards: usize,
-    check: bool,
-    observe: bool,
-    procs: &'a mut [Processor],
-    chips: &'a mut [MagicChip],
-    parked: &'a mut [Park],
-    feeds: &'a mut [Option<OpenFeed>],
-    finish: &'a mut [Cycle],
-    origin_seq: &'a mut [u64],
-    st: ShardState,
-    /// Deferral count accumulated this run (merged at teardown).
-    interv_deferrals: u64,
-    // Per-window journals, drained at each boundary.
-    sync_ops: Vec<(EvKey, SyncOp)>,
-    obs_ops: Vec<(EvKey, ObsOp)>,
-    staged: Vec<Staged>,
-    discharges: Vec<(u16, u64)>,
-    touched: BTreeSet<u64>,
-    // Current window parameters and event cursor.
-    end: Cycle,
-    budget: u64,
-    cur: EvKey,
-    cur_t: Cycle,
-    // Steady-state scratch: reused across events so the hot loop makes
-    // no heap allocations (tests/alloc_budget.rs pins this).
-    cpu_outs: Vec<(Cycle, CpuOut)>,
-    emit_buf: Vec<Emission>,
-    /// Host-time profiler accumulator (None unless armed; boxed so the
-    /// unarmed hot path carries only a null check).
-    prof: Option<Box<HostProfAcc>>,
+/// Decrements a (node, line) in-flight count, dropping it at zero.
+fn settle(inflight: &mut FastMap<(u16, u64), u32>, key: (u16, u64)) {
+    if let Some(n) = inflight.get_mut(&key) {
+        *n -= 1;
+        if *n == 0 {
+            inflight.remove(&key);
+        }
+    }
 }
 
-impl<'a> ShardCtx<'a> {
-    fn li(&self, node: u16) -> usize {
-        debug_assert!(node >= self.lo && ((node - self.lo) as usize) < self.procs.len());
-        (node - self.lo) as usize
-    }
-
+/// The event loop: one window's events, in canonical key order.
+impl Machine {
     /// Allocates the next canonical sub-key for an event originated by
-    /// `origin` (which must be one of this shard's nodes).
+    /// `origin`.
     fn next_sub(&mut self, origin: u16) -> u64 {
-        let li = self.li(origin);
-        let seq = self.origin_seq[li];
-        self.origin_seq[li] += 1;
+        let seq = self.origin_seq[origin as usize];
+        self.origin_seq[origin as usize] += 1;
         sub_key(origin, seq)
     }
 
-    fn push_local(&mut self, origin: u16, at: Cycle, ev: Ev) {
+    /// Schedules `ev` at `at` under `origin`'s next canonical sub-key.
+    fn push_origin(&mut self, origin: u16, at: Cycle, ev: Ev) {
         let sub = self.next_sub(origin);
-        self.st.queue.push_sub(at, sub, ev);
+        self.queue.push_sub(at, sub, ev);
     }
 
     fn sync(&mut self, op: SyncOp) {
         self.sync_ops.push((self.cur, op));
     }
 
-    fn obs(&mut self, op: ObsOp) {
-        self.obs_ops.push((self.cur, op));
-    }
-
     fn mark_progress(&mut self) {
-        if self.cur_t > self.st.last_progress {
-            self.st.last_progress = self.cur_t;
+        if self.cur_t > self.last_progress {
+            self.last_progress = self.cur_t;
         }
     }
 
-    /// Advances the event cursor to an inlined continuation, exactly as
-    /// the pop path would have.
+    /// The armed host profiler's accumulator.
+    fn prof(&mut self) -> Option<&mut HostProfAcc> {
+        self.hostprof.as_deref_mut().map(|h| &mut h.acc)
+    }
+
+    /// Moves the event cursor to the event at `(at, sub)`, popped or
+    /// inlined.
+    ///
+    /// Keys never decrease within a window, inline continuations
+    /// included: events push only at or after their own time, and a
+    /// continuation carries a later sequence number of the same origin.
+    /// Observer effects are therefore applied at the event, in key
+    /// order. (A boundary wake may land behind the previous window's
+    /// last event, so the order restarts with each window.)
     fn set_cursor(&mut self, at: Cycle, sub: u64) {
+        debug_assert!(
+            (at.raw(), sub) >= self.cur,
+            "event key {:?} precedes {:?} within a window",
+            (at.raw(), sub),
+            self.cur
+        );
         self.cur = (at.raw(), sub);
         self.cur_t = at;
-        if at > self.st.now {
-            self.st.now = at;
+        if at > self.now {
+            self.now = at;
         }
     }
 
-    /// Processes this shard's events inside the current window, in
-    /// canonical `(cycle, sub)` order. Processor run events whose
-    /// reschedule would be the very next pop are executed inline
-    /// (continuation loop) instead of round-tripping through the queue;
-    /// [`ShardCtx::schedule_or_inline`] proves the order is unchanged.
+    /// Processes the events inside the current window, in canonical
+    /// `(cycle, sub)` order. Processor run events whose reschedule would
+    /// be the very next pop are executed inline (continuation loop)
+    /// instead of round-tripping through the queue;
+    /// [`Machine::schedule_or_inline`] proves the order is unchanged.
     fn run_window(&mut self) {
         // Profiled path: one chained stamp closes the queue lap and opens
         // the event's outer bracket, and the next closes the bracket and
         // opens the following queue lap — no unattributed gaps between
         // events, and two `Instant::now` calls per event.
-        let mut stamp = self.prof.as_mut().map(|p| {
+        let mut stamp = self.prof().map(|p| {
             p.reset_inner();
             Instant::now()
         });
+        // Keys restart with each window (see `set_cursor`).
+        self.cur = (0, 0);
         let (end, budget) = (self.end, self.budget);
-        while let Some((t, sub, ev)) = self
-            .st
-            .queue
-            .pop_keyed_if(|t, _| t < end && t.raw() <= budget)
+        while let Some((t, sub, ev)) = self.queue.pop_keyed_if(|t, _| t < end && t.raw() <= budget)
         {
             if let Some(s) = stamp {
-                let p = self.prof.as_mut().expect("armed");
+                let p = self.prof().expect("armed");
                 stamp = Some(p.lap(HostSeg::Queue, s));
                 p.events += 1;
                 p.reset_inner();
             }
-            self.cur = (t.raw(), sub);
-            self.cur_t = t;
-            if t > self.st.now {
-                self.st.now = t;
-            }
+            self.set_cursor(t, sub);
             let ev_line = match &ev {
                 Ev::ProcRun(_) | Ev::Arrival { .. } => None,
                 Ev::MagicIn { wire, .. } => Some(wire.addr.line().raw()),
@@ -703,14 +547,8 @@ impl<'a> ShardCtx<'a> {
             };
             let seg = match ev {
                 Ev::ProcRun(n) => {
-                    let mut cont = self.ev_proc_run(n);
-                    while let Some((at, sub)) = cont {
-                        if let Some(p) = self.prof.as_mut() {
-                            p.events += 1;
-                        }
-                        self.set_cursor(at, sub);
-                        cont = self.ev_proc_run(n);
-                    }
+                    let cont = self.ev_proc_run(n);
+                    self.run_inline(n, cont);
                     HostSeg::Proc
                 }
                 Ev::MagicIn { node, wire, net } => {
@@ -718,14 +556,8 @@ impl<'a> ShardCtx<'a> {
                     HostSeg::Magic
                 }
                 Ev::ProcDeliver { node, pm, tries } => {
-                    let mut cont = self.ev_proc_deliver(node, pm, tries);
-                    while let Some((at, sub)) = cont {
-                        if let Some(p) = self.prof.as_mut() {
-                            p.events += 1;
-                        }
-                        self.set_cursor(at, sub);
-                        cont = self.ev_proc_run(node);
-                    }
+                    let cont = self.ev_proc_deliver(node, pm, tries);
+                    self.run_inline(node, cont);
                     HostSeg::Proc
                 }
                 Ev::NetSend { msg } => {
@@ -733,33 +565,37 @@ impl<'a> ShardCtx<'a> {
                     HostSeg::Net
                 }
                 Ev::Arrival { node } => {
-                    let mut cont = self.ev_arrival(node);
-                    while let Some((at, sub)) = cont {
-                        if let Some(p) = self.prof.as_mut() {
-                            p.events += 1;
-                        }
-                        self.set_cursor(at, sub);
-                        cont = self.ev_proc_run(node);
-                    }
+                    let cont = self.ev_arrival(node);
+                    self.run_inline(node, cont);
                     HostSeg::Proc
                 }
             };
             if let Some(s) = stamp {
-                stamp = Some(self.prof.as_mut().expect("armed").lap_outer(seg, s));
+                stamp = Some(self.prof().expect("armed").lap_outer(seg, s));
             }
-            if self.check {
-                if let Some(line) = ev_line {
-                    self.touched.insert(line);
-                }
+            if let (Some(c), Some(line)) = (self.check.as_mut(), ev_line) {
+                c.window_lines.insert(line);
             }
+        }
+    }
+
+    /// Executes node `n`'s elided run events while each one returns a
+    /// further continuation key.
+    fn run_inline(&mut self, n: u16, mut cont: Option<(Cycle, u64)>) {
+        while let Some((at, sub)) = cont {
+            if let Some(p) = self.prof() {
+                p.events += 1;
+            }
+            self.set_cursor(at, sub);
+            cont = self.ev_proc_run(n);
         }
     }
 
     /// Runs processor `n`'s reference stream. Returns the continuation
     /// key when the processor's next run event was elided from the queue
-    /// (the caller executes it inline — see [`ShardCtx::run_window`]).
+    /// (the caller executes it inline — see [`Machine::run_window`]).
     fn ev_proc_run(&mut self, n: u16) -> Option<(Cycle, u64)> {
-        let i = self.li(n);
+        let i = n as usize;
         if self.parked[i] != Park::Scheduled {
             return None; // stale wakeup (not forward progress)
         }
@@ -840,10 +676,10 @@ impl<'a> ShardCtx<'a> {
     /// An open-loop reference arrives at `node`: the feed's pending item
     /// joins the admission backlog, the source's next arrival is
     /// scheduled, and a processor parked for work is fed and woken.
-    /// Returns an inline continuation exactly like [`ShardCtx::ev_proc_run`].
+    /// Returns an inline continuation exactly like [`Machine::ev_proc_run`].
     fn ev_arrival(&mut self, node: u16) -> Option<(Cycle, u64)> {
         let now = self.cur_t;
-        let i = self.li(node);
+        let i = node as usize;
         let next = {
             let feed = self.feeds[i].as_mut().expect("arrival without a feed");
             let (at, item) = feed
@@ -870,7 +706,7 @@ impl<'a> ShardCtx<'a> {
             }
         };
         if let Some(at2) = next {
-            self.push_local(node, at2, Ev::Arrival { node });
+            self.push_origin(node, at2, Ev::Arrival { node });
         }
         if self.parked[i] == Park::WaitWork {
             self.admit(i);
@@ -904,32 +740,32 @@ impl<'a> ShardCtx<'a> {
     ///
     /// Identity proof: the sub-key is allocated unconditionally, so the
     /// canonical `(cycle, sub)` stream every downstream consumer sees
-    /// (journals, traces, staged deliveries) is byte-identical to the
-    /// always-queue path. Elision requires `(at, sub)` to order before
-    /// the current queue head and to fall inside the window and cycle
-    /// budget: in the queued execution the loop would pop exactly this
-    /// event next (nothing can enqueue an earlier key in between —
-    /// events only push at or after their own time, and the head already
-    /// orders after us), so executing it inline preserves the canonical
-    /// order and leaves the queue at the window boundary in exactly the
-    /// state the queued execution would.
+    /// (journals, traces) is byte-identical to the always-queue path.
+    /// Elision requires `(at, sub)` to order before the current queue
+    /// head and to fall inside the window and cycle budget: in the
+    /// queued execution the loop would pop exactly this event next
+    /// (nothing can enqueue an earlier key in between — events only push
+    /// at or after their own time, and the head already orders after
+    /// us), so executing it inline preserves the canonical order and
+    /// leaves the queue at the window boundary in exactly the state the
+    /// queued execution would.
     fn schedule_or_inline(&mut self, n: u16, at: Cycle) -> Option<(Cycle, u64)> {
         let sub = self.next_sub(n);
-        self.parked[self.li(n)] = Park::Scheduled;
+        self.parked[n as usize] = Park::Scheduled;
         if self.cfg.inline_runs
             && at < self.end
             && at.raw() <= self.budget
-            && self.st.queue.peek_key().is_none_or(|k| (at, sub) < k)
+            && self.queue.peek_key().is_none_or(|k| (at, sub) < k)
         {
             Some((at, sub))
         } else {
-            self.st.queue.push_sub(at, sub, Ev::ProcRun(n));
+            self.queue.push_sub(at, sub, Ev::ProcRun(n));
             None
         }
     }
 
     fn wake_if_waiting(&mut self, n: u16, at: Cycle) -> Option<(Cycle, u64)> {
-        if self.parked[self.li(n)] == Park::WaitReply {
+        if self.parked[n as usize] == Park::WaitReply {
             self.schedule_or_inline(n, at)
         } else {
             None
@@ -949,7 +785,7 @@ impl<'a> ShardCtx<'a> {
             };
             // Observed mode: a miss leaving the processor starts a
             // tracked request at its issue time.
-            if self.observe {
+            if let Some(obs) = self.observe.as_deref_mut() {
                 let kind = match mtype {
                     MsgType::PiGet => Some(ReqKind::Read),
                     MsgType::PiGetX => Some(ReqKind::Write),
@@ -957,15 +793,10 @@ impl<'a> ShardCtx<'a> {
                     _ => None,
                 };
                 if let Some(kind) = kind {
-                    self.obs(ObsOp::Begin {
-                        node: n,
-                        line: addr.line().raw(),
-                        issue: t,
-                        kind,
-                    });
+                    obs.begin(n, addr.line().raw(), t, kind);
                 }
             }
-            self.push_local(
+            self.push_origin(
                 n,
                 t + extra + lat.bus + lat.pi_in,
                 Ev::MagicIn {
@@ -985,16 +816,14 @@ impl<'a> ShardCtx<'a> {
 
     fn ev_magic_in(&mut self, node: u16, wire: Wire, net: bool) {
         let now = self.cur_t;
-        let i = self.li(node);
+        let i = node as usize;
         // Receiver-side inbound-NI freeze: a frozen input queue re-offers
         // the message — identity (canonical key) preserved — at the thaw
-        // time. Keyed to the *receiving* node so the draw stream is
-        // shard-layout-invariant.
+        // time. Keyed to the *receiving* node's draw stream.
         if net {
-            if let Some(inj) = self.st.injector.as_mut() {
+            if let Some(inj) = self.injector.as_mut() {
                 if let Some(resume) = inj.ni_freeze(now, node, NiDir::In) {
-                    self.st
-                        .queue
+                    self.queue
                         .push_sub(resume, self.cur.1, Ev::MagicIn { node, wire, net });
                     return;
                 }
@@ -1003,20 +832,14 @@ impl<'a> ShardCtx<'a> {
         let line_raw = wire.addr.line().raw();
         let home = self.cfg.placement.home_of(wire.addr, self.cfg.nodes);
         self.mark_progress();
-        self.st.ring.push_back((
-            self.cur,
-            TraceEntry {
-                at: now.raw(),
-                node,
-                kind: wire.mtype.name(),
-                src: wire.src.0,
-                line: line_raw,
-                aux: wire.aux,
-            },
-        ));
-        if self.st.ring.len() > RING_CAPACITY {
-            self.st.ring.pop_front();
-        }
+        self.ring.push(TraceEntry {
+            at: now.raw(),
+            node,
+            kind: wire.mtype.name(),
+            src: wire.src.0,
+            line: line_raw,
+            aux: wire.aux,
+        });
         let msg = InMsg {
             mtype: wire.mtype,
             src: wire.src,
@@ -1032,7 +855,7 @@ impl<'a> ShardCtx<'a> {
         // slowdown burst holds the protocol processor busy past `now`; a
         // handler running inside a DRAM refresh window finds its memory
         // controller blocked to the window's end.
-        if let Some(inj) = self.st.injector.as_mut() {
+        if let Some(inj) = self.injector.as_mut() {
             let burst = inj.pp_burst(now, node);
             if burst > 0 {
                 self.chips[i].stall_pp(now + burst);
@@ -1041,17 +864,17 @@ impl<'a> ShardCtx<'a> {
                 self.chips[i].block_memory(until);
             }
         }
-        // Observed mode: journal the arrival; the boundary replay
-        // resolves the candidate keys against the master pending set and
-        // advances the tracked request's frontier to the inbox arrival.
-        let arrival = self.observe.then(|| observe_cands(node, &wire)).flatten();
-        if let Some((cands, seg)) = arrival {
-            self.obs(ObsOp::ArriveAdvance {
-                cands,
-                line: line_raw,
-                seg,
-                now,
-            });
+        // Observed mode: advance the tracked request's frontier to the
+        // inbox arrival.
+        let arrival = self
+            .observe
+            .is_some()
+            .then(|| observe_cands(node, &wire))
+            .flatten();
+        if let (Some(obs), Some((cands, seg))) = (self.observe.as_deref_mut(), arrival) {
+            if let Some(c) = pending_cand(obs, cands, line_raw) {
+                obs.advance((c, line_raw), now, seg);
+            }
         }
         // Read-miss classification at the home (paper Tables 4.1/4.2).
         let chip = &mut self.chips[i];
@@ -1061,74 +884,59 @@ impl<'a> ShardCtx<'a> {
             _ => None,
         };
         let mut emissions = std::mem::take(&mut self.emit_buf);
-        let tp = self.prof.is_some().then(Instant::now);
+        let tp = self.hostprof.is_some().then(Instant::now);
         chip.process_into(msg, now, &mut emissions);
         if let Some(tp) = tp {
-            self.prof
-                .as_mut()
-                .expect("armed")
-                .add_inner(HostSeg::Protocol, tp);
+            self.prof().expect("armed").add_inner(HostSeg::Protocol, tp);
         }
-        // Observed mode: record the handler invocation, then journal the
-        // read class and the per-candidate continuing emission's exact
-        // decomposition (the replay picks the resolved candidate's).
-        let to = (self.prof.is_some() && self.observe).then(Instant::now);
-        if self.observe {
-            if let Some(inv) = self.chips[i].obs_invocation().copied() {
-                self.obs(ObsOp::TraceHandler { node, inv });
+        // Observed mode: record the handler invocation, then the read
+        // class and the continuing emission's exact decomposition.
+        let to = (self.hostprof.is_some() && self.observe.is_some()).then(Instant::now);
+        if let Some(obs) = self.observe.as_deref_mut() {
+            if let Some(inv) = self.chips[i].obs_invocation() {
+                obs.trace_handler(node, inv);
             }
-            if let Some((cands, _)) = arrival {
-                let mut parts: [Option<(Cycle, ObsParts, bool)>; 2] = [None, None];
-                for (ci, cand) in cands.iter().enumerate() {
-                    if let Some(c) = cand {
-                        if let Some(ei) = emissions
-                            .iter()
-                            .position(|em| emission_continues(em, (*c, line_raw), node))
-                        {
-                            parts[ci] = Some((
-                                emissions[ei].at(),
-                                self.chips[i].obs_parts()[ei],
-                                matches!(emissions[ei], Emission::Net { .. }),
-                            ));
-                        }
-                    }
+            let tracked = arrival.and_then(|(cands, _)| pending_cand(obs, cands, line_raw));
+            if let Some(c) = tracked {
+                let key = (c, line_raw);
+                if let Some(class) = class {
+                    obs.note_class(key, class);
                 }
-                self.obs(ObsOp::ArriveApply {
-                    cands,
-                    line: line_raw,
-                    class,
-                    parts,
-                });
+                if let Some(ei) = emissions
+                    .iter()
+                    .position(|em| emission_continues(em, key, node))
+                {
+                    let em = &emissions[ei];
+                    let net = matches!(em, Emission::Net { .. });
+                    obs.apply_parts(key, em.at(), &self.chips[i].obs_parts()[ei], net);
+                }
             }
         }
         if let Some(to) = to {
-            self.prof
-                .as_mut()
-                .expect("armed")
-                .add_inner(HostSeg::ObsCheck, to);
+            self.prof().expect("armed").add_inner(HostSeg::ObsCheck, to);
         }
         for em in emissions.drain(..) {
             match em {
                 Emission::Net { at, msg } => self.post_net(at, msg),
                 Emission::Proc { at, msg } => {
-                    if self.check {
+                    if let Some(c) = self.check.as_mut() {
                         let key = (node, msg.addr.line().raw());
                         match msg.mtype {
                             // The copy is logically dead from the moment
                             // the invalidation is queued on the bus.
                             MsgType::PInval => {
-                                *self.st.inflight_invals.entry(key).or_insert(0) += 1;
+                                *c.inflight_invals.entry(key).or_insert(0) += 1;
                             }
                             // The copy is mid-handoff: the new owner may
                             // install its (exclusive) copy before this bus
                             // transaction invalidates or downgrades ours.
                             MsgType::PIntervGet | MsgType::PIntervGetX => {
-                                *self.st.inflight_intervs.entry(key).or_insert(0) += 1;
+                                *c.inflight_intervs.entry(key).or_insert(0) += 1;
                             }
                             _ => {}
                         }
                     }
-                    self.push_local(
+                    self.push_origin(
                         node,
                         at,
                         Ev::ProcDeliver {
@@ -1143,33 +951,24 @@ impl<'a> ShardCtx<'a> {
         self.emit_buf = emissions;
     }
 
-    /// Routes an outbound network message (fault hooks, mesh transit,
-    /// staging for cross-shard destinations). The bracket wrapper
-    /// attributes the whole path to the net segment even when reached
-    /// from inside a MAGIC event.
+    /// Routes an outbound network message (fault hooks, mesh transit).
+    /// The bracket wrapper attributes the whole path to the net segment
+    /// even when reached from inside a MAGIC event.
     fn post_net(&mut self, at: Cycle, msg: Msg) {
-        let tn = self.prof.is_some().then(Instant::now);
+        let tn = self.hostprof.is_some().then(Instant::now);
         self.post_net_inner(at, msg);
         if let Some(tn) = tn {
-            self.prof
-                .as_mut()
-                .expect("armed")
-                .add_inner(HostSeg::Net, tn);
+            self.prof().expect("armed").add_inner(HostSeg::Net, tn);
         }
     }
 
     fn post_net_inner(&mut self, at: Cycle, msg: Msg) {
-        debug_assert_eq!(
-            shard_of(self.nodes, self.nshards, msg.src.0),
-            self.shard,
-            "network sends originate on the sender's shard"
-        );
         // Fault hooks on the outbound path: an output-queue freeze at the
         // source NI delays entry to the mesh; then the link verdict may
         // delay further (transient stall, hop spike) or hold the message
         // entirely (scripted outage — re-offered later, not progress).
         let mut at = at;
-        if let Some(inj) = self.st.injector.as_mut() {
+        if let Some(inj) = self.injector.as_mut() {
             if let Some(resume) = inj.ni_freeze(at, msg.src.0, NiDir::Out) {
                 at = resume;
             }
@@ -1177,65 +976,47 @@ impl<'a> ShardCtx<'a> {
                 LinkVerdict::Clear => {}
                 LinkVerdict::Delay(d) => at += d,
                 LinkVerdict::Hold { resume } => {
-                    self.push_local(msg.src.0, resume, Ev::NetSend { msg });
+                    self.push_origin(msg.src.0, resume, Ev::NetSend { msg });
                     return;
                 }
             }
         }
-        let arrival = self.st.net.send(at, msg.src, msg.dst);
+        let arrival = self.net.send(at, msg.src, msg.dst);
         // Observed mode: source-side holds (fault layer) count as
-        // NI-wait, the hop itself as mesh transit.
-        if self.observe {
-            if let Some((cands, line)) = net_msg_cands(&msg) {
-                self.obs(ObsOp::NetHop {
-                    cands,
-                    line,
-                    depart: at,
-                    arrive: arrival,
-                });
+        // NI-wait, the hop itself as mesh transit, charged to whichever
+        // of the requester and the destination the observer tracks.
+        if let Some(obs) = self.observe.as_deref_mut() {
+            if continues_request(msg.mtype) {
+                let cands = [Some(aux::requester(msg.aux).0), Some(msg.dst.0)];
+                let line = msg.addr.line().raw();
+                if let Some(c) = pending_cand(obs, cands, line) {
+                    obs.net_hop((c, line), at, arrival);
+                }
             }
         }
-        let deliver = arrival + self.cfg.lat.ni_in;
-        let wire = Wire {
-            mtype: msg.mtype,
-            src: msg.src,
-            addr: msg.addr,
-            aux: msg.aux,
-            with_data: msg.with_data,
-        };
         let dst = msg.dst.0;
-        let sub = self.next_sub(msg.src.0);
-        if shard_of(self.nodes, self.nshards, dst) == self.shard {
-            self.st.queue.push_sub(
-                deliver,
-                sub,
-                Ev::MagicIn {
-                    node: dst,
-                    wire,
-                    net: true,
-                },
-            );
-        } else {
-            // The lookahead proof: deliver >= send time + minimum remote
-            // transit + NI input >= window start + lookahead = window end.
-            debug_assert!(
-                deliver >= self.end,
-                "cross-shard delivery inside the window violates the lookahead"
-            );
-            self.staged.push(Staged {
-                at: deliver,
-                sub,
+        self.push_origin(
+            msg.src.0,
+            arrival + self.cfg.lat.ni_in,
+            Ev::MagicIn {
                 node: dst,
-                wire,
-            });
-        }
+                wire: Wire {
+                    mtype: msg.mtype,
+                    src: msg.src,
+                    addr: msg.addr,
+                    aux: msg.aux,
+                    with_data: msg.with_data,
+                },
+                net: true,
+            },
+        );
     }
 
     /// Delivers a MAGIC→processor message. Returns the continuation key
     /// when a reply wake's run event was elided (see
-    /// [`ShardCtx::schedule_or_inline`]).
+    /// [`Machine::schedule_or_inline`]).
     fn ev_proc_deliver(&mut self, node: u16, pm: ProcMsg, tries: u32) -> Option<(Cycle, u64)> {
-        let i = self.li(node);
+        let i = node as usize;
         let now = self.cur_t;
         let lat = self.cfg.lat;
         // Consuming a delivery is forward progress; the intervention
@@ -1249,11 +1030,8 @@ impl<'a> ShardCtx<'a> {
                 // Observed mode: the reply reaching the processor closes
                 // the tracked request (before `deliver_reply`, whose
                 // freed MSHR may immediately re-issue on this line).
-                if self.observe {
-                    self.obs(ObsOp::Complete {
-                        key: (node, pm.addr.line().raw()),
-                        now,
-                    });
+                if let Some(obs) = self.observe.as_deref_mut() {
+                    obs.complete((node, pm.addr.line().raw()), now);
                 }
                 let excl = pm.mtype != MsgType::PPut;
                 let mut outs = std::mem::take(&mut self.cpu_outs);
@@ -1265,18 +1043,13 @@ impl<'a> ShardCtx<'a> {
             }
             MsgType::PInval => {
                 self.procs[i].inval(pm.addr, now);
-                if self.check {
+                if let Some(c) = self.check.as_mut() {
                     let key = (node, pm.addr.line().raw());
-                    if let Some(n) = self.st.inflight_invals.get_mut(&key) {
-                        *n -= 1;
-                        if *n == 0 {
-                            self.st.inflight_invals.remove(&key);
-                        }
-                    }
+                    settle(&mut c.inflight_invals, key);
                     // An invalidation reaching this copy discharges any
                     // provisional rogue-copy observation: the self-repair
                     // completed.
-                    self.discharges.push(key);
+                    c.provisional_rogues.remove(&key);
                 }
             }
             MsgType::PIntervGet | MsgType::PIntervGetX => {
@@ -1287,7 +1060,7 @@ impl<'a> ShardCtx<'a> {
                         // Data for this line is in flight; the bus
                         // transaction retries until it lands.
                         self.interv_deferrals += 1;
-                        self.push_local(
+                        self.push_origin(
                             node,
                             now + 16,
                             Ev::ProcDeliver {
@@ -1309,21 +1082,12 @@ impl<'a> ShardCtx<'a> {
                 self.mark_progress();
                 // Observed mode: the requester's frontier waited out the
                 // owner's bus transaction (deferrals included) — PI time.
-                if self.observe {
-                    self.obs(ObsOp::Advance {
-                        key: (aux::requester(pm.aux).0, pm.addr.line().raw()),
-                        now,
-                        seg: Segment::Pi,
-                    });
+                if let Some(obs) = self.observe.as_deref_mut() {
+                    let key = (aux::requester(pm.aux).0, pm.addr.line().raw());
+                    obs.advance(key, now, Segment::Pi);
                 }
-                if self.check {
-                    let key = (node, pm.addr.line().raw());
-                    if let Some(n) = self.st.inflight_intervs.get_mut(&key) {
-                        *n -= 1;
-                        if *n == 0 {
-                            self.st.inflight_intervs.remove(&key);
-                        }
-                    }
+                if let Some(c) = self.check.as_mut() {
+                    settle(&mut c.inflight_intervs, (node, pm.addr.line().raw()));
                 }
                 let found = !give_up && self.procs[i].intervention(pm.addr, excl, now);
                 let (mtype, delay) = if found {
@@ -1331,7 +1095,7 @@ impl<'a> ShardCtx<'a> {
                 } else {
                     (MsgType::PiIntervMiss, lat.cache_state)
                 };
-                self.push_local(
+                self.push_origin(
                     node,
                     now + delay + lat.bus + lat.pi_in,
                     Ev::MagicIn {
@@ -1350,12 +1114,8 @@ impl<'a> ShardCtx<'a> {
             MsgType::PNackRetry => {
                 // Observed mode: the NACK round trip ends on the
                 // requester's bus; the retry gap is PI time.
-                if self.observe {
-                    self.obs(ObsOp::Advance {
-                        key: (node, pm.addr.line().raw()),
-                        now,
-                        seg: Segment::Pi,
-                    });
+                if let Some(obs) = self.observe.as_deref_mut() {
+                    obs.advance((node, pm.addr.line().raw()), now, Segment::Pi);
                 }
                 if let Some(o) = self.procs[i].nack_retry(pm.addr) {
                     // Bus retry: the miss was already detected, so only
@@ -1366,7 +1126,7 @@ impl<'a> ShardCtx<'a> {
                         flash_cpu::CpuOut::Upgrade(a) => (MsgType::PiUpgrade, a),
                         other => unreachable!("{other:?} is not retryable"),
                     };
-                    self.push_local(
+                    self.push_origin(
                         node,
                         now + lat.retry + lat.bus + lat.pi_in,
                         Ev::MagicIn {
@@ -1390,8 +1150,7 @@ impl<'a> ShardCtx<'a> {
     }
 }
 
-/// How a windowed run ended (the machine-facing [`RunResult`] is built
-/// after teardown, when the merged state is back on the machine).
+/// How a windowed run ended (the caller builds the [`RunResult`]).
 enum DriveEnd {
     Completed,
     Deadlocked,
@@ -1399,62 +1158,40 @@ enum DriveEnd {
     Wedged,
 }
 
-/// The coordinator's boundary-owned state: everything nodes share.
-struct Coord<'a> {
-    cfg: &'a MachineConfig,
-    locks: &'a mut FastMap<u32, LockState>,
-    barrier_waiters: &'a mut Vec<(u16, Cycle)>,
-    done: &'a mut usize,
-    check: &'a mut Option<CheckCtx>,
-    observe: &'a mut Option<Box<Observer>>,
-    total: usize,
-    nodes: u16,
-    nshards: usize,
-    /// Boundary-side host-profiler accumulator (None unless armed);
-    /// merged into the machine's profile after the drive loop.
-    prof: Option<HostProfAcc>,
-}
-
-impl Coord<'_> {
-    /// Wakes `node` (sets it runnable and pushes its `ProcRun`) on its
-    /// owning shard. The wake time may predate cycles other shards have
-    /// already processed — the queue's overflow heap handles behind-
-    /// cursor pushes, and the event still executes at its own simulated
-    /// time — one window late by construction, identically for every
-    /// shard count.
-    fn wake(&self, ctxs: &mut [ShardCtx], node: u16, at: Cycle) {
-        let (s, li) = locate(self.nodes, self.nshards, node);
-        let ctx = &mut ctxs[s];
-        ctx.parked[li] = Park::Scheduled;
-        let seq = ctx.origin_seq[li];
-        ctx.origin_seq[li] += 1;
-        ctx.st
-            .queue
-            .push_sub(at, sub_key(node, seq), Ev::ProcRun(node));
+/// The window boundary: shared state resolved between windows.
+impl Machine {
+    /// Wakes `node` (sets it runnable and pushes its `ProcRun`). The wake
+    /// time may predate cycles the window already processed — the
+    /// queue's overflow heap handles behind-cursor pushes, and the event
+    /// still executes at its own simulated time — one window late by
+    /// construction.
+    fn wake(&mut self, node: u16, at: Cycle) {
+        self.parked[node as usize] = Park::Scheduled;
+        self.push_origin(node, at, Ev::ProcRun(node));
     }
 
-    fn maybe_release_barrier(&mut self, ctxs: &mut [ShardCtx], at: Cycle) {
-        let active = self.total - *self.done;
+    fn maybe_release_barrier(&mut self, at: Cycle) {
+        let active = self.procs.len() - self.done;
         if active > 0 && self.barrier_waiters.len() == active {
-            let waiters = std::mem::take(self.barrier_waiters);
+            let waiters = std::mem::take(&mut self.barrier_waiters);
             let release = waiters.iter().map(|&(_, t)| t).fold(at, Cycle::max);
             for (w, _) in waiters {
-                self.wake(ctxs, w, release);
+                self.wake(w, release);
             }
         }
     }
 
-    /// Applies the window's synchronization ops in canonical key order —
-    /// the exact order a serial machine would have encountered them.
-    fn apply_sync(&mut self, ctxs: &mut [ShardCtx], mut ops: Vec<(EvKey, SyncOp)>) {
+    /// Applies the window's synchronization ops in canonical key order.
+    fn apply_sync(&mut self) {
+        let mut ops = std::mem::take(&mut self.sync_ops);
         ops.sort_unstable_by_key(|&(k, _)| k);
         let grant = self.cfg.lat.lock_grant;
-        for (key, op) in ops {
+        for &(key, op) in &ops {
             let at = Cycle::new(key.0);
             match op {
                 SyncOp::Barrier { node, pt } => {
                     self.barrier_waiters.push((node, pt));
-                    self.maybe_release_barrier(ctxs, at);
+                    self.maybe_release_barrier(at);
                 }
                 SyncOp::Lock { node, id, pt } => {
                     let lock = self.locks.entry(id).or_default();
@@ -1462,261 +1199,99 @@ impl Coord<'_> {
                         lock.waiters.push_back((node, pt));
                     } else {
                         lock.held = true;
-                        self.wake(ctxs, node, pt + grant);
+                        self.wake(node, pt + grant);
                     }
                 }
                 SyncOp::Unlock { id, pt } => {
                     let lock = self.locks.entry(id).or_default();
                     match lock.waiters.pop_front() {
-                        Some((w, wt)) => self.wake(ctxs, w, pt.max(wt) + grant),
+                        Some((w, wt)) => self.wake(w, pt.max(wt) + grant),
                         None => lock.held = false,
                     }
                 }
                 SyncOp::Finished => {
-                    *self.done += 1;
-                    self.maybe_release_barrier(ctxs, at);
+                    self.done += 1;
+                    self.maybe_release_barrier(at);
                 }
             }
         }
+        ops.clear();
+        self.sync_ops = ops;
     }
 
-    /// Replays the window's observer journal against the master observer
-    /// in canonical key order. Stable sort: ops from one event keep
-    /// their program order. Arrival ops resolve their candidate keys
-    /// against the master's live pending set here, which evolves in the
-    /// same canonical order for every shard count.
-    fn apply_obs(&mut self, mut ops: Vec<(EvKey, ObsOp)>) {
-        let Some(obs) = self.observe.as_deref_mut() else {
+    /// Checks the invariants of every line the window touched.
+    fn check_window(&mut self) {
+        let Some(mut check) = self.check.take() else {
             return;
         };
-        ops.sort_by_key(|&(k, _)| k);
-        for (_, op) in ops {
-            match op {
-                ObsOp::Begin {
-                    node,
-                    line,
-                    issue,
-                    kind,
-                } => obs.begin(node, line, issue, kind),
-                ObsOp::ArriveAdvance {
-                    cands,
-                    line,
-                    seg,
-                    now,
-                } => {
-                    if let Some(c) = cands
-                        .into_iter()
-                        .flatten()
-                        .find(|&c| obs.is_pending((c, line)))
-                    {
-                        obs.advance((c, line), now, seg);
-                    }
-                }
-                ObsOp::TraceHandler { node, inv } => obs.trace_handler(node, &inv),
-                ObsOp::ArriveApply {
-                    cands,
-                    line,
-                    class,
-                    parts,
-                } => {
-                    let hit = cands.iter().enumerate().find_map(|(ci, c)| {
-                        c.filter(|&c| obs.is_pending((c, line))).map(|c| (ci, c))
-                    });
-                    if let Some((ci, c)) = hit {
-                        let key = (c, line);
-                        if let Some(class) = class {
-                            obs.note_class(key, class);
-                        }
-                        if let Some((em_at, p, net)) = parts[ci] {
-                            obs.apply_parts(key, em_at, &p, net);
-                        }
-                    }
-                }
-                ObsOp::NetHop {
-                    cands,
-                    line,
-                    depart,
-                    arrive,
-                } => {
-                    if let Some(c) = cands.into_iter().find(|&c| obs.is_pending((c, line))) {
-                        obs.net_hop((c, line), depart, arrive);
-                    }
-                }
-                ObsOp::Advance { key, now, seg } => obs.advance(key, now, seg),
-                ObsOp::Complete { key, now } => obs.complete(key, now),
-            }
-        }
-    }
-}
-
-/// The conservative-window loop: pick the next window, let every shard
-/// process it (via `exec` — serial in-place or fanned out to workers),
-/// then resolve the boundary. Returns how the run ended; all merged
-/// state lives in `ctxs`/`coord` for the caller's teardown.
-fn window_loop<'a>(
-    ctxs: &mut Vec<ShardCtx<'a>>,
-    coord: &mut Coord<'_>,
-    budget: u64,
-    lookahead: u64,
-    mut exec: impl FnMut(&mut Vec<ShardCtx<'a>>),
-) -> DriveEnd {
-    loop {
-        // Window start: the canonical global minimum pending event.
-        let tb = coord.prof.as_ref().map(|_| Instant::now());
-        let mut min: Option<(Cycle, u64, usize)> = None;
-        for (i, c) in ctxs.iter().enumerate() {
-            if let Some((t, s)) = c.st.queue.peek_key() {
-                if min.is_none_or(|(mt, ms, _)| (t, s) < (mt, ms)) {
-                    min = Some((t, s, i));
-                }
-            }
-        }
-        let Some((w, _, wi)) = min else {
-            // Quiescent: every queue (and the boundary staging) drained.
-            return if *coord.done == coord.total {
-                DriveEnd::Completed
-            } else {
-                DriveEnd::Deadlocked
-            };
-        };
-        if w.raw() > budget {
-            // Budget semantics match the serial loop: the first
-            // over-budget event is consumed (dropped) and the clock
-            // stops at its time.
-            let (t, _, _) = ctxs[wi].st.queue.pop_keyed().expect("peeked non-empty");
-            if t > ctxs[wi].st.now {
-                ctxs[wi].st.now = t;
-            }
-            return DriveEnd::Budget;
-        }
-        let end = w + lookahead;
-        for c in ctxs.iter_mut() {
-            c.end = end;
-            c.budget = budget;
-        }
-        if let Some(t) = tb {
-            coord
-                .prof
-                .as_mut()
-                .expect("armed")
-                .add_flat(HostSeg::Queue, t);
-        }
-        exec(ctxs);
-        // ---- boundary ------------------------------------------------
-        // (exec's elapsed time is attributed inside the shards' own
-        // accumulators, so the coordinator re-stamps here.)
-        let tb = coord.prof.as_ref().map(|_| Instant::now());
-        let boundary_now = ctxs.iter().map(|c| c.st.now).max().unwrap_or(Cycle::ZERO);
-        // 1. Synchronization (locks, barriers, retirement).
-        let sync: Vec<(EvKey, SyncOp)> =
-            ctxs.iter_mut().flat_map(|c| c.sync_ops.drain(..)).collect();
-        coord.apply_sync(ctxs, sync);
-        let tb = tb.map(|t| {
-            coord
-                .prof
-                .as_mut()
-                .expect("armed")
-                .lap(HostSeg::Boundary, t)
-        });
-        // 2. Observer journal.
-        if coord.observe.is_some() {
-            let obs: Vec<(EvKey, ObsOp)> =
-                ctxs.iter_mut().flat_map(|c| c.obs_ops.drain(..)).collect();
-            coord.apply_obs(obs);
-        } else {
-            for c in ctxs.iter_mut() {
-                debug_assert!(c.obs_ops.is_empty());
-            }
-        }
-        // 3. Invariant checks over every line the window touched.
-        if coord.check.is_some() {
-            let discharges: Vec<(u16, u64)> = ctxs
-                .iter_mut()
-                .flat_map(|c| c.discharges.drain(..))
-                .collect();
-            let mut touched: BTreeSet<u64> = BTreeSet::new();
-            for c in ctxs.iter_mut() {
-                touched.append(&mut c.touched);
-            }
-            let mut check = coord.check.take().expect("checked mode");
-            for key in discharges {
-                check.provisional_rogues.remove(&key);
-            }
-            let nodes = coord.nodes;
-            let nshards = coord.nshards;
-            let view: &[ShardCtx] = ctxs;
-            for &raw in &touched {
-                check.touched.insert(raw);
-                check_line_at(
-                    coord.cfg,
-                    &mut check,
-                    Addr::new(raw),
-                    boundary_now,
-                    &|n| {
-                        let (s, li) = locate(nodes, nshards, n);
-                        &view[s].procs[li]
-                    },
-                    &|n| {
-                        let (s, li) = locate(nodes, nshards, n);
-                        &view[s].chips[li]
-                    },
-                    &|key| {
-                        let (s, _) = locate(nodes, nshards, key.0);
-                        view[s].st.inflight_invals.contains_key(&key)
-                            || view[s].st.inflight_intervs.contains_key(&key)
-                    },
-                );
-            }
-            *coord.check = Some(check);
-        }
-        let tb = tb.map(|t| {
-            coord
-                .prof
-                .as_mut()
-                .expect("armed")
-                .lap(HostSeg::ObsCheck, t)
-        });
-        // 4. Cross-shard staged deliveries into destination queues. First
-        // advance every shard's wheel window to the boundary: an idle
-        // shard's cursor freezes at its last pop, and against that stale
-        // base the near-future staged deliveries (and coordinator
-        // wakeups) would look far-future and degrade to the overflow
-        // heap. Safe because every event before `end` was popped this
-        // window, so no wheel-resident event is earlier than `end`.
-        for c in ctxs.iter_mut() {
-            c.st.queue.advance_to(end);
-        }
-        let mut staged: Vec<Staged> = ctxs.iter_mut().flat_map(|c| c.staged.drain(..)).collect();
-        staged.sort_unstable_by_key(|s| (s.at, s.sub));
-        for s in staged {
-            let (sh, _) = locate(coord.nodes, coord.nshards, s.node);
-            ctxs[sh].st.queue.push_sub(
-                s.at,
-                s.sub,
-                Ev::MagicIn {
-                    node: s.node,
-                    wire: s.wire,
-                    net: true,
-                },
+        for raw in std::mem::take(&mut check.window_lines) {
+            check.touched.insert(raw);
+            check_line_at(
+                &self.cfg,
+                &mut check,
+                Addr::new(raw),
+                self.now,
+                &self.procs,
+                &self.chips,
             );
         }
-        if let Some(t) = tb {
-            coord
-                .prof
-                .as_mut()
-                .expect("armed")
-                .add_flat(HostSeg::Queue, t);
-        }
-        // 5. Forward-progress watchdog, at boundary granularity.
-        let progress = ctxs
-            .iter()
-            .map(|c| c.st.last_progress)
-            .max()
-            .unwrap_or(Cycle::ZERO);
-        if coord.cfg.watchdog_window > 0
-            && boundary_now.raw().saturating_sub(progress.raw()) > coord.cfg.watchdog_window
-        {
-            return DriveEnd::Wedged;
+        self.check = Some(check);
+    }
+
+    /// The conservative-window loop: pick the next window, process its
+    /// events, then resolve the boundary.
+    fn window_loop(&mut self, budget: u64) -> DriveEnd {
+        let lookahead = self.lookahead();
+        self.budget = budget;
+        loop {
+            // Window start: the earliest pending event.
+            let tb = self.hostprof.is_some().then(Instant::now);
+            let Some((w, _)) = self.queue.peek_key() else {
+                return if self.done == self.procs.len() {
+                    DriveEnd::Completed
+                } else {
+                    DriveEnd::Deadlocked
+                };
+            };
+            if w.raw() > budget {
+                // The first over-budget event is consumed (dropped) and
+                // the clock stops at its time.
+                let (t, _, _) = self.queue.pop_keyed().expect("peeked non-empty");
+                self.now = self.now.max(t);
+                return DriveEnd::Budget;
+            }
+            let end = w + lookahead;
+            self.end = end;
+            if let Some(t) = tb {
+                self.prof().expect("armed").add_flat(HostSeg::Queue, t);
+            }
+            self.run_window();
+            // ---- boundary ------------------------------------------------
+            // (the window's elapsed time is attributed per event, so the
+            // boundary re-stamps here.)
+            let tb = self.hostprof.is_some().then(Instant::now);
+            // 1. Synchronization (locks, barriers, retirement).
+            self.apply_sync();
+            let tb = tb.map(|t| self.prof().expect("armed").lap(HostSeg::Boundary, t));
+            // 2. Invariant checks over every line the window touched.
+            self.check_window();
+            let tb = tb.map(|t| self.prof().expect("armed").lap(HostSeg::ObsCheck, t));
+            // 3. Advance the wheel window to the boundary: the cursor
+            // froze at the last pop, and against that stale base the
+            // next window's near-future pushes would look far-future and
+            // degrade to the overflow heap. Safe because every event
+            // before `end` was popped this window.
+            self.queue.advance_to(end);
+            if let Some(t) = tb {
+                self.prof().expect("armed").add_flat(HostSeg::Queue, t);
+            }
+            // 4. Forward-progress watchdog, at boundary granularity.
+            if self.cfg.watchdog_window > 0
+                && self.now.raw().saturating_sub(self.last_progress.raw())
+                    > self.cfg.watchdog_window
+            {
+                return DriveEnd::Wedged;
+            }
         }
     }
 }
@@ -1731,7 +1306,7 @@ impl Machine {
         assert_eq!(streams.len(), cfg.nodes as usize, "one stream per node");
         // Handler modules are immutable once scheduled; they are compiled
         // at most once per (codegen, monitoring) variant for the whole
-        // process and shared across nodes, machines, and worker threads.
+        // process and shared across nodes and machines.
         let program = match (cfg.controller, cfg.monitoring) {
             (ControllerKind::FlashEmulated, false) => {
                 Some(flash_protocol::handlers::compile_shared(cfg.codegen))
@@ -1785,42 +1360,23 @@ impl Machine {
             .map(|s| Processor::new(cfg.cache_bytes, cfg.mshrs, s))
             .collect();
         let n = cfg.nodes as usize;
-        // The shard count is a host knob: clamp to something sane, never
-        // more shards than nodes.
-        let nshards = cfg.shards.max(1).min(n.max(1));
-        // Size each shard's timing wheel to the longest routine scheduling
+        let net = NetModel::new(Mesh::for_nodes(cfg.nodes), cfg.net);
+        // Size the timing wheel to the longest routine scheduling
         // distance: worst-case mesh transit plus NI ingress, with 4x slack
         // for the per-home protocol-processor queuing backlog that pushes
         // emission times past raw transit under load. Tuned for 128 slots
         // on small meshes and 512 at 1024 nodes; without it, a large share
         // of big-mesh pushes degrade to the overflow heap.
-        let horizon = (NetModel::new(Mesh::for_nodes(cfg.nodes), cfg.net).max_remote_transit()
-            + cfg.lat.ni_in)
-            * 4;
-        let shards: Vec<ShardState> = (0..nshards)
-            .map(|_| ShardState {
-                queue: EventQueue::with_horizon(horizon),
-                net: NetModel::new(Mesh::for_nodes(cfg.nodes), cfg.net),
-                injector: FaultInjector::new(&cfg.faults),
-                ring: VecDeque::new(),
-                inflight_invals: FastMap::default(),
-                inflight_intervs: FastMap::default(),
-                now: Cycle::ZERO,
-                last_progress: Cycle::ZERO,
-            })
-            .collect();
-        let net = NetModel::new(Mesh::for_nodes(cfg.nodes), cfg.net);
-        let check_enabled = cfg.check;
-        let cfg_host_profile = cfg.host_profile;
+        let horizon = (net.max_remote_transit() + cfg.lat.ni_in) * 4;
         let observe = cfg
             .observe
             .then(|| Box::new(Observer::new(jump.handler_names())));
         let mut m = Machine {
-            cfg,
             procs,
             chips,
             net,
-            shards,
+            queue: EventQueue::with_horizon(horizon),
+            injector: FaultInjector::new(&cfg.faults),
             origin_seq: vec![0; n],
             now: Cycle::ZERO,
             parked: vec![Park::Scheduled; n],
@@ -1830,25 +1386,24 @@ impl Machine {
             done: 0,
             finish: vec![Cycle::ZERO; n],
             interv_deferrals: 0,
-            check: check_enabled.then(CheckCtx::default),
+            check: cfg.check.then(CheckCtx::default),
             ring: MsgRing::new(RING_CAPACITY),
             last_progress: Cycle::ZERO,
             observe,
-            hostprof: cfg_host_profile.then(|| Box::new(HostProfile::default())),
+            hostprof: cfg.host_profile.then(|| Box::new(HostProfile::default())),
+            end: Cycle::ZERO,
+            budget: 0,
+            cur: (0, 0),
+            cur_t: Cycle::ZERO,
+            sync_ops: Vec::new(),
+            cpu_outs: Vec::new(),
+            emit_buf: Vec::new(),
+            cfg,
         };
         for i in 0..m.cfg.nodes {
             m.push_origin(i, Cycle::ZERO, Ev::ProcRun(i));
         }
         m
-    }
-
-    /// Schedules `ev` at `at` under `origin`'s next canonical sub-key, on
-    /// the queue of the shard that owns `origin`.
-    fn push_origin(&mut self, origin: u16, at: Cycle, ev: Ev) {
-        let s = shard_of(self.cfg.nodes, self.shards.len(), origin);
-        let seq = self.origin_seq[origin as usize];
-        self.origin_seq[origin as usize] += 1;
-        self.shards[s].queue.push_sub(at, sub_key(origin, seq), ev);
     }
 
     /// Builds an open-loop machine: every node runs from an arrival
@@ -1922,54 +1477,24 @@ impl Machine {
         );
     }
 
-    /// The conservative lookahead: the minimum latency any cross-node
-    /// message experiences (minimum remote mesh transit plus the
-    /// receiver's NI input stage). A pure function of the configuration —
-    /// never of the shard count — so the window structure, and therefore
-    /// every result, is identical for any `FLASH_SHARDS`.
+    /// The window length: the minimum latency any cross-node message
+    /// experiences (minimum remote mesh transit plus the receiver's NI
+    /// input stage). A pure function of the configuration. It is part of
+    /// the simulated schedule — synchronization resolves at window
+    /// boundaries — so changing it changes results.
     fn lookahead(&self) -> u64 {
         (self.net.min_remote_transit() + self.cfg.lat.ni_in).max(1)
     }
 
     /// Runs until every processor finishes or `budget_cycles` elapse.
     pub fn run(&mut self, budget_cycles: u64) -> RunResult {
-        let lookahead = self.lookahead();
         let wall0 = self.hostprof.is_some().then(Instant::now);
-        let (end, fins) = self.drive(budget_cycles, lookahead);
+        let end = self.window_loop(budget_cycles);
         if let Some(t0) = wall0 {
             let hp = self.hostprof.as_mut().expect("armed");
             hp.wall_ns += t0.elapsed().as_nanos() as u64;
             hp.runs += 1;
         }
-        // Teardown: every exit path restores the shard states and merges
-        // shard-accumulated views back onto the machine.
-        self.interv_deferrals += fins.iter().map(|&(_, d)| d).sum::<u64>();
-        self.shards = fins.into_iter().map(|(st, _)| st).collect();
-        self.now = self.shards.iter().map(|s| s.now).fold(self.now, Cycle::max);
-        self.last_progress = self
-            .shards
-            .iter()
-            .map(|s| s.last_progress)
-            .fold(self.last_progress, Cycle::max);
-        let mut net = NetModel::new(Mesh::for_nodes(self.cfg.nodes), self.cfg.net);
-        for st in &self.shards {
-            net.absorb_counts(&st.net);
-        }
-        self.net = net;
-        let mut entries: Vec<(EvKey, TraceEntry)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.ring.iter().copied())
-            .collect();
-        entries.sort_unstable_by_key(|&(k, _)| k);
-        let mut ring = MsgRing::new(RING_CAPACITY);
-        for &(_, e) in entries
-            .iter()
-            .skip(entries.len().saturating_sub(RING_CAPACITY))
-        {
-            ring.push(e);
-        }
-        self.ring = ring;
         match end {
             DriveEnd::Budget => RunResult::BudgetExhausted,
             DriveEnd::Wedged => RunResult::Wedged {
@@ -1985,161 +1510,6 @@ impl Machine {
                 }
             }
         }
-    }
-
-    /// Builds the shard contexts over disjoint slices of the machine's
-    /// node-indexed state and runs the window loop — serially in place
-    /// for one shard, on scoped worker threads otherwise. Returns each
-    /// shard's persistent state (in shard order) for teardown.
-    fn drive(&mut self, budget: u64, lookahead: u64) -> (DriveEnd, Vec<(ShardState, u64)>) {
-        let Machine {
-            cfg,
-            procs,
-            chips,
-            shards,
-            origin_seq,
-            parked,
-            feeds,
-            finish,
-            locks,
-            barrier_waiters,
-            done,
-            check,
-            observe,
-            hostprof,
-            ..
-        } = self;
-        let profiled = hostprof.is_some();
-        let states = std::mem::take(shards);
-        let nshards = states.len();
-        let nodes = cfg.nodes;
-        let total = procs.len();
-        let mut ctxs: Vec<ShardCtx> = Vec::with_capacity(nshards);
-        {
-            let mut procs: &mut [Processor] = procs;
-            let mut chips: &mut [MagicChip] = chips;
-            let mut parked: &mut [Park] = parked;
-            let mut feeds: &mut [Option<OpenFeed>] = feeds;
-            let mut finish: &mut [Cycle] = finish;
-            let mut origin_seq: &mut [u64] = origin_seq;
-            for (s, st) in states.into_iter().enumerate() {
-                let (lo, hi) = shard_bounds(nodes, nshards, s);
-                let len = (hi - lo) as usize;
-                let (pa, pr) = procs.split_at_mut(len);
-                procs = pr;
-                let (ca, cr) = chips.split_at_mut(len);
-                chips = cr;
-                let (ka, kr) = parked.split_at_mut(len);
-                parked = kr;
-                let (da, dr) = feeds.split_at_mut(len);
-                feeds = dr;
-                let (fa, fr) = finish.split_at_mut(len);
-                finish = fr;
-                let (oa, or) = origin_seq.split_at_mut(len);
-                origin_seq = or;
-                ctxs.push(ShardCtx {
-                    cfg,
-                    shard: s,
-                    lo,
-                    nodes,
-                    nshards,
-                    check: cfg.check,
-                    observe: cfg.observe,
-                    procs: pa,
-                    chips: ca,
-                    parked: ka,
-                    feeds: da,
-                    finish: fa,
-                    origin_seq: oa,
-                    st,
-                    interv_deferrals: 0,
-                    sync_ops: Vec::new(),
-                    obs_ops: Vec::new(),
-                    staged: Vec::new(),
-                    discharges: Vec::new(),
-                    touched: BTreeSet::new(),
-                    end: Cycle::ZERO,
-                    budget,
-                    cur: (0, 0),
-                    cur_t: Cycle::ZERO,
-                    cpu_outs: Vec::new(),
-                    emit_buf: Vec::new(),
-                    prof: profiled.then(Box::default),
-                });
-            }
-        }
-        let mut coord = Coord {
-            cfg,
-            locks,
-            barrier_waiters,
-            done,
-            check,
-            observe,
-            total,
-            nodes,
-            nshards,
-            prof: profiled.then(HostProfAcc::default),
-        };
-        let end = if nshards == 1 {
-            window_loop(&mut ctxs, &mut coord, budget, lookahead, |cs| {
-                for c in cs.iter_mut() {
-                    c.run_window();
-                }
-            })
-        } else {
-            // Persistent workers ping-pong shard contexts with the
-            // coordinator: one send and one receive per shard per window.
-            std::thread::scope(|scope| {
-                let (back_tx, back_rx) = mpsc::channel();
-                let txs: Vec<mpsc::Sender<ShardCtx>> = (0..nshards)
-                    .map(|_| {
-                        let (tx, rx) = mpsc::channel::<ShardCtx>();
-                        let back = back_tx.clone();
-                        scope.spawn(move || {
-                            while let Ok(mut ctx) = rx.recv() {
-                                ctx.run_window();
-                                if back.send(ctx).is_err() {
-                                    return;
-                                }
-                            }
-                        });
-                        tx
-                    })
-                    .collect();
-                window_loop(&mut ctxs, &mut coord, budget, lookahead, move |cs| {
-                    let n = cs.len();
-                    for c in cs.drain(..) {
-                        let s = c.shard;
-                        txs[s].send(c).expect("worker alive");
-                    }
-                    let mut got: Vec<Option<ShardCtx>> = (0..n).map(|_| None).collect();
-                    for _ in 0..n {
-                        let c = back_rx.recv().expect("worker alive");
-                        let s = c.shard;
-                        got[s] = Some(c);
-                    }
-                    cs.extend(got.into_iter().map(|o| o.expect("all shards returned")));
-                })
-            })
-        };
-        // Merge the per-shard and boundary profiler accumulators into the
-        // machine's profile (host-clock observation only — no simulated
-        // state flows through here).
-        if let Some(hp) = hostprof.as_mut() {
-            if let Some(acc) = coord.prof.take() {
-                hp.acc.merge(&acc);
-            }
-            for c in &ctxs {
-                if let Some(p) = &c.prof {
-                    hp.acc.merge(p);
-                }
-            }
-        }
-        let fins = ctxs
-            .into_iter()
-            .map(|c| (c.st, c.interv_deferrals))
-            .collect();
-        (end, fins)
     }
 
     // ---- observed mode ---------------------------------------------------
@@ -2239,19 +1609,7 @@ impl Machine {
             check
                 .violations
                 .extend(flash_check::audit_directory(mem, da, home.0, true));
-            check_line_at(
-                &self.cfg,
-                &mut check,
-                line,
-                now,
-                &|n| &self.procs[n as usize],
-                &|n| &self.chips[n as usize],
-                &|key| {
-                    let (s, _) = locate(self.cfg.nodes, self.shards.len(), key.0);
-                    self.shards[s].inflight_invals.contains_key(&key)
-                        || self.shards[s].inflight_intervs.contains_key(&key)
-                },
-            );
+            check_line_at(&self.cfg, &mut check, line, now, &self.procs, &self.chips);
         }
         for (i, p) in self.procs.iter().enumerate() {
             let n = p.outstanding_misses();
@@ -2265,12 +1623,12 @@ impl Machine {
             }
         }
         // Message conservation: every scheduled `PInval` must have been
-        // delivered by the time the event queues drain. Collected across
-        // shards and sorted for deterministic output.
-        let mut leaked: Vec<((u16, u64), u32)> = self
-            .shards
+        // delivered by the time the event queue drains. Sorted for
+        // deterministic output.
+        let mut leaked: Vec<((u16, u64), u32)> = check
+            .inflight_invals
             .iter()
-            .flat_map(|st| st.inflight_invals.iter().map(|(&k, &v)| (k, v)))
+            .map(|(&k, &v)| (k, v))
             .collect();
         leaked.sort_unstable();
         for ((node, l), n) in leaked {
@@ -2281,10 +1639,10 @@ impl Machine {
                 detail: format!("{n} PInval(s) still queued at quiescence"),
             });
         }
-        let mut leaked_intervs: Vec<((u16, u64), u32)> = self
-            .shards
+        let mut leaked_intervs: Vec<((u16, u64), u32)> = check
+            .inflight_intervs
             .iter()
-            .flat_map(|st| st.inflight_intervs.iter().map(|(&k, &v)| (k, v)))
+            .map(|(&k, &v)| (k, v))
             .collect();
         leaked_intervs.sort_unstable();
         for ((node, l), n) in leaked_intervs {
@@ -2355,8 +1713,7 @@ impl Machine {
         &self.chips
     }
 
-    /// The network model (stats inspection; traffic totals merged over
-    /// all shards).
+    /// The network model (stats inspection).
     pub fn network(&self) -> &NetModel {
         &self.net
     }
@@ -2366,17 +1723,10 @@ impl Machine {
         &self.cfg
     }
 
-    /// Wheel-vs-heap push routing summed over every shard queue (event
-    /// scheduler health at scale).
+    /// Wheel-vs-heap push routing of the event queue (event scheduler
+    /// health at scale).
     pub fn queue_push_routing(&self) -> (u64, u64) {
-        let mut wheel = 0;
-        let mut heap = 0;
-        for st in &self.shards {
-            let (w, h) = st.queue.push_routing();
-            wheel += w;
-            heap += h;
-        }
-        (wheel, heap)
+        self.queue.push_routing()
     }
 
     /// Interventions that had to be deferred waiting for in-flight data.
@@ -2384,17 +1734,9 @@ impl Machine {
         self.interv_deferrals
     }
 
-    /// Cumulative fault-injection statistics, when a plan is armed
-    /// (summed over shards).
+    /// Cumulative fault-injection statistics, when a plan is armed.
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        let mut acc: Option<FaultStats> = None;
-        for st in &self.shards {
-            if let Some(inj) = &st.injector {
-                acc.get_or_insert_with(FaultStats::default)
-                    .absorb(inj.stats());
-            }
-        }
-        acc
+        self.injector.as_ref().map(|inj| *inj.stats())
     }
 
     /// Assembles a structured diagnosis of the machine's current state:
@@ -2411,22 +1753,20 @@ impl Machine {
         // Suspect lines: anything queued, outstanding in an MSHR, or
         // recently observed by the trace ring.
         let mut suspects: BTreeSet<u64> = BTreeSet::new();
-        for st in &self.shards {
-            for (_, ev) in st.queue.iter() {
-                match ev {
-                    Ev::ProcRun(_) | Ev::Arrival { .. } => {}
-                    Ev::MagicIn { node, wire, .. } => {
-                        inbox_queued[*node as usize] += 1;
-                        suspects.insert(wire.addr.line().raw());
-                    }
-                    Ev::ProcDeliver { node, pm, .. } => {
-                        proc_queued[*node as usize] += 1;
-                        suspects.insert(pm.addr.line().raw());
-                    }
-                    Ev::NetSend { msg } => {
-                        net_held[msg.src.index()] += 1;
-                        suspects.insert(msg.addr.line().raw());
-                    }
+        for (_, ev) in self.queue.iter() {
+            match ev {
+                Ev::ProcRun(_) | Ev::Arrival { .. } => {}
+                Ev::MagicIn { node, wire, .. } => {
+                    inbox_queued[*node as usize] += 1;
+                    suspects.insert(wire.addr.line().raw());
+                }
+                Ev::ProcDeliver { node, pm, .. } => {
+                    proc_queued[*node as usize] += 1;
+                    suspects.insert(pm.addr.line().raw());
+                }
+                Ev::NetSend { msg } => {
+                    net_held[msg.src.index()] += 1;
+                    suspects.insert(msg.addr.line().raw());
                 }
             }
         }
@@ -2504,15 +1844,10 @@ impl Machine {
             total: n,
             nodes,
             pending_lines,
-            stalled_links: {
-                let mut links = Vec::new();
-                for st in &self.shards {
-                    if let Some(inj) = &st.injector {
-                        links.extend(inj.held_links());
-                    }
-                }
-                links
-            },
+            stalled_links: self
+                .injector
+                .as_ref()
+                .map_or_else(Vec::new, |inj| inj.held_links()),
             fault_stats: self.fault_stats(),
             recent,
         }
@@ -2568,23 +1903,6 @@ mod tests {
             let s = p.stats();
             assert_eq!(s.reads + s.writes, 300);
         }
-    }
-
-    #[test]
-    fn open_loop_reports_identical_across_shard_counts() {
-        let spec = flash_traffic::TrafficSpec::poisson(8, 128, 150, 40, 7);
-        let run = |shards: usize| {
-            let cfg = MachineConfig::flash(8)
-                .with_shards(shards)
-                .with_observe(true);
-            let mut m = Machine::new_open_loop(cfg, spec.sources());
-            let cycles = must_complete(&mut m, 50_000_000);
-            let latency = m.latency_report().expect("observed");
-            (cycles, latency, m.traffic_stats())
-        };
-        let base = run(1);
-        assert_eq!(run(2), base, "2 shards must be byte-identical");
-        assert_eq!(run(4), base, "4 shards must be byte-identical");
     }
 
     #[test]
@@ -3050,135 +2368,5 @@ mod tests {
             ideal <= flash,
             "ideal ({ideal}) must not be slower than FLASH ({flash})"
         );
-    }
-
-    // ---- sharded execution ----------------------------------------------
-
-    #[test]
-    fn shard_partition_is_consistent() {
-        for &nodes in &[1u16, 2, 3, 4, 16, 64, 255, 1024] {
-            for want in 1..=9usize {
-                let shards = want.min(nodes as usize);
-                let mut seen = 0u32;
-                for s in 0..shards {
-                    let (lo, hi) = shard_bounds(nodes, shards, s);
-                    assert!(lo <= hi, "empty-or-negative shard");
-                    for n in lo..hi {
-                        assert_eq!(shard_of(nodes, shards, n), s);
-                        let (s2, li) = locate(nodes, shards, n);
-                        assert_eq!((s2, li), (s, (n - lo) as usize));
-                        seen += 1;
-                    }
-                }
-                assert_eq!(seen, u32::from(nodes), "partition must cover every node");
-            }
-        }
-    }
-
-    /// Everything externally visible about a finished run, as one string.
-    fn fingerprint(m: &Machine) -> String {
-        let procs: Vec<String> = m
-            .procs()
-            .iter()
-            .map(|p| format!("{:?}", p.stats()))
-            .collect();
-        format!(
-            "exec={} now={} msgs={} hops={:.6} interv={} procs={procs:?}",
-            m.exec_cycles(),
-            m.now().raw(),
-            m.network().messages(),
-            m.network().mean_hops(),
-            m.interv_deferrals(),
-        )
-    }
-
-    #[test]
-    fn results_are_invariant_across_shard_counts() {
-        let run = |s: usize| {
-            let mut m = machine_with(MachineConfig::flash(4).with_shards(s), sharing_workload(4));
-            assert!(matches!(m.run(1_000_000), RunResult::Completed { .. }));
-            fingerprint(&m)
-        };
-        let base = run(1);
-        for s in [2, 3, 4, 7] {
-            assert_eq!(run(s), base, "shards={s} diverged from the serial run");
-        }
-    }
-
-    #[test]
-    fn locks_and_observation_are_shard_invariant() {
-        let workload = |n: u16| -> Vec<Vec<WorkItem>> {
-            let hot = node_addr(NodeId(0), 0xd000);
-            (0..n)
-                .map(|i| {
-                    vec![
-                        WorkItem::Busy(4 * u64::from(i)),
-                        WorkItem::Lock(3),
-                        WorkItem::Read(hot),
-                        WorkItem::Write(hot),
-                        WorkItem::Unlock(3),
-                        WorkItem::Barrier,
-                        WorkItem::Read(node_addr(NodeId(i), 0x80)),
-                    ]
-                })
-                .collect()
-        };
-        let run = |s: usize| {
-            let cfg = MachineConfig::flash(4)
-                .with_check(true)
-                .with_observe(true)
-                .with_shards(s);
-            let mut m = machine_with(cfg, workload(4));
-            assert!(matches!(m.run(2_000_000), RunResult::Completed { .. }));
-            assert_eq!(m.check_violations(), vec![], "shards={s}");
-            let trace = m.trace_json().expect("observing");
-            (fingerprint(&m), trace)
-        };
-        let base = run(1);
-        for s in [2, 3, 4] {
-            assert_eq!(run(s), base, "shards={s} diverged from the serial run");
-        }
-    }
-
-    #[test]
-    fn fault_stress_is_shard_invariant() {
-        let run = |s: usize| {
-            let cfg = MachineConfig::flash(4)
-                .with_faults(crate::FaultPlan::stress(11))
-                .with_shards(s);
-            let mut m = machine_with(cfg, sharing_workload(4));
-            assert!(matches!(m.run(4_000_000), RunResult::Completed { .. }));
-            let stats = format!("{:?}", m.fault_stats().expect("armed"));
-            (fingerprint(&m), stats)
-        };
-        let base = run(1);
-        for s in [2, 4] {
-            assert_eq!(run(s), base, "shards={s} diverged from the serial run");
-        }
-    }
-
-    #[test]
-    fn dma_writes_are_shard_invariant() {
-        let run = |s: usize| {
-            let mk = |i: u16| {
-                let a = node_addr(NodeId(2), 0x400);
-                vec![
-                    WorkItem::Read(a),
-                    WorkItem::Busy(40 + u64::from(i)),
-                    WorkItem::Read(a),
-                ]
-            };
-            let mut m = machine_with(
-                MachineConfig::flash(4).with_shards(s),
-                (0..4).map(mk).collect(),
-            );
-            m.add_dma_write(Cycle::new(60), NodeId(2), node_addr(NodeId(2), 0x400));
-            assert!(matches!(m.run(1_000_000), RunResult::Completed { .. }));
-            fingerprint(&m)
-        };
-        let base = run(1);
-        for s in [2, 3, 4] {
-            assert_eq!(run(s), base, "shards={s} diverged from the serial run");
-        }
     }
 }

@@ -119,7 +119,7 @@ pub struct Observer {
     rows: [LatencySplit; ROW_COUNT],
     /// Per-class end-to-end latency in log-bucketed histograms: the
     /// percentile (p50/p99/p999) side of the latency story, exact to a
-    /// bucket floor and mergeable across shards/runs by bucket addition.
+    /// bucket floor and mergeable across runs by bucket addition.
     lat: [LogHist; ROW_COUNT],
     handler_seed: Vec<&'static str>,
     trace: VecDeque<TraceSlice>,
@@ -575,7 +575,7 @@ impl LatencyRow {
 /// The per-class latency percentile report.
 ///
 /// Every number is a pure function of deterministic bucket counts, so
-/// the report is identical for any shard count and PP backend; it
+/// the report is identical for either PP backend; it
 /// carries no wall-clock values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyReport {

@@ -10,7 +10,7 @@
 //! bit-identically years later.
 //!
 //! What is deliberately **not** in the artifact: host-performance knobs
-//! (`shards`, `pp_backend`, `inline_runs`, observers, the host profiler) —
+//! (`pp_backend`, `inline_runs`, observers, the host profiler) —
 //! those are pinned byte-identical by the determinism suite and must not
 //! fragment reproducers — and the memory/network/path timing tables,
 //! which v1 fixes at the paper's §3.2 defaults (every randomized net in
@@ -127,8 +127,7 @@ impl Repro {
 
     /// The machine configuration this artifact replays under. Host knobs
     /// are byte-identity-pinned and not part of the artifact: `pp_backend`
-    /// is the translated default, and `shards` is the `FLASH_SHARDS`
-    /// process default of [`MachineConfig::flash`].
+    /// is the translated default of [`MachineConfig::flash`].
     pub fn config(&self) -> MachineConfig {
         let mut cfg = MachineConfig::flash(self.nodes);
         cfg.controller = self.controller;
@@ -152,14 +151,6 @@ impl Repro {
     ///
     /// Panics if the artifact names more streams than nodes.
     pub fn build(&self) -> Machine {
-        self.build_with(self.config())
-    }
-
-    /// [`Repro::build`] under a caller-adjusted configuration — the hook
-    /// cross-shard-divergence predicates use to force a specific `shards`
-    /// value. Only host knobs may differ from [`Repro::config`]; changing
-    /// a model knob makes the artifact replay a different machine.
-    pub fn build_with(&self, cfg: MachineConfig) -> Machine {
         assert!(
             self.streams.len() <= self.nodes as usize,
             "repro has {} streams for {} nodes",
@@ -171,25 +162,11 @@ impl Repro {
             let items = self.streams.get(p).cloned().unwrap_or_default();
             streams.push(Box::new(SliceStream::new(items)));
         }
-        let mut m = Machine::new(cfg, streams);
+        let mut m = Machine::new(self.config(), streams);
         for &(at, node, addr) in &self.dma {
             m.add_dma_write(Cycle::new(at), NodeId(node), Addr::new(addr));
         }
         m
-    }
-
-    /// [`Repro::replay`] with a forced shard count (byte-identity across
-    /// shard counts is the invariant the `shards:` predicate probes).
-    pub fn replay_with_shards(&self, shards: usize) -> ReplayOutcome {
-        let mut m = self.build_with(self.config().with_shards(shards));
-        let result = m.run(self.budget);
-        let violations = m.check_violations();
-        let oracle_checked = m.oracle_checked();
-        ReplayOutcome {
-            result,
-            violations,
-            oracle_checked,
-        }
     }
 
     /// Replays the artifact to completion (or wedge/deadlock/budget) and

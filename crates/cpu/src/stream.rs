@@ -61,8 +61,9 @@ pub enum Run {
 /// A lazily generated stream of work items for one processor.
 ///
 /// Implementations must keep returning [`WorkItem::Done`] once finished.
-/// `Send` is a supertrait so a processor (and the shard executing it) can
-/// move to a worker thread under sharded simulation.
+/// `Send` is a supertrait so a processor, and the machine that owns it,
+/// can move to a worker thread (the run matrix runs one machine per
+/// job on its workers).
 pub trait RefStream: Send {
     /// Produces the next item.
     fn next_item(&mut self) -> WorkItem;
@@ -133,10 +134,10 @@ impl RefStream for SliceStream {
 /// processor) but the pipeline has not yet consumed.
 ///
 /// The machine keeps one handle and the processor's [`MailboxStream`]
-/// keeps the other. All pushes happen at machine-event granularity on the
-/// shard that owns the node, and the processor drains from the same
-/// shard's event handlers, so the mutex is uncontended by construction —
-/// it exists to satisfy `Send`, not to synchronize concurrent access.
+/// keeps the other. All pushes happen at machine-event granularity and
+/// the processor drains from the same event loop, so the mutex is
+/// uncontended by construction — it exists to satisfy `Send`, not to
+/// synchronize concurrent access.
 #[derive(Debug, Default)]
 pub struct Mailbox {
     queue: VecDeque<WorkItem>,

@@ -129,9 +129,9 @@ impl<E> EventQueue<E> {
     /// Schedules `ev` at `at` under an explicit within-cycle ordering key
     /// `sub` instead of the internal FIFO sequence number. Delivery order
     /// is `(time, sub)` ascending; `sub` values sharing a cycle must be
-    /// distinct for the order to be total. The sharded engine derives
-    /// `sub` from `(origin node, per-origin sequence)` so the schedule is
-    /// identical no matter which shard pushed the event.
+    /// distinct for the order to be total. The machine derives `sub`
+    /// from `(origin node, per-origin sequence)`, so every event has a
+    /// globally unique key.
     #[inline]
     pub fn push_sub(&mut self, at: Cycle, sub: u64, ev: E) {
         self.seq += 1;
@@ -203,9 +203,9 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event along with its within-cycle
     /// ordering key (the FIFO sequence for [`EventQueue::push`], the
-    /// explicit `sub` for [`EventQueue::push_sub`]). The sharded engine
-    /// uses the key to re-push a budget-deferred event unchanged and to
-    /// tag journal entries with a shard-invariant identity.
+    /// explicit `sub` for [`EventQueue::push_sub`]). The machine uses the
+    /// key to re-push a deferred event unchanged and to tag journal
+    /// entries with the event's identity.
     pub fn pop_keyed(&mut self) -> Option<(Cycle, u64, E)> {
         self.pop_keyed_if(|_, _| true)
     }
@@ -256,11 +256,10 @@ impl<E> EventQueue<E> {
 
     /// Advances the wheel's window base to `at` without delivering
     /// anything, clamped so it never passes the earliest wheel-resident
-    /// event. The sharded engine calls this on every shard queue at each
-    /// window boundary: an idle shard's cursor otherwise freezes at its
-    /// last pop, and staged cross-shard deliveries — near-future in
-    /// *global* time — would look far-future to the stale window and
-    /// degrade to the overflow heap.
+    /// event. The machine calls this at each time-window boundary: the
+    /// cursor otherwise stays at the window's last pop, and the next
+    /// window's pushes — near-future from the boundary — would look
+    /// far-future to the stale base and degrade to the overflow heap.
     pub fn advance_to(&mut self, at: Cycle) {
         let mut t = at.raw();
         if let Some((front, _)) = self.wheel_front() {
@@ -281,9 +280,7 @@ impl<E> EventQueue<E> {
     }
 
     /// `(time, key)` of the earliest pending event — the full ordering
-    /// key [`EventQueue::pop_keyed`] would return. The sharded engine
-    /// compares these across shard queues to find the canonical global
-    /// minimum without popping.
+    /// key [`EventQueue::pop_keyed`] would return, without popping.
     pub fn peek_key(&self) -> Option<(Cycle, u64)> {
         let wheel = self.wheel_front();
         let heap = self.heap.peek().map(|e| (e.at.raw(), e.seq));

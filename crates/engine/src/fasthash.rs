@@ -13,7 +13,7 @@
 //! across runs, processes, and hosts. Iteration order of a [`FastMap`] is
 //! still unspecified (it depends on insertion history); callers that
 //! surface map contents must sort first, exactly as they must with the
-//! std default. Shard-determinism relies on this: every `FastMap` on a
+//! std default. Run determinism relies on this: every `FastMap` on a
 //! hot path is consulted by key or drained through a sort, never iterated
 //! into an observable artifact directly.
 

@@ -9,9 +9,8 @@
 //! holds the two equal.
 //!
 //! Binaries, test helpers and the run-matrix driver consult knobs. The
-//! MAGIC model and `Machine` take every setting as a value; the one
-//! process default a machine config still takes from here is
-//! [`SHARDS`].
+//! simulator core (`flash-magic`, `flash`'s machine and its config)
+//! takes every setting as a value and reads no environment.
 //!
 //! ```
 //! use flash_engine::knobs::{parse, Kind, Value};
@@ -94,14 +93,6 @@ pub const JOB_TIMEOUT: Knob = Knob {
     doc: "wall-clock seconds per run-matrix job; an overrunning job is abandoned as failed",
 };
 
-/// Default shard count of every machine config.
-pub const SHARDS: Knob = Knob {
-    name: "FLASH_SHARDS",
-    kind: Kind::Count,
-    default: "1",
-    doc: "shard count of the time-window engine; output is byte-identical for any value",
-};
-
 /// Seeds per configuration of a soak test.
 pub const SOAK_SEEDS: Knob = Knob {
     name: "FLASH_SOAK_SEEDS",
@@ -143,12 +134,11 @@ pub const BLESS: Knob = Knob {
 };
 
 /// Every knob, in the README's order.
-pub const ALL: [Knob; 10] = [
+pub const ALL: [Knob; 9] = [
     SCALE,
     PROCS,
     JOBS,
     JOB_TIMEOUT,
-    SHARDS,
     SOAK_SEEDS,
     OBSERVE_OUT,
     INJECT_PANIC,

@@ -110,8 +110,8 @@ pub const LOG_HIST_BUCKETS: usize = (62 * LOG_HIST_SUB) as usize;
 /// requested rank — a pure function of the bucket counts. Merging is
 /// therefore exact: bucket counts add, so percentiles computed from a
 /// merged histogram equal those of a histogram fed every sample directly.
-/// That is the shard-invariance contract: per-shard histograms merged in
-/// canonical order are indistinguishable from a single-shard run.
+/// Reports rely on this when they merge histograms across chips or runs:
+/// the merge is indistinguishable from one histogram fed every sample.
 ///
 /// # Examples
 ///

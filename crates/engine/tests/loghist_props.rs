@@ -1,10 +1,10 @@
 //! Property tests for [`LogHist`]'s merge algebra — the contract behind
-//! the latency percentile report's shard invariance.
+//! every latency percentile report that combines histograms.
 //!
-//! The observer's per-class latency histograms are built per shard and
-//! combined by [`LogHist::merge`]; the report promises the combined
-//! percentiles are *exactly* those of a single-shard run. That holds iff
-//! merge is plain bucket addition: commutative, associative, with the
+//! Histograms recorded separately (per class, per chip, per run) are
+//! combined by [`LogHist::merge`]; a report promises the combined
+//! percentiles are *exactly* those of one histogram fed every sample.
+//! That holds iff merge is plain bucket addition: commutative, associative, with the
 //! empty histogram as identity, and "record everything in one histogram"
 //! indistinguishable from "record anywhere, merge later" for any
 //! partition of the samples.
@@ -68,23 +68,23 @@ proptest! {
         prop_assert_eq!(&from_empty, &h);
     }
 
-    /// The shard-invariance contract itself: split one sample stream
-    /// across `k` "shards" by an arbitrary assignment, merge the shard
-    /// histograms, and every observable — the whole histogram, and
-    /// explicitly each exported percentile (p50/p99/p999), count, sum,
-    /// min, max — equals the single-shard run's.
+    /// The merge contract itself: split one sample stream across `k`
+    /// histograms by an arbitrary assignment, merge them, and every
+    /// observable — the whole histogram, and explicitly each exported
+    /// percentile (p50/p99/p999), count, sum, min, max — equals one
+    /// histogram fed the whole stream.
     #[test]
-    fn sharded_merge_equals_single_shard(samples in proptest::collection::vec(sample(), 1..400),
-                                         assign in proptest::collection::vec(0usize..4, 1..400),
-                                         k in 1usize..=4) {
+    fn split_stream_merge_equals_one_histogram(samples in proptest::collection::vec(sample(), 1..400),
+                                               assign in proptest::collection::vec(0usize..4, 1..400),
+                                               k in 1usize..=4) {
         let single = hist_of(&samples);
-        let mut shards = vec![LogHist::new(); k];
+        let mut parts = vec![LogHist::new(); k];
         for (i, &s) in samples.iter().enumerate() {
-            shards[assign[i % assign.len()] % k].record(s);
+            parts[assign[i % assign.len()] % k].record(s);
         }
         let mut merged = LogHist::new();
-        for sh in &shards {
-            merged.merge(sh);
+        for part in &parts {
+            merged.merge(part);
         }
         prop_assert_eq!(&merged, &single);
         for permille in [500u64, 990, 999] {

@@ -4,14 +4,11 @@
 //! stream derived from the plan seed — one stream per directed link, per
 //! NI queue direction, per protocol processor. The decision sequence for
 //! an entity therefore depends only on that entity's own call sequence,
-//! never on how other entities or classes interleave. That is what makes
-//! fault schedules *shard-invariant*: every entity is driven from exactly
-//! one shard (a link from its source node's shard, an NI direction from
-//! the node that processes it, a PP from its node), and each shard
-//! replays its entities' calls in the same deterministic order no matter
-//! how many shards the mesh is split into. Every guard is `p > 0.0 &&
-//! chance(p)`, so a zeroed plan makes no draws at all and an armed-but-
-//! zero injector is byte-identical to no injector.
+//! never on how other entities or classes interleave, so adding a fault
+//! class or an entity leaves every other entity's schedule unchanged.
+//! Every guard is `p > 0.0 && chance(p)`, so a zeroed plan makes no
+//! draws at all and an armed-but-zero injector is byte-identical to no
+//! injector.
 
 use crate::plan::FaultPlan;
 use flash_engine::{Cycle, DetRng, FastMap};
@@ -80,26 +77,7 @@ pub struct FaultStats {
     pub delay_cycles: u64,
 }
 
-impl FaultStats {
-    /// Folds another injector's counts into this one (shard teardown:
-    /// per-shard injectors accumulate independently and merge for
-    /// reporting).
-    pub fn absorb(&mut self, other: &FaultStats) {
-        self.hop_spikes += other.hop_spikes;
-        self.link_stalls += other.link_stalls;
-        self.link_holds += other.link_holds;
-        self.ni_freezes += other.ni_freezes;
-        self.pp_bursts += other.pp_bursts;
-        self.dram_stalls += other.dram_stalls;
-        self.delay_cycles += other.delay_cycles;
-    }
-}
-
-/// The runtime for one machine's [`FaultPlan`]. Under sharded simulation
-/// each shard runs its own injector over the same plan; because RNG
-/// streams are per-entity and every entity belongs to one shard, the
-/// union of the shards' schedules equals the serial schedule, and
-/// [`FaultStats::absorb`] folds the per-shard counts back together.
+/// The runtime for one machine's [`FaultPlan`].
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
@@ -343,8 +321,7 @@ mod tests {
         // Two injectors over the same plan, driven with the same
         // per-entity call sequences but a completely different global
         // interleave (entity-major vs. time-major), must produce
-        // identical per-entity schedules — the property that lets each
-        // shard run its own injector over its own entities.
+        // identical per-entity schedules.
         let plan = FaultPlan::stress(7);
         let mut a = FaultInjector::new(&plan).unwrap();
         let mut b = FaultInjector::new(&plan).unwrap();
@@ -375,24 +352,6 @@ mod tests {
         log_a.sort_by_key(|&(link, t, _)| (link, t));
         log_b.sort_by_key(|&(link, t, _)| (link, t));
         assert_eq!(log_a, log_b);
-    }
-
-    #[test]
-    fn stats_absorb_sums_counts() {
-        let plan = FaultPlan {
-            link_stall_p: 1.0,
-            link_stall_cycles: 10,
-            ..FaultPlan::zeroed(0)
-        };
-        let mut a = FaultInjector::new(&plan).unwrap();
-        let mut b = FaultInjector::new(&plan).unwrap();
-        a.link_verdict(Cycle::new(0), 0, 1);
-        b.link_verdict(Cycle::new(0), 2, 3);
-        b.link_verdict(Cycle::new(100), 2, 3);
-        let mut sum = *a.stats();
-        sum.absorb(b.stats());
-        assert_eq!(sum.link_stalls, 3);
-        assert_eq!(sum.delay_cycles, 30);
     }
 
     #[test]

@@ -680,7 +680,7 @@ impl MagicChip {
         emissions: &mut Vec<Emission>,
     ) {
         // Borrow (not clone) the shared program: an `Arc` bump per
-        // invocation is a contended atomic on multi-shard runs.
+        // invocation is an atomic shared by every machine in the process.
         let program = self.program.as_ref().expect("emulated mode has a program");
         let entry_pc = match self.entry_pcs.get(handler) {
             Some(&pc) => pc,

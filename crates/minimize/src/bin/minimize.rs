@@ -19,7 +19,7 @@
 //!   --link-down SRC,DST,FROM[,UNTIL]  scripted outage (repeatable)
 //!   --watchdog CYCLES                 watchdog override
 //!   --budget CYCLES                   run budget (default 2000000)
-//!   --predicate wedge[:fp] | violation[:fp] | oracle | shards:a,b | exit:cmd
+//!   --predicate wedge[:fp] | violation[:fp] | oracle | exit:cmd
 //! ```
 //!
 //! Output flags:
@@ -29,7 +29,6 @@
 //!   --emit-test NAME    also print a #[test] regression stub
 //!   --attempts N        candidate-evaluation budget (default 5000)
 //!   --timeout SECS      wall-clock limit per candidate (default: none)
-//!   --shards N          force a shard count for every replay
 //!   --no-pin            don't pin the first observed fingerprint
 //!   --verbose           log accepted shrinks to stderr
 //! ```
@@ -87,13 +86,6 @@ fn run(args: &[String]) -> Result<i32, String> {
                     .and_then(|s| Duration::try_from_secs_f64(s).ok())
                     .ok_or(format!("bad --timeout `{secs}`: need positive seconds"))?;
                 opts.eval.timeout = Some(limit);
-            }
-            "--shards" => {
-                opts.eval.shards = Some(
-                    value(&mut i, "--shards")?
-                        .parse()
-                        .map_err(|_| "bad --shards")?,
-                );
             }
             "--no-pin" => opts.no_pin = true,
             "--verbose" => opts.verbose = true,

@@ -1,10 +1,9 @@
 //! # flash-minimize — delta-debugging failure shrinker
 //!
 //! The randomized correctness nets (checked stress, fault soak, the
-//! native-vs-PP oracle, shard-determinism diffs) surface failures as a
-//! seed plus a multi-million-cycle run — real, but undebuggable. This
-//! crate shrinks such a failure to a minimal case, in the spirit of
-//! minirust's `tooling/minimize`: an executable reference kept honest by
+//! native-vs-PP oracle) surface failures as a seed plus a
+//! multi-million-cycle run — real, but undebuggable. This crate shrinks
+//! such a failure to a minimal case, in the spirit of minirust's `tooling/minimize`: an executable reference kept honest by
 //! reduced counterexamples.
 //!
 //! The pipeline:

@@ -22,22 +22,12 @@ pub struct EvalOptions {
     /// default — timeouts depend on host speed, so artifact-determinism
     /// tests leave this unset).
     pub timeout: Option<Duration>,
-    /// Forced shard count for replays (`None`: the `FLASH_SHARDS`
-    /// process default). Shard counts are byte-identity-pinned, so this
-    /// changes host behaviour only — it exists so determinism tests can
-    /// compare searches across shard counts without touching the
-    /// environment.
-    pub shards: Option<usize>,
 }
 
 impl EvalOptions {
     fn replay(&self, repro: &Repro) -> Option<ReplayOutcome> {
         let r = repro.clone();
-        match self.shards {
-            Some(n) => isolate::call(self.timeout, move || r.replay_with_shards(n)),
-            None => isolate::call(self.timeout, move || r.replay()),
-        }
-        .ok()
+        isolate::call(self.timeout, move || r.replay()).ok()
     }
 }
 
@@ -50,7 +40,6 @@ impl EvalOptions {
 /// | `violation` | any checker violation (checked mode must be on) |
 /// | `violation:<fp>` | a violation with exactly this fingerprint |
 /// | `oracle` | any native-vs-PP differential-oracle divergence |
-/// | `shards:<a>,<b>` | replay diverges between shard counts `a` and `b` |
 /// | `exit:<cmd>` | `<cmd> <artifact-path>` exits nonzero |
 ///
 /// # Examples
@@ -60,7 +49,6 @@ impl EvalOptions {
 ///
 /// let p: Predicate = "wedge:wedge|links=[1->2!]|pending=[]|waiters=[]".parse().unwrap();
 /// assert_eq!(p.to_string(), "wedge:wedge|links=[1->2!]|pending=[]|waiters=[]");
-/// assert!("shards:1,4".parse::<Predicate>().is_ok());
 /// assert!("frobnicate".parse::<Predicate>().is_err());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,12 +65,6 @@ pub enum Predicate {
     },
     /// The native-vs-PP differential oracle diverges.
     Oracle,
-    /// Replays under two shard counts produce different artifacts — a
-    /// determinism-contract breach, not a protocol failure.
-    ShardDivergence {
-        /// The two shard counts compared.
-        shards: (usize, usize),
-    },
     /// An external command, invoked as `cmd <artifact-path>`, exits
     /// nonzero.
     ExitNonzero {
@@ -117,24 +99,6 @@ impl Predicate {
                 .violation_fingerprints()
                 .into_iter()
                 .find(|fp| fp.starts_with("oracle-")),
-            Predicate::ShardDivergence { shards: (a, b) } => {
-                let (a, b) = (*a, *b);
-                let ra = {
-                    let r = repro.clone();
-                    isolate::call(opts.timeout, move || {
-                        outcome_digest(&r.replay_with_shards(a))
-                    })
-                    .ok()?
-                };
-                let rb = {
-                    let r = repro.clone();
-                    isolate::call(opts.timeout, move || {
-                        outcome_digest(&r.replay_with_shards(b))
-                    })
-                    .ok()?
-                };
-                (ra != rb).then(|| format!("shard-divergence:{a}!={b}"))
-            }
             Predicate::ExitNonzero { cmd } => {
                 let path = std::env::temp_dir().join(format!(
                     "flash-minimize-{}-{:x}.json",
@@ -178,17 +142,6 @@ impl Predicate {
     }
 }
 
-/// Everything observable about a replay, digested for divergence
-/// comparison. Uses `Debug` forms: any field-level difference shows up.
-fn outcome_digest(out: &ReplayOutcome) -> String {
-    format!(
-        "{:?}|{:?}|{}",
-        out.result,
-        out.violation_fingerprints(),
-        out.oracle_checked
-    )
-}
-
 /// Tiny FNV-style hash for temp-file naming (not cryptographic).
 fn fxhash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -211,7 +164,6 @@ impl fmt::Display for Predicate {
                 fingerprint: Some(fp),
             } => write!(f, "violation:{fp}"),
             Predicate::Oracle => write!(f, "oracle"),
-            Predicate::ShardDivergence { shards: (a, b) } => write!(f, "shards:{a},{b}"),
             Predicate::ExitNonzero { cmd } => write!(f, "exit:{cmd}"),
         }
     }
@@ -233,22 +185,11 @@ impl std::str::FromStr for Predicate {
                 fingerprint: fp.map(str::to_string),
             }),
             ("oracle", None) => Ok(Predicate::Oracle),
-            ("shards", Some(pair)) => {
-                let (a, b) = pair
-                    .split_once(',')
-                    .ok_or("shards predicate needs `a,b`")?;
-                Ok(Predicate::ShardDivergence {
-                    shards: (
-                        a.trim().parse().map_err(|_| "bad shard count")?,
-                        b.trim().parse().map_err(|_| "bad shard count")?,
-                    ),
-                })
-            }
             ("exit", Some(cmd)) if !cmd.is_empty() => Ok(Predicate::ExitNonzero {
                 cmd: cmd.to_string(),
             }),
             _ => Err(format!(
-                "unknown predicate `{s}` (expected wedge[:fp], violation[:fp], oracle, shards:a,b, exit:cmd)"
+                "unknown predicate `{s}` (expected wedge[:fp], violation[:fp], oracle, exit:cmd)"
             )),
         }
     }
@@ -289,7 +230,6 @@ mod tests {
             "violation",
             "violation:swmr@n3:0x8000",
             "oracle",
-            "shards:1,4",
             "exit:cargo run -q --bin replayer --",
         ] {
             let p: Predicate = text.parse().unwrap();
@@ -297,7 +237,6 @@ mod tests {
         }
         assert!("".parse::<Predicate>().is_err());
         assert!("oracle:x".parse::<Predicate>().is_err());
-        assert!("shards:5".parse::<Predicate>().is_err());
         assert!("exit:".parse::<Predicate>().is_err());
     }
 
@@ -329,30 +268,6 @@ mod tests {
             None
         );
         assert_eq!(Predicate::Oracle.eval(&r, &opts), None);
-        assert_eq!(
-            Predicate::ShardDivergence { shards: (1, 2) }.eval(&r, &opts),
-            None,
-            "sharded engine is byte-identical, so no divergence"
-        );
-    }
-
-    #[test]
-    fn shard_override_changes_nothing_observable() {
-        let r = wedge_repro();
-        let base = Predicate::Wedge { fingerprint: None }
-            .eval(&r, &EvalOptions::default())
-            .unwrap();
-        for shards in [1, 2, 3] {
-            let opts = EvalOptions {
-                shards: Some(shards),
-                ..Default::default()
-            };
-            assert_eq!(
-                Predicate::Wedge { fingerprint: None }.eval(&r, &opts),
-                Some(base.clone()),
-                "shards={shards}"
-            );
-        }
     }
 
     #[test]
@@ -374,6 +289,5 @@ mod tests {
         assert!(Predicate::Violation { fingerprint: None }.needs_check());
         assert!(Predicate::Oracle.needs_check());
         assert!(!Predicate::Wedge { fingerprint: None }.needs_check());
-        assert!(!Predicate::ShardDivergence { shards: (1, 2) }.needs_check());
     }
 }

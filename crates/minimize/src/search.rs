@@ -21,8 +21,8 @@
 //! form and counted against the attempt budget; budget exhaustion freezes
 //! the current (still-failing) candidate rather than aborting. All
 //! decisions depend only on simulation results, which are byte-identical
-//! across shard counts and PP backends — so the same input spec always
-//! shrinks to the same artifact, byte for byte.
+//! across PP backends — so the same input spec always shrinks to the
+//! same artifact, byte for byte.
 
 use crate::ddmin::ddmin;
 use crate::predicate::{EvalOptions, Predicate};
@@ -40,7 +40,7 @@ const CACHE_FLOOR: u64 = 8 << 10;
 /// Search policy.
 #[derive(Debug, Clone)]
 pub struct SearchOptions {
-    /// Per-candidate evaluation policy (timeout, shard override).
+    /// Per-candidate evaluation policy (the per-candidate timeout).
     pub eval: EvalOptions,
     /// Maximum candidate evaluations (cache misses). Exhaustion freezes
     /// the current candidate; it never un-shrinks.

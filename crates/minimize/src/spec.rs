@@ -516,7 +516,7 @@ mod tests {
             "--workload FFT,4,64,500 --cache 65536 --predicate oracle",
             "--traffic 4,64,200,30,11,200 --faults light,3 --check --predicate violation",
             "--stress 8,4,96,7 --faults zeroed,0 --link-down 1,2,120000 --watchdog 150000 --budget 400000 --predicate wedge",
-            "--stress 4,2,16,1 --controller cost-table --link-down 0,1,100,900 --predicate shards:1,4",
+            "--stress 4,2,16,1 --controller cost-table --link-down 0,1,100,900 --predicate exit:true",
         ] {
             let spec = parse(line).unwrap();
             assert_eq!(spec.to_string(), line);

@@ -71,3 +71,28 @@ fn replaying_an_invalid_artifact_exits_1_naming_the_field() {
         assert!(!stderr.contains("panicked"), "{to}: {stderr}");
     }
 }
+
+/// `--replay` of an artifact whose predicate names one this version does
+/// not know (artifacts written before the shard-count predicate was
+/// removed carry `shards:1,4`) exits 1 with the parse error, never a
+/// panic.
+#[test]
+fn replaying_an_unknown_predicate_exits_1() {
+    let golden = include_str!("../goldens/planted_proto_stale_interv_reply.json");
+    let from = r#""predicate":"oracle""#;
+    assert!(golden.contains(from), "{from} not in the golden");
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("unknown_predicate.json");
+    std::fs::write(&path, golden.replace(from, r#""predicate":"shards:1,4""#)).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_minimize"))
+        .arg("--replay")
+        .arg(&path)
+        .output()
+        .expect("spawn minimize");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("artifact predicate: unknown predicate `shards:1,4`"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

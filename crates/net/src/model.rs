@@ -110,10 +110,10 @@ impl NetModel {
     }
 
     /// The minimum transit latency between two *distinct* nodes — the
-    /// conservative-lookahead bound for parallel simulation: no message
-    /// posted at time `t` can arrive at another node before
+    /// lookahead bound of the machine's time windows: no message posted
+    /// at time `t` can arrive at another node before
     /// `t + min_remote_transit()`. Loopback (same-node) messages are
-    /// cheaper but never cross a shard boundary, so they do not bound the
+    /// cheaper but never leave the node, so they do not bound the
     /// lookahead. Returns the fixed transit in fixed-average mode (every
     /// remote message pays it) and the adjacent-node cost in per-hop mode.
     pub fn min_remote_transit(&self) -> u64 {
@@ -143,14 +143,6 @@ impl NetModel {
             let diameter = (w.max(1) as u64 - 1) + (h.max(1) as u64 - 1);
             (2 + diameter.max(1)) * self.cfg.hop_cycles + self.cfg.header_cycles
         }
-    }
-
-    /// Folds another model's traffic counters into this one (shard
-    /// teardown: per-shard models accumulate independently and merge into
-    /// the machine's master model for reporting).
-    pub fn absorb_counts(&mut self, other: &NetModel) {
-        self.messages.add(other.messages.get());
-        self.hops_total.add(other.hops_total.get());
     }
 }
 
@@ -233,18 +225,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn absorb_counts_sums_traffic() {
-        let mut a = NetModel::new(Mesh::for_nodes(16), NetConfig::default());
-        let mut b = NetModel::new(Mesh::for_nodes(16), NetConfig::default());
-        a.send(Cycle::new(0), NodeId(0), NodeId(1));
-        b.send(Cycle::new(0), NodeId(0), NodeId(15));
-        b.send(Cycle::new(5), NodeId(2), NodeId(3));
-        a.absorb_counts(&b);
-        assert_eq!(a.messages(), 3);
-        assert_eq!(a.mean_hops(), (1 + 6 + 1) as f64 / 3.0);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! Everything is driven by [`flash_engine::DetRng`]: the same spec and
 //! seed produce bit-identical arrival sequences on every platform, which
 //! is what lets `traffic_suite` demand identical latency reports across
-//! shard counts and PP backends.
+//! PP backends.
 //!
 //! # Examples
 //!
@@ -66,8 +66,8 @@ use flash_engine::Cycle;
 ///   items (`Barrier`/`Lock`/`Unlock`) are rejected by the machine, since
 ///   an open-loop node has no partner to rendezvous with.
 ///
-/// `Send` is a supertrait so a source can live on the shard worker that
-/// owns its node.
+/// `Send` is a supertrait so a source can move to a worker thread with
+/// the machine that owns its node.
 pub trait ArrivalSource: Send {
     /// The next `(arrival cycle, reference)`, or `None` when exhausted.
     fn next_arrival(&mut self) -> Option<(Cycle, WorkItem)>;

@@ -64,7 +64,7 @@ fn run_and_count(items: usize) -> (u64, u64) {
         .map(|v| Box::new(SliceStream::new(v)) as Box<dyn RefStream>)
         .collect();
     let before = ALLOCS.load(Ordering::Relaxed);
-    let mut m = Machine::new(MachineConfig::flash(16).with_shards(1), streams);
+    let mut m = Machine::new(MachineConfig::flash(16), streams);
     let RunResult::Completed { .. } = m.run(2_000_000_000) else {
         panic!("{items}-item run did not complete");
     };

@@ -122,20 +122,3 @@ fn traffic_soak_overload() {
         );
     }
 }
-
-#[test]
-fn traffic_soak_sharded_is_identical() {
-    // Faults + checked mode + open-loop arrivals, run under 1 and 2
-    // shards: cycle-identical, stat-identical. The composition stress
-    // that matters for the conservative-window engine.
-    let t = spec(4, 256, 150, 25, 9);
-    let run = |shards: usize| {
-        let m = soak(
-            MachineConfig::flash(4).with_shards(shards),
-            &t,
-            FaultsSpec::Light(0x90),
-        );
-        (m.exec_cycles(), m.traffic_stats(), m.fault_stats())
-    };
-    assert_eq!(run(1), run(2), "shard count must be timing-invisible");
-}
