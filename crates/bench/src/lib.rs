@@ -103,7 +103,6 @@ pub fn run_app(app: &'static str, kind: ControllerKind, cache_bytes: u64) -> Mac
 pub fn base_cfg(kind: ControllerKind, procs: u16) -> MachineConfig {
     match kind {
         ControllerKind::FlashEmulated => MachineConfig::flash(procs),
-        ControllerKind::FlashCostTable => MachineConfig::flash_cost_table(procs),
         ControllerKind::Ideal => MachineConfig::ideal(procs),
     }
 }

@@ -117,7 +117,7 @@ impl Default for PathLatencies {
 pub struct MachineConfig {
     /// Number of nodes (= processors).
     pub nodes: u16,
-    /// Controller kind: detailed FLASH, table-driven FLASH, or ideal.
+    /// Controller kind: FLASH (emulated PP) or ideal.
     pub controller: ControllerKind,
     /// Processor cache capacity in bytes.
     pub cache_bytes: u64,
@@ -224,14 +224,6 @@ impl MachineConfig {
     pub fn ideal(nodes: u16) -> Self {
         MachineConfig {
             controller: ControllerKind::Ideal,
-            ..Self::flash(nodes)
-        }
-    }
-
-    /// The fast table-driven FLASH machine at `nodes` nodes.
-    pub fn flash_cost_table(nodes: u16) -> Self {
-        MachineConfig {
-            controller: ControllerKind::FlashCostTable,
             ..Self::flash(nodes)
         }
     }

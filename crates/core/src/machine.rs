@@ -41,11 +41,11 @@ use std::time::Instant;
 enum Ev {
     /// Resume a processor's reference stream.
     ProcRun(u16),
-    /// A message is ready at a node's inbox (inbound latency paid).
-    /// `net` marks messages that crossed the mesh (they are subject to
-    /// the receiver's inbound-NI fault hooks; bus-side and DMA messages
-    /// are not).
-    MagicIn { node: u16, wire: Wire, net: bool },
+    /// A message is ready at the inbox of node `msg.dst` (inbound
+    /// latency paid). `net` marks messages that crossed the mesh (they
+    /// are subject to the receiver's inbound-NI fault hooks; bus-side and
+    /// DMA messages are not).
+    MagicIn { msg: Msg, net: bool },
     /// MAGIC delivers a message to its local processor.
     ProcDeliver { node: u16, pm: ProcMsg, tries: u32 },
     /// Re-offer a message the fault layer held (scripted link outage).
@@ -58,14 +58,23 @@ enum Ev {
     Arrival { node: u16 },
 }
 
-/// A message on the wire (or on a node's internal buses).
-#[derive(Debug, Clone, Copy)]
-struct Wire {
-    mtype: MsgType,
-    src: NodeId,
-    addr: Addr,
-    aux: u64,
-    with_data: bool,
+impl Ev {
+    /// A message from `node`'s processor (or I/O) side to its own MAGIC,
+    /// over the bus.
+    fn bus_in(node: u16, mtype: MsgType, addr: Addr, aux: u64, with_data: bool) -> Ev {
+        let n = NodeId(node);
+        Ev::MagicIn {
+            msg: Msg {
+                mtype,
+                src: n,
+                dst: n,
+                addr,
+                aux,
+                with_data,
+            },
+            net: false,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,7 +316,7 @@ const RING_CAPACITY: usize = 64;
 const RECENT_TAIL: usize = 8;
 
 /// The requester candidates (and charged segment) a message arriving at
-/// `node`'s inbox may belong to; [`pending_cand`] picks the one the
+/// the inbox of `msg.dst` may belong to; [`pending_cand`] picks the one the
 /// observer tracks.
 ///
 /// Requests and forwards carry the requester in their aux field; replies
@@ -317,18 +326,18 @@ const RECENT_TAIL: usize = 8;
 /// writebacks, sharing writebacks) resolve to `None`. The frontier gap
 /// is charged to PI for bus-side messages, mesh for network-side (which
 /// folds the receiving NI input stage into mesh transit).
-fn observe_cands(node: u16, wire: &Wire) -> Option<([Option<u16>; 2], Segment)> {
-    match wire.mtype {
+fn observe_cands(msg: &Msg) -> Option<([Option<u16>; 2], Segment)> {
+    match msg.mtype {
         MsgType::PiGet | MsgType::PiGetX | MsgType::PiUpgrade => {
-            Some(([Some(wire.src.0), None], Segment::Pi))
+            Some(([Some(msg.src.0), None], Segment::Pi))
         }
         MsgType::PiIntervReply | MsgType::PiIntervMiss => {
-            Some(([Some(aux::requester(wire.aux).0), None], Segment::Pi))
+            Some(([Some(aux::requester(msg.aux).0), None], Segment::Pi))
         }
         t if continues_request(t) => {
             let reply = t.is_reply_class() || t == MsgType::NIntervMiss;
             Some((
-                [Some(aux::requester(wire.aux).0), reply.then_some(node)],
+                [Some(aux::requester(msg.aux).0), reply.then_some(msg.dst.0)],
                 Segment::Mesh,
             ))
         }
@@ -541,7 +550,7 @@ impl Machine {
             self.set_cursor(t, sub);
             let ev_line = match &ev {
                 Ev::ProcRun(_) | Ev::Arrival { .. } => None,
-                Ev::MagicIn { wire, .. } => Some(wire.addr.line().raw()),
+                Ev::MagicIn { msg, .. } => Some(msg.addr.line().raw()),
                 Ev::ProcDeliver { pm, .. } => Some(pm.addr.line().raw()),
                 Ev::NetSend { msg } => Some(msg.addr.line().raw()),
             };
@@ -551,8 +560,8 @@ impl Machine {
                     self.run_inline(n, cont);
                     HostSeg::Proc
                 }
-                Ev::MagicIn { node, wire, net } => {
-                    self.ev_magic_in(node, wire, net);
+                Ev::MagicIn { msg, net } => {
+                    self.ev_magic_in(msg, net);
                     HostSeg::Magic
                 }
                 Ev::ProcDeliver { node, pm, tries } => {
@@ -799,23 +808,14 @@ impl Machine {
             self.push_origin(
                 n,
                 t + extra + lat.bus + lat.pi_in,
-                Ev::MagicIn {
-                    node: n,
-                    wire: Wire {
-                        mtype,
-                        src: NodeId(n),
-                        addr,
-                        aux: 0,
-                        with_data: mtype.carries_data(),
-                    },
-                    net: false,
-                },
+                Ev::bus_in(n, mtype, addr, 0, mtype.carries_data()),
             );
         }
     }
 
-    fn ev_magic_in(&mut self, node: u16, wire: Wire, net: bool) {
+    fn ev_magic_in(&mut self, wire: Msg, net: bool) {
         let now = self.cur_t;
+        let node = wire.dst.0;
         let i = node as usize;
         // Receiver-side inbound-NI freeze: a frozen input queue re-offers
         // the message — identity (canonical key) preserved — at the thaw
@@ -824,7 +824,7 @@ impl Machine {
             if let Some(inj) = self.injector.as_mut() {
                 if let Some(resume) = inj.ni_freeze(now, node, NiDir::In) {
                     self.queue
-                        .push_sub(resume, self.cur.1, Ev::MagicIn { node, wire, net });
+                        .push_sub(resume, self.cur.1, Ev::MagicIn { msg: wire, net });
                     return;
                 }
             }
@@ -869,7 +869,7 @@ impl Machine {
         let arrival = self
             .observe
             .is_some()
-            .then(|| observe_cands(node, &wire))
+            .then(|| observe_cands(&wire))
             .flatten();
         if let (Some(obs), Some((cands, seg))) = (self.observe.as_deref_mut(), arrival) {
             if let Some(c) = pending_cand(obs, cands, line_raw) {
@@ -994,21 +994,10 @@ impl Machine {
                 }
             }
         }
-        let dst = msg.dst.0;
         self.push_origin(
             msg.src.0,
             arrival + self.cfg.lat.ni_in,
-            Ev::MagicIn {
-                node: dst,
-                wire: Wire {
-                    mtype: msg.mtype,
-                    src: msg.src,
-                    addr: msg.addr,
-                    aux: msg.aux,
-                    with_data: msg.with_data,
-                },
-                net: true,
-            },
+            Ev::MagicIn { msg, net: true },
         );
     }
 
@@ -1098,17 +1087,7 @@ impl Machine {
                 self.push_origin(
                     node,
                     now + delay + lat.bus + lat.pi_in,
-                    Ev::MagicIn {
-                        node,
-                        wire: Wire {
-                            mtype,
-                            src: NodeId(node),
-                            addr: pm.addr,
-                            aux: pm.aux,
-                            with_data: found,
-                        },
-                        net: false,
-                    },
+                    Ev::bus_in(node, mtype, pm.addr, pm.aux, found),
                 );
             }
             MsgType::PNackRetry => {
@@ -1129,17 +1108,7 @@ impl Machine {
                     self.push_origin(
                         node,
                         now + lat.retry + lat.bus + lat.pi_in,
-                        Ev::MagicIn {
-                            node,
-                            wire: Wire {
-                                mtype,
-                                src: NodeId(node),
-                                addr,
-                                aux: 0,
-                                with_data: false,
-                            },
-                            net: false,
-                        },
+                        Ev::bus_in(node, mtype, addr, 0, false),
                     );
                 }
             }
@@ -1184,7 +1153,13 @@ impl Machine {
     /// Applies the window's synchronization ops in canonical key order.
     fn apply_sync(&mut self) {
         let mut ops = std::mem::take(&mut self.sync_ops);
-        ops.sort_unstable_by_key(|&(k, _)| k);
+        // Already in key order: `sync` journals the event cursor, which
+        // never moves backwards within a window, and an event journals at
+        // most one op.
+        debug_assert!(
+            ops.windows(2).all(|w| w[0].0 < w[1].0),
+            "sync journal out of key order"
+        );
         let grant = self.cfg.lat.lock_grant;
         for &(key, op) in &ops {
             let at = Cycle::new(key.0);
@@ -1463,17 +1438,7 @@ impl Machine {
         self.push_origin(
             node.0,
             at,
-            Ev::MagicIn {
-                node: node.0,
-                wire: Wire {
-                    mtype: MsgType::IoDmaWrite,
-                    src: node,
-                    addr: addr.line(),
-                    aux: 0,
-                    with_data: true,
-                },
-                net: false,
-            },
+            Ev::bus_in(node.0, MsgType::IoDmaWrite, addr.line(), 0, true),
         );
     }
 
@@ -1756,9 +1721,9 @@ impl Machine {
         for (_, ev) in self.queue.iter() {
             match ev {
                 Ev::ProcRun(_) | Ev::Arrival { .. } => {}
-                Ev::MagicIn { node, wire, .. } => {
-                    inbox_queued[*node as usize] += 1;
-                    suspects.insert(wire.addr.line().raw());
+                Ev::MagicIn { msg, .. } => {
+                    inbox_queued[msg.dst.index()] += 1;
+                    suspects.insert(msg.addr.line().raw());
                 }
                 Ev::ProcDeliver { node, pm, .. } => {
                     proc_queued[*node as usize] += 1;
@@ -1971,11 +1936,7 @@ mod tests {
 
     #[test]
     fn empty_machine_completes() {
-        for cfg in [
-            MachineConfig::flash(4),
-            MachineConfig::ideal(4),
-            MachineConfig::flash_cost_table(4),
-        ] {
+        for cfg in [MachineConfig::flash(4), MachineConfig::ideal(4)] {
             let mut m = machine_with(cfg, idle(4));
             match m.run(10_000) {
                 RunResult::Completed { exec_cycles } => assert_eq!(exec_cycles, 1),
@@ -2059,11 +2020,7 @@ mod tests {
         let a = node_addr(NodeId(0), 0x8000);
         let w = vec![WorkItem::Write(a), WorkItem::Barrier, WorkItem::Busy(4)];
         let r = vec![WorkItem::Barrier, WorkItem::Read(a), WorkItem::Busy(4)];
-        for cfg in [
-            MachineConfig::flash(2),
-            MachineConfig::ideal(2),
-            MachineConfig::flash_cost_table(2),
-        ] {
+        for cfg in [MachineConfig::flash(2), MachineConfig::ideal(2)] {
             let kind = cfg.controller;
             let mut m = machine_with(cfg, vec![r.clone(), w.clone()]);
             match m.run(1_000_000) {

@@ -36,7 +36,7 @@
 //! The observer only ever appends to side buffers owned by the machine
 //! and the chips; it takes no branch that affects event scheduling.
 //! `tests/observe.rs` pins byte-identical schedules and reports with the
-//! observer on and off, for all three controller kinds.
+//! observer on and off, for both controller kinds.
 
 use flash_engine::{Cycle, LatencySplit, LogHist, Segment, SEGMENT_COUNT};
 use flash_magic::{ObsInvocation, ObsParts, ReadClass};

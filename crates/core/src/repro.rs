@@ -200,7 +200,6 @@ impl Repro {
                 "controller",
                 Json::str(match self.controller {
                     ControllerKind::FlashEmulated => "flash-emulated",
-                    ControllerKind::FlashCostTable => "flash-cost-table",
                     ControllerKind::Ideal => "ideal",
                 }),
             ),
@@ -311,7 +310,6 @@ impl Repro {
         }
         let controller = match v.get("controller").and_then(Json::as_str) {
             Some("flash-emulated") => ControllerKind::FlashEmulated,
-            Some("flash-cost-table") => ControllerKind::FlashCostTable,
             Some("ideal") => ControllerKind::Ideal,
             other => return Err(format!("repro: bad `controller` {other:?}")),
         };
@@ -625,6 +623,11 @@ mod tests {
                 "`cache_bytes`",
             ),
             (r#""mshrs":4,"#, r#""mshrs":0,"#, "`mshrs`"),
+            (
+                r#""controller":"flash-emulated","#,
+                r#""controller":"flash-cost-table","#,
+                "`controller`",
+            ),
             (
                 r#"{"kind":"explicit"}"#,
                 r#"{"kind":"round_robin_pages","page_bytes":0}"#,

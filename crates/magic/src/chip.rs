@@ -18,9 +18,6 @@ use std::sync::Arc;
 pub enum ControllerKind {
     /// The detailed FLASH model: protocol handlers run on the emulated PP.
     FlashEmulated,
-    /// FLASH with native protocol execution and occupancies charged from
-    /// the Table 3.4 cost model (fast mode, large configurations).
-    FlashCostTable,
     /// The paper's idealized hardwired machine: protocol operations take
     /// zero time; queues are infinite; the directory is an oracle.
     Ideal,
@@ -234,7 +231,7 @@ impl ReadClass {
 /// For every [`Emission`] produced by [`MagicChip::process_into`] in an
 /// observed run, the chip records how the interval from message arrival
 /// to emission decomposes into chip-internal components. The invariant
-/// `parts.total() == emission.at() − arrival` holds exactly for all three
+/// `parts.total() == emission.at() − arrival` holds exactly for both
 /// controller kinds — the observability layer's sums-to-total guarantee
 /// rests on it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -245,8 +242,7 @@ pub struct ObsParts {
     /// handlers (always 0 on the ideal controller).
     pub wait: u64,
     /// Handler execution cycles preceding this emission (the send's
-    /// instruction offset in emulated mode, the Table 3.4 cost in
-    /// cost-table mode, 0 on the ideal controller).
+    /// instruction offset on the emulated PP, 0 on the ideal controller).
     pub occ: u64,
     /// Memory/data cycles: MAGIC I-cache and MDC miss stalls, DRAM queue
     /// stalls, and waiting for the data the reply carries.
@@ -297,7 +293,6 @@ pub struct MagicChip {
     mem: MemController,
     pp: OccupancyTracker,
     pp_free: Cycle,
-    costs: CostTable,
     speculation: bool,
     stats: MagicStats,
     out_buf: Vec<Outgoing>,
@@ -314,6 +309,43 @@ impl std::fmt::Debug for MagicChip {
             .field("kind", &self.kind)
             .field("messages", &self.stats.messages)
             .finish()
+    }
+}
+
+/// Where the data of one handler invocation's outgoing messages comes
+/// from: the incoming message's data, else the latest memory read.
+struct DataSource {
+    /// The incoming message carried data.
+    incoming: bool,
+    /// When incoming data is ready (also the fallback without a memory
+    /// read).
+    base: Cycle,
+    /// First double word of the latest memory read, if any.
+    mem: Option<Cycle>,
+    /// Some message took the memory data (speculation accounting).
+    used_mem: bool,
+}
+
+impl DataSource {
+    fn new(incoming: bool, base: Cycle, mem: Option<Cycle>) -> Self {
+        DataSource {
+            incoming,
+            base,
+            mem,
+            used_mem: false,
+        }
+    }
+
+    /// When the data of a message is ready (`None` if it carries none).
+    fn ready(&mut self, with_data: bool) -> Option<Cycle> {
+        if !with_data {
+            None
+        } else if self.incoming {
+            Some(self.base)
+        } else {
+            self.used_mem = true;
+            Some(self.mem.unwrap_or(self.base))
+        }
     }
 }
 
@@ -339,10 +371,7 @@ impl MagicChip {
         );
         let mut proto = ProtoMem::new();
         Directory::init_free_list(&mut proto, DEFAULT_PS_CAPACITY);
-        let mem_queue = match kind {
-            ControllerKind::Ideal => None,
-            _ => Some(1),
-        };
+        let mem_queue = (kind == ControllerKind::FlashEmulated).then_some(1);
         let backend = PpBackend::default();
         let translated = (kind == ControllerKind::FlashEmulated
             && backend == PpBackend::Translated)
@@ -369,7 +398,6 @@ impl MagicChip {
             mem: MemController::new(mem_timing, mem_queue),
             pp: OccupancyTracker::new(),
             pp_free: Cycle::ZERO,
-            costs: CostTable::paper(),
             speculation,
             stats: MagicStats::default(),
             out_buf: Vec::new(),
@@ -535,7 +563,11 @@ impl MagicChip {
         // the inbox (Table 3.1's queue limit, without head-of-line
         // blocking the whole dispatch pipeline).
         let mut data_mem: Option<Cycle> = None;
-        if self.kind != ControllerKind::Ideal && self.speculation && entry.speculative && local {
+        if self.kind == ControllerKind::FlashEmulated
+            && self.speculation
+            && entry.speculative
+            && local
+        {
             if let Some(r) = self.mem.try_request(t_ready) {
                 data_mem = Some(r.first_dword);
                 msg.spec = true;
@@ -545,14 +577,7 @@ impl MagicChip {
 
         match self.kind {
             ControllerKind::Ideal => {
-                self.process_native(msg, t_ready, 0, data_mem, entry.handler, true, out)
-            }
-            ControllerKind::FlashCostTable => {
-                let start = t_ready.max(self.pp_free);
-                let wait = start - t_ready;
-                self.stats.inbox_wait_cycles += wait;
-                self.stats.inbox_wait_max = self.stats.inbox_wait_max.max(wait);
-                self.process_native(msg, start, wait, data_mem, entry.handler, false, out)
+                self.process_native(msg, t_ready, data_mem, entry.handler, out)
             }
             ControllerKind::FlashEmulated => {
                 self.process_emulated(msg, arrival, t_ready, data_mem, entry.handler, out)
@@ -560,111 +585,40 @@ impl MagicChip {
         }
     }
 
-    /// Native-protocol processing (ideal and cost-table modes). `wait` is
-    /// the inbox queueing delay already folded into `start` by the caller
-    /// (0 for ideal), passed along for attribution.
-    #[allow(clippy::too_many_arguments)]
+    /// Ideal processing: the native protocol runs in zero time at `start`.
     fn process_native(
         &mut self,
         msg: InMsg,
         start: Cycle,
-        wait: u64,
-        mut data_mem: Option<Cycle>,
+        data_mem: Option<Cycle>,
         handler: &'static str,
-        ideal: bool,
         emissions: &mut Vec<Emission>,
     ) {
         self.out_buf.clear();
         let mut out = std::mem::take(&mut self.out_buf);
-        let costs = self.costs; // Copy: sidesteps the &mut self.proto borrow
-        let res = native::handle(&msg, &mut self.proto, &costs, &mut out);
+        let res = native::handle(&msg, &mut self.proto, &CostTable::paper(), &mut out);
         debug_assert_eq!(res.handler, handler, "jump table vs native dispatch");
-        // Occupancy: zero for ideal, cost table for FLASH.
-        let occ = if ideal { 0 } else { res.cost };
-        let effect_time = if ideal {
-            start
-        } else {
-            let cost = res.cost;
-            self.pp.record_busy(cost);
-            self.pp_free = start + cost;
-            let e = self.stats.handlers.entry(res.handler).or_default();
-            e.0 += 1;
-            e.1 += cost;
-            start + cost
-        };
         if self.observe {
             self.obs_invocation = Some(ObsInvocation {
-                handler: res.handler,
+                handler,
                 start,
-                occupied: occ,
+                occupied: 0,
             });
         }
-        let inbox = self.timings.inbox_arb + self.timings.jump;
-        let mut used_mem_data = false;
+        let mut data = DataSource::new(msg.with_data, start, data_mem);
         for o in out.drain(..) {
             match o {
                 Outgoing::MemRead(_) => {
-                    let r = self.mem.request(effect_time);
-                    data_mem = Some(r.first_dword);
+                    data.mem = Some(self.mem.request(start).first_dword);
                 }
                 Outgoing::MemWrite(_) => {
-                    self.mem.request(effect_time);
+                    self.mem.request(start);
                 }
-                Outgoing::Net(m) => {
-                    let data = self.data_ready(
-                        m.with_data,
-                        msg.with_data,
-                        start,
-                        data_mem,
-                        &mut used_mem_data,
-                    );
-                    let header = effect_time + self.timings.outbox + self.timings.ni_out;
-                    let at = match data {
-                        Some(d) => header.max(d + self.timings.buffer_stage),
-                        None => header,
-                    };
-                    if self.observe {
-                        self.obs_parts.push(ObsParts {
-                            inbox,
-                            wait,
-                            occ,
-                            mem: at - header,
-                            out: self.timings.outbox + self.timings.ni_out,
-                        });
-                    }
-                    emissions.push(Emission::Net { at, msg: m });
-                }
-                Outgoing::Proc(pm) => {
-                    let data = self.data_ready(
-                        pm.with_data,
-                        msg.with_data,
-                        start,
-                        data_mem,
-                        &mut used_mem_data,
-                    );
-                    let header = effect_time + self.timings.outbox + self.timings.pi_out;
-                    let base = match data {
-                        Some(d) => header.max(d + self.timings.buffer_stage),
-                        None => header,
-                    };
-                    let at = base + self.timings.pi_arb_word;
-                    if self.observe {
-                        self.obs_parts.push(ObsParts {
-                            inbox,
-                            wait,
-                            occ,
-                            mem: base - header,
-                            out: self.timings.outbox
-                                + self.timings.pi_out
-                                + self.timings.pi_arb_word,
-                        });
-                    }
-                    emissions.push(Emission::Proc { at, msg: pm });
-                }
+                send => self.emit(send, start, &mut data, ObsParts::default(), emissions),
             }
         }
         self.out_buf = out;
-        if msg.spec && !used_mem_data {
+        if msg.spec && !data.used_mem {
             self.stats.spec_useless += 1;
         }
     }
@@ -675,7 +629,7 @@ impl MagicChip {
         msg: InMsg,
         arrival: Cycle,
         t_ready: Cycle,
-        mut data_mem: Option<Cycle>,
+        data_mem: Option<Cycle>,
         handler: &'static str,
         emissions: &mut Vec<Emission>,
     ) {
@@ -781,7 +735,7 @@ impl MagicChip {
         }
 
         let mut drift = pre_drift;
-        let mut used_mem_data = false;
+        let mut data = DataSource::new(msg.with_data, arrival, data_mem);
         for te in sink.effects() {
             let t_e = pp_start + te.offset + drift;
             match te.kind {
@@ -804,62 +758,21 @@ impl MagicChip {
                         Outgoing::MemRead(_) => {
                             let r = self.mem.request(t_e);
                             drift += r.accept - t_e; // PP stalls for queue space
-                            data_mem = Some(r.first_dword);
+                            data.mem = Some(r.first_dword);
                         }
                         Outgoing::MemWrite(_) => {
                             let r = self.mem.request(t_e);
                             drift += r.accept - t_e;
                         }
-                        Outgoing::Net(m) => {
-                            let data = self.data_ready(
-                                m.with_data,
-                                msg.with_data,
-                                arrival,
-                                data_mem,
-                                &mut used_mem_data,
-                            );
-                            let header = t_e + self.timings.outbox + self.timings.ni_out;
-                            let at = match data {
-                                Some(d) => header.max(d + self.timings.buffer_stage),
-                                None => header,
+                        send => {
+                            // PP stalls so far count as memory cycles.
+                            let parts = ObsParts {
+                                wait,
+                                occ: te.offset,
+                                mem: drift,
+                                ..ObsParts::default()
                             };
-                            if self.observe {
-                                self.obs_parts.push(ObsParts {
-                                    inbox: self.timings.inbox_arb + self.timings.jump,
-                                    wait,
-                                    occ: te.offset,
-                                    mem: drift + (at - header),
-                                    out: self.timings.outbox + self.timings.ni_out,
-                                });
-                            }
-                            emissions.push(Emission::Net { at, msg: m });
-                        }
-                        Outgoing::Proc(pm) => {
-                            let data = self.data_ready(
-                                pm.with_data,
-                                msg.with_data,
-                                arrival,
-                                data_mem,
-                                &mut used_mem_data,
-                            );
-                            let header = t_e + self.timings.outbox + self.timings.pi_out;
-                            let base = match data {
-                                Some(d) => header.max(d + self.timings.buffer_stage),
-                                None => header,
-                            };
-                            let at = base + self.timings.pi_arb_word;
-                            if self.observe {
-                                self.obs_parts.push(ObsParts {
-                                    inbox: self.timings.inbox_arb + self.timings.jump,
-                                    wait,
-                                    occ: te.offset,
-                                    mem: drift + (base - header),
-                                    out: self.timings.outbox
-                                        + self.timings.pi_out
-                                        + self.timings.pi_arb_word,
-                                });
-                            }
-                            emissions.push(Emission::Proc { at, msg: pm });
+                            self.emit(send, t_e, &mut data, parts, emissions);
                         }
                     }
                 }
@@ -879,30 +792,58 @@ impl MagicChip {
         let e = self.stats.handlers.entry(handler).or_default();
         e.0 += 1;
         e.1 += occupied;
-        if msg.spec && !used_mem_data {
+        if msg.spec && !data.used_mem {
             self.stats.spec_useless += 1;
         }
         self.pp_regs = regs;
         self.pp_sink = sink;
     }
 
-    fn data_ready(
-        &self,
-        send_with_data: bool,
-        incoming_had_data: bool,
-        arrival: Cycle,
-        data_mem: Option<Cycle>,
-        used_mem_data: &mut bool,
-    ) -> Option<Cycle> {
-        if !send_with_data {
-            return None;
-        }
-        if incoming_had_data {
-            Some(arrival)
-        } else {
-            *used_mem_data = true;
-            Some(data_mem.unwrap_or(arrival))
-        }
+    /// The one rule that times a message leaving the chip, for both
+    /// controllers. Its header passes the outbox and the NI (network) or
+    /// the PI (processor) after the handler produces it at `t_e`; a
+    /// message carrying data also waits for that data plus one buffer
+    /// stage; a processor message then crosses the bus. `parts` carries
+    /// the caller's wait, occupancy and memory cycles so far; the rest of
+    /// the attribution is filled in here and recorded when observed.
+    fn emit(
+        &mut self,
+        send: Outgoing,
+        t_e: Cycle,
+        data: &mut DataSource,
+        mut parts: ObsParts,
+        emissions: &mut Vec<Emission>,
+    ) {
+        let t = self.timings;
+        let observe = self.observe;
+        let obs_parts = &mut self.obs_parts;
+        let mut stamp = |with_data: bool, out: u64, bus: u64| {
+            let header = t_e + out;
+            let ready = match data.ready(with_data) {
+                Some(d) => header.max(d + t.buffer_stage),
+                None => header,
+            };
+            if observe {
+                parts.inbox = t.inbox_arb + t.jump;
+                parts.mem += ready - header;
+                parts.out = out + bus;
+                obs_parts.push(parts);
+            }
+            ready + bus
+        };
+        emissions.push(match send {
+            Outgoing::Net(msg) => Emission::Net {
+                at: stamp(msg.with_data, t.outbox + t.ni_out, 0),
+                msg,
+            },
+            Outgoing::Proc(msg) => Emission::Proc {
+                at: stamp(msg.with_data, t.outbox + t.pi_out, t.pi_arb_word),
+                msg,
+            },
+            Outgoing::MemRead(_) | Outgoing::MemWrite(_) => {
+                unreachable!("memory operations leave no emission")
+            }
+        });
     }
 
     /// Controller statistics.
@@ -1112,15 +1053,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_table_mode_charges_table_3_4() {
-        let mut chip = mk_chip(ControllerKind::FlashCostTable);
-        process(&mut chip, local_get(0x1000), Cycle::new(7));
-        assert_eq!(chip.pp_busy_cycles(), 11, "read from memory = 11 cycles");
-        let (count, cycles) = chip.stats().handlers["pi_get_local"];
-        assert_eq!((count, cycles), (1, 11));
-    }
-
-    #[test]
     fn classification_counts_reads() {
         let mut chip = mk_chip(ControllerKind::FlashEmulated);
         let m = local_get(0x1000);
@@ -1174,15 +1106,11 @@ mod tests {
 
     /// The observability invariant: for every emission of an observed
     /// `process` call, the recorded parts sum exactly to
-    /// `emission.at() − arrival`, on all three controller kinds, including
+    /// `emission.at() − arrival`, on both controller kinds, including
     /// under PP queueing and MDC stalls.
     #[test]
     fn obs_parts_sum_exactly_to_emission_minus_arrival() {
-        for kind in [
-            ControllerKind::FlashEmulated,
-            ControllerKind::FlashCostTable,
-            ControllerKind::Ideal,
-        ] {
+        for kind in [ControllerKind::FlashEmulated, ControllerKind::Ideal] {
             let mut chip = mk_chip(kind);
             chip.set_observe(true);
             // Cold then warm, plus a back-to-back pair to exercise waits.
@@ -1211,11 +1139,7 @@ mod tests {
     /// produces identical emissions with and without `set_observe`.
     #[test]
     fn observe_does_not_perturb_chip_timing() {
-        for kind in [
-            ControllerKind::FlashEmulated,
-            ControllerKind::FlashCostTable,
-            ControllerKind::Ideal,
-        ] {
+        for kind in [ControllerKind::FlashEmulated, ControllerKind::Ideal] {
             let mut plain = mk_chip(kind);
             let mut observed = mk_chip(kind);
             observed.set_observe(true);

@@ -4,8 +4,8 @@
 //! secondary cache, a portion of the machine's distributed memory, and a
 //! flexible node controller called MAGIC" (paper §2). This crate models
 //! the chip: the inbox (arbitration, jump-table lookup, speculative memory
-//! initiation), the protocol processor (either emulated handler code, a
-//! table-driven cost model, or the paper's zero-time *ideal* controller),
+//! initiation), the protocol processor (either emulated handler code or
+//! the paper's zero-time *ideal* controller),
 //! the MAGIC data and instruction caches, the outbox, and the PI/NI
 //! outbound paths.
 

@@ -12,7 +12,7 @@
 //!   --stress NODES,LINES,ITEMS,SEED   seeded stress-net streams
 //!   --workload NAME,PROCS,SCALE[,BOUND] named paper workload, bounded
 //!   --traffic NODES,OBJECTS,ITEMS,GAP,SEED[,BOUND] open-loop traffic, paced
-//!   --controller flash|cost-table|ideal    (default flash)
+//!   --controller flash|ideal          (default flash)
 //!   --cache BYTES                     cache capacity override
 //!   --check                           arm the flash-check net
 //!   --faults none|zeroed,S|light,S|stress,S   fault preset

@@ -356,7 +356,6 @@ impl Spec {
                 "--controller" => {
                     spec.controller = match value(&mut i, "--controller")?.as_str() {
                         "flash" => ControllerKind::FlashEmulated,
-                        "cost-table" => ControllerKind::FlashCostTable,
                         "ideal" => ControllerKind::Ideal,
                         other => return Err(format!("unknown controller `{other}`")),
                     };
@@ -469,7 +468,6 @@ impl fmt::Display for Spec {
         }
         match self.controller {
             ControllerKind::FlashEmulated => {}
-            ControllerKind::FlashCostTable => write!(f, " --controller cost-table")?,
             ControllerKind::Ideal => write!(f, " --controller ideal")?,
         }
         if let Some(bytes) = self.cache_bytes {
@@ -516,7 +514,7 @@ mod tests {
             "--workload FFT,4,64,500 --cache 65536 --predicate oracle",
             "--traffic 4,64,200,30,11,200 --faults light,3 --check --predicate violation",
             "--stress 8,4,96,7 --faults zeroed,0 --link-down 1,2,120000 --watchdog 150000 --budget 400000 --predicate wedge",
-            "--stress 4,2,16,1 --controller cost-table --link-down 0,1,100,900 --predicate exit:true",
+            "--stress 4,2,16,1 --controller ideal --link-down 0,1,100,900 --predicate exit:true",
         ] {
             let spec = parse(line).unwrap();
             assert_eq!(spec.to_string(), line);
@@ -544,6 +542,7 @@ mod tests {
             "--workload FFT,0,64 --predicate wedge",
             "--workload FFT,4,0 --predicate wedge",
             "--workload Nope,4,64 --predicate wedge",
+            "--stress 8,4,96,7 --controller cost-table --predicate wedge",
         ] {
             assert!(parse(bad).is_err(), "{bad}");
         }

@@ -1,12 +1,13 @@
 //! Table-driven PP occupancy cost model.
 //!
-//! The `FlashCostTable` controller mode charges PP occupancy from this
-//! table instead of emulating handler code. The base values come straight
-//! from paper Table 3.4 ("PP Occupancies for Common Operations"), with the
-//! variable components (per-invalidation, per-list-node) applied by the
-//! native handlers as they discover list lengths. This mode serves two
-//! purposes: fast large-configuration runs (§4.5's 64-processor
-//! experiments) and an independent cross-check on the emulated handlers.
+//! The native handlers report, in [`crate::native::NativeResult::cost`],
+//! the PP occupancy this table predicts for each invocation. The base
+//! values come straight from paper Table 3.4 ("PP Occupancies for Common
+//! Operations"), with the variable components (per-invalidation,
+//! per-list-node) applied by the native handlers as they discover list
+//! lengths. No controller charges from it: the FLASH machine takes its
+//! occupancies from the handlers running on the emulated PP, and the
+//! ideal machine charges none.
 
 /// Paper Table 3.4 occupancies, in 10 ns cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -6,8 +6,8 @@
 //! implementations of the same protocol*:
 //!
 //! * [`native`] — the Rust oracle used by the ideal machine (zero-time
-//!   controller) and by the fast table-driven FLASH mode (occupancies from
-//!   [`cost`]);
+//!   controller), which also reports Table 3.4 occupancy estimates
+//!   ([`cost`]);
 //! * [`handlers`] — the protocol written in PP assembly, executed on the
 //!   `flash-pp` emulator by the detailed FLASH model, exactly as the real
 //!   machine runs handler code on MAGIC.

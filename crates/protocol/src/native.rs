@@ -2,15 +2,16 @@
 //!
 //! This is the dynamic-pointer-allocation coherence protocol expressed
 //! directly in Rust over the same byte-level directory structures the PP
-//! handlers use. It serves three roles:
+//! handlers use. It serves two roles:
 //!
 //! 1. the "instantaneous oracle" directory of the **ideal machine**
 //!    (paper §3.1) — protocol operations in zero time;
-//! 2. the protocol engine of the fast **table-driven FLASH** mode, which
-//!    charges occupancy from [`crate::cost::CostTable`];
-//! 3. the reference against which the **emulated PP handlers** are
+//! 2. the reference against which the **emulated PP handlers** are
 //!    differentially tested (same inputs ⇒ same directory mutations and
 //!    same outgoing messages).
+//!
+//! Each invocation also reports the Table 3.4 occupancy estimate from
+//! [`crate::cost::CostTable`].
 //!
 //! Invalidation acknowledgements are collected at the home node, which
 //! keeps the line `PENDING` (NACKing conflicting requests) until the count
@@ -36,7 +37,7 @@ pub enum Outgoing {
     MemWrite(Addr),
 }
 
-/// What [`handle`] did, for statistics and the table-driven cost mode.
+/// What [`handle`] did: the handler that ran and its Table 3.4 cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NativeResult {
     /// Name of the PP handler the jump table would have dispatched

@@ -125,13 +125,6 @@ fn random_sharing_preserves_coherence_ideal() {
 }
 
 #[test]
-fn random_sharing_preserves_coherence_cost_table() {
-    for seed in 0..6 {
-        run_and_check(MachineConfig::flash_cost_table(4), 400, 24, seed);
-    }
-}
-
-#[test]
 fn hot_line_contention_preserves_coherence() {
     // Every processor hammers the same handful of lines: maximal races.
     for seed in 0..4 {

@@ -7,7 +7,6 @@ fn run(app: &str, kind: ControllerKind, procs: u16, scale: u32) -> MachineReport
     let w = by_name(app, procs, scale);
     let cfg = match kind {
         ControllerKind::FlashEmulated => MachineConfig::flash(procs),
-        ControllerKind::FlashCostTable => MachineConfig::flash_cost_table(procs),
         ControllerKind::Ideal => MachineConfig::ideal(procs),
     };
     run_workload(&cfg, w.as_ref())
@@ -32,21 +31,6 @@ fn flexibility_gap_is_bounded_for_optimized_apps() {
             c.slowdown_pct >= -1.0 && c.slowdown_pct <= max_gap_pct,
             "{app}: FLASH +{:.1}% over ideal (expected 0..{max_gap_pct}%)",
             c.slowdown_pct
-        );
-    }
-}
-
-#[test]
-fn cost_table_mode_tracks_emulated_mode() {
-    // The table-driven controller is an approximation of the emulated
-    // one: execution times should agree within a modest factor.
-    for app in ["FFT", "Radix"] {
-        let e = run(app, ControllerKind::FlashEmulated, 4, 16);
-        let t = run(app, ControllerKind::FlashCostTable, 4, 16);
-        let ratio = e.exec_cycles as f64 / t.exec_cycles.max(1) as f64;
-        assert!(
-            (0.6..=1.7).contains(&ratio),
-            "{app}: emulated/table ratio {ratio:.2}"
         );
     }
 }

@@ -143,19 +143,6 @@ fn fault_soak_flash_8() {
 }
 
 #[test]
-fn fault_soak_cost_table() {
-    for seed in 0..seeds(2) {
-        soak(
-            MachineConfig::flash_cost_table(4),
-            FaultsSpec::Stress(0xC0 + seed),
-            16,
-            250,
-            80 + seed,
-        );
-    }
-}
-
-#[test]
 fn fault_soak_ideal() {
     // The ideal machine has no MAGIC occupancy, but the mesh-facing fault
     // classes (hop spikes, link stalls, NI freezes) still apply.

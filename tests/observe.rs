@@ -70,11 +70,7 @@ fn all_class_workload() -> Vec<Vec<WorkItem>> {
 /// kind.
 #[test]
 fn observation_is_timing_invisible() {
-    for cfg in [
-        MachineConfig::flash(4),
-        MachineConfig::ideal(4),
-        MachineConfig::flash_cost_table(4),
-    ] {
+    for cfg in [MachineConfig::flash(4), MachineConfig::ideal(4)] {
         let base = run(cfg.clone(), all_class_workload());
         let observed = run(cfg.clone().with_observe(true), all_class_workload());
         assert_eq!(
