@@ -4,7 +4,7 @@
 //! points run isolated in [`crate::runner`]'s worker pool.
 //! The harness completes the robustness story at the process boundary:
 //! a panicking render (one of its points failed, so
-//! [`crate::cached_run`] re-hit the panic at render time) is caught, the
+//! [`crate::cached_run`] re-raised its failure at render time) is caught, the
 //! remaining artifacts still render, and the process exits nonzero with
 //! a per-job failure table on stdout.
 //!

@@ -264,8 +264,7 @@ pub fn cached_run(spec: &RunSpec) -> MachineReport {
     if let Some(r) = lock(run_cache()).get(&key) {
         return r.clone();
     }
-    maybe_inject_panic(&key);
-    maybe_inject_hang(&key);
+    resurface_failure(&key);
     // With FLASH_OBSERVE_OUT set, the job executes under observation (the
     // memo key stays the caller's spec: observation is timing-invisible,
     // so the report's table-facing fields are identical either way) and
@@ -287,41 +286,13 @@ pub fn cached_latency(kind: ControllerKind, class: MissClass) -> f64 {
     if let Some(v) = lock(lat_cache()).get(&key) {
         return *v;
     }
-    maybe_inject_panic(&key);
-    maybe_inject_hang(&key);
+    resurface_failure(&key);
     let cfg = crate::base_cfg(kind, 3);
     let v = crate::measure_class_uncached(&cfg, class);
     if let Some(dir) = observe_out_dir() {
         export_observe(dir, &key, &crate::observed_class_scenario(&cfg, class));
     }
     *lock(lat_cache()).entry(key).or_insert(v)
-}
-
-/// Isolation self-test hook: `FLASH_INJECT_PANIC=<substring>` panics any
-/// job whose memo key contains the substring, *after* the cache miss is
-/// established (so only a real simulation attempt trips it). Used by the
-/// panic-isolation tests; unset in normal operation.
-fn maybe_inject_panic(key: &str) {
-    if knobs::INJECT_PANIC
-        .text()
-        .is_some_and(|pat| key.contains(&pat))
-    {
-        panic!("FLASH_INJECT_PANIC matched `{key}`");
-    }
-}
-
-/// Isolation self-test hook: `FLASH_INJECT_HANG=<substring>` stalls any
-/// job whose memo key contains the substring for an hour — forever, on
-/// test timescales — modelling a runaway simulation that ignores its
-/// cycle budget. Exercises the wall-clock timeout and thread-abandonment
-/// path; unset in normal operation.
-fn maybe_inject_hang(key: &str) {
-    if knobs::INJECT_HANG
-        .text()
-        .is_some_and(|pat| key.contains(&pat))
-    {
-        std::thread::sleep(Duration::from_secs(3600));
-    }
 }
 
 // ---- worker pool -----------------------------------------------------------
@@ -343,6 +314,23 @@ fn failure_log() -> &'static Mutex<Vec<JobFailure>> {
     LOG.get_or_init(|| Mutex::new(Vec::new()))
 }
 
+/// The error `key`'s job failed with since the last drain, if it did.
+fn failure_of(key: &str) -> Option<String> {
+    lock(failure_log())
+        .iter()
+        .find(|f| f.key == key)
+        .map(|f| f.error.clone())
+}
+
+/// Panics with `key`'s recorded failure, if it has one: a point that
+/// failed in the pool re-surfaces as a render-time panic instead of
+/// being simulated again inline, where no wall-clock limit applies.
+fn resurface_failure(key: &str) {
+    if let Some(error) = failure_of(key) {
+        panic!("job `{key}` failed: {error}");
+    }
+}
+
 /// Takes (and clears) every job failure recorded since the last drain.
 /// Bins call this after rendering to decide their exit status.
 pub fn drain_failures() -> Vec<JobFailure> {
@@ -357,9 +345,10 @@ pub fn prefetch(list: &[Job]) -> usize {
     prefetch_with(list, jobs(), knobs::JOB_TIMEOUT.seconds())
 }
 
-/// Deduplicates `list`, drops already-cached points, and executes the rest
-/// on `workers` scoped threads (`workers <= 1`: on the caller's thread)
-/// that take jobs in list order. Each job runs once under
+/// Deduplicates `list`, drops points that are cached or failed since the
+/// last [`drain_failures`], and executes the rest on `workers` scoped
+/// threads (`workers <= 1`: on the caller's thread) that take jobs in
+/// list order. Each job runs once under
 /// [`isolate::call`]: a job that panics or overruns `timeout` is recorded
 /// for [`drain_failures`] instead of killing the matrix, and an overrun
 /// job's thread is abandoned, never joined. Returns the number of points
@@ -369,7 +358,7 @@ pub fn prefetch_with(list: &[Job], workers: usize, timeout: Option<Duration>) ->
     let mut pending: Vec<Job> = Vec::new();
     for job in list {
         let key = job.key();
-        if !job.is_cached(&key) && seen.insert(key) {
+        if !job.is_cached(&key) && failure_of(&key).is_none() && seen.insert(key) {
             pending.push(job.clone());
         }
     }

@@ -394,7 +394,7 @@ fn figure_runs(cache_bytes: u64, title: &str) {
         let c = compare(&f, &i);
         rows.push(vec![
             String::new(),
-            format!("FLASH +{:.1}% over ideal", c.slowdown_pct),
+            format!("FLASH {:+.1}% over ideal", c.slowdown_pct),
             String::new(),
             String::new(),
             String::new(),
@@ -567,7 +567,7 @@ pub fn sec_4_3_hotspot() {
         .collect();
     let gap = runs[0].1.exec_cycles as f64 / runs[1].1.exec_cycles.max(1) as f64 - 1.0;
     println!(
-        "FFT-on-node-0: FLASH +{:.1}% over ideal (paper: 2.6% despite 81.6% PP occupancy,\n  because node 0's memory occupancy was also high at 67.7%)",
+        "FFT-on-node-0: FLASH {:+.1}% over ideal (paper: 2.6% despite 81.6% PP occupancy,\n  because node 0's memory occupancy was also high at 67.7%)",
         gap * 100.0
     );
 
@@ -587,7 +587,7 @@ pub fn sec_4_3_hotspot() {
     });
     let c = compare(&f, &i);
     println!(
-        "OS original port (first-node pages): FLASH +{:.1}% over ideal;\n  max PP occ {} vs max mem occ {} (paper: 29% degradation, 81% PP vs 33% mem)",
+        "OS original port (first-node pages): FLASH {:+.1}% over ideal;\n  max PP occ {} vs max mem occ {} (paper: 29% degradation, 81% PP vs 33% mem)",
         c.slowdown_pct,
         pct(f.pp_occupancy.1),
         pct(f.mem_occupancy.1)
@@ -655,7 +655,7 @@ pub fn sec_4_5_scale64() {
             app.to_string(),
             c.flash_cycles.to_string(),
             c.ideal_cycles.to_string(),
-            format!("+{:.1}%", c.slowdown_pct),
+            format!("{:+.1}%", c.slowdown_pct),
             match app {
                 "FFT" => "17%".to_string(),
                 "Ocean" => "12%".to_string(),
@@ -681,7 +681,7 @@ pub fn sec_4_5_scale64() {
         "FFT (scaled data)".into(),
         c.flash_cycles.to_string(),
         c.ideal_cycles.to_string(),
-        format!("+{:.1}%", c.slowdown_pct),
+        format!("{:+.1}%", c.slowdown_pct),
         "12%".into(),
     ]);
     println!(
@@ -731,7 +731,7 @@ pub fn table_5_1() {
             rows.push(vec![
                 format!("{app} @ {label}"),
                 pct(on.useless_spec_fraction()),
-                format!("+{:.1}%", slowdown * 100.0),
+                format!("{:+.1}%", slowdown * 100.0),
             ]);
         }
     }
@@ -1021,11 +1021,11 @@ pub fn sec_5_3_ppext() {
         if d > maxd.0 {
             maxd = (d, app);
         }
-        rows.push(vec![app.to_string(), format!("+{:.1}%", d * 100.0)]);
+        rows.push(vec![app.to_string(), format!("{:+.1}%", d * 100.0)]);
     }
     println!("{}", format_table(&["App", "Degradation"], &rows));
     println!(
-        "average +{:.1}%, maximum +{:.1}% ({}) — paper: average 40%, maximum 137% (MP3D)",
+        "average {:+.1}%, maximum {:+.1}% ({}) — paper: average 40%, maximum 137% (MP3D)",
         total / apps.len() as f64 * 100.0,
         maxd.0 * 100.0,
         maxd.1

@@ -20,7 +20,8 @@ use crate::config::MachineConfig;
 use crate::hostprof::{HostProfAcc, HostProfile, HostSeg};
 use crate::observe::{LatencyReport, ObserveReport, Observer, ReqKind, TrafficStats};
 use flash_cpu::{
-    CpuOut, Mailbox, MailboxHandle, MailboxStream, Processor, RefStream, RunOutcome, WorkItem,
+    BusReply, CpuOut, Mailbox, MailboxHandle, MailboxStream, Processor, RefStream, RunOutcome,
+    WorkItem,
 };
 use flash_engine::FastMap;
 use flash_engine::{Addr, Cycle, EventQueue, NodeId, Segment};
@@ -298,13 +299,6 @@ impl std::fmt::Debug for Machine {
             .finish()
     }
 }
-
-/// Deferrals allowed for one intervention while the target's in-flight
-/// grant lands (16 cycles apart). Beyond this the transaction is assumed
-/// to be a request/forward cycle: the intervention reports a miss (the
-/// home abandons the pending transaction) and the target's eventual grant
-/// is poisoned so no stale copy is cached.
-const MAX_INTERV_DEFERRALS: u32 = 64;
 
 /// Capacity of the wedge-diagnostics message ring. Deep enough to cover
 /// the full protocol exchange on the handful of lines a wedge involves;
@@ -785,26 +779,19 @@ impl Machine {
     fn post_cpu_outs(&mut self, n: u16, outs: &[(Cycle, CpuOut)]) {
         let lat = self.cfg.lat;
         for &(t, o) in outs {
-            let (mtype, addr, extra) = match o {
-                CpuOut::Get(a) => (MsgType::PiGet, a, lat.miss_to_bus),
-                CpuOut::GetX(a) => (MsgType::PiGetX, a, lat.miss_to_bus),
-                CpuOut::Upgrade(a) => (MsgType::PiUpgrade, a, lat.miss_to_bus),
-                CpuOut::Writeback(a) => (MsgType::PiWriteback, a, 0),
-                CpuOut::Hint(a) => (MsgType::PiRplHint, a, 0),
+            let (mtype, addr) = pi_msg(o);
+            let kind = match mtype {
+                MsgType::PiGet => Some(ReqKind::Read),
+                MsgType::PiGetX => Some(ReqKind::Write),
+                MsgType::PiUpgrade => Some(ReqKind::Upgrade),
+                _ => None,
             };
             // Observed mode: a miss leaving the processor starts a
             // tracked request at its issue time.
-            if let Some(obs) = self.observe.as_deref_mut() {
-                let kind = match mtype {
-                    MsgType::PiGet => Some(ReqKind::Read),
-                    MsgType::PiGetX => Some(ReqKind::Write),
-                    MsgType::PiUpgrade => Some(ReqKind::Upgrade),
-                    _ => None,
-                };
-                if let Some(kind) = kind {
-                    obs.begin(n, addr.line().raw(), t, kind);
-                }
+            if let (Some(obs), Some(kind)) = (self.observe.as_deref_mut(), kind) {
+                obs.begin(n, addr.line().raw(), t, kind);
             }
+            let extra = if kind.is_some() { lat.miss_to_bus } else { 0 };
             self.push_origin(
                 n,
                 t + extra + lat.bus + lat.pi_in,
@@ -1001,39 +988,45 @@ impl Machine {
         );
     }
 
-    /// Delivers a MAGIC→processor message. Returns the continuation key
-    /// when a reply wake's run event was elided (see
-    /// [`Machine::schedule_or_inline`]).
+    /// Delivers a MAGIC→processor message: the processor applies it
+    /// ([`Processor::deliver`]), and the machine times what goes back,
+    /// keeps the observer and checker current, and wakes a processor a
+    /// reply unblocks. Returns the continuation key when that wake's run
+    /// event was elided (see [`Machine::schedule_or_inline`]).
     fn ev_proc_deliver(&mut self, node: u16, pm: ProcMsg, tries: u32) -> Option<(Cycle, u64)> {
-        let i = node as usize;
         let now = self.cur_t;
         let lat = self.cfg.lat;
-        // Consuming a delivery is forward progress; the intervention
-        // *deferral* path below re-queues without consuming and is
-        // deliberately not counted (a deferral loop is a livelock).
-        if !matches!(pm.mtype, MsgType::PIntervGet | MsgType::PIntervGetX) {
-            self.mark_progress();
+        let key = (node, pm.addr.line().raw());
+        let is_reply = matches!(pm.mtype, MsgType::PPut | MsgType::PPutX | MsgType::PUpgAck);
+        // Observed mode: the reply reaching the processor closes the
+        // tracked request (before its freed MSHR may re-issue on this
+        // line).
+        if is_reply {
+            if let Some(obs) = self.observe.as_deref_mut() {
+                obs.complete(key, now);
+            }
+        }
+        let mut outs = std::mem::take(&mut self.cpu_outs);
+        outs.clear();
+        let reply = self.procs[node as usize].deliver(pm, tries, now, &mut outs);
+        self.post_cpu_outs(node, &outs);
+        self.cpu_outs = outs;
+        if reply == BusReply::Defer {
+            // Data for this line is in flight; the bus transaction retries
+            // until it lands. Not forward progress: a deferral loop is a
+            // livelock.
+            self.interv_deferrals += 1;
+            let tries = tries + 1;
+            self.push_origin(node, now + 16, Ev::ProcDeliver { node, pm, tries });
+            return None;
+        }
+        self.mark_progress();
+        if is_reply {
+            return self.wake_if_waiting(node, now);
         }
         match pm.mtype {
-            MsgType::PPut | MsgType::PPutX | MsgType::PUpgAck => {
-                // Observed mode: the reply reaching the processor closes
-                // the tracked request (before `deliver_reply`, whose
-                // freed MSHR may immediately re-issue on this line).
-                if let Some(obs) = self.observe.as_deref_mut() {
-                    obs.complete((node, pm.addr.line().raw()), now);
-                }
-                let excl = pm.mtype != MsgType::PPut;
-                let mut outs = std::mem::take(&mut self.cpu_outs);
-                outs.clear();
-                self.procs[i].deliver_reply(pm.addr, excl, now, &mut outs);
-                self.post_cpu_outs(node, &outs);
-                self.cpu_outs = outs;
-                return self.wake_if_waiting(node, now);
-            }
             MsgType::PInval => {
-                self.procs[i].inval(pm.addr, now);
                 if let Some(c) = self.check.as_mut() {
-                    let key = (node, pm.addr.line().raw());
                     settle(&mut c.inflight_invals, key);
                     // An invalidation reaching this copy discharges any
                     // provisional rogue-copy observation: the self-repair
@@ -1042,43 +1035,15 @@ impl Machine {
                 }
             }
             MsgType::PIntervGet | MsgType::PIntervGetX => {
-                let excl = pm.mtype == MsgType::PIntervGetX;
-                let mut give_up = false;
-                if self.procs[i].has_mshr(pm.addr) {
-                    if tries < MAX_INTERV_DEFERRALS {
-                        // Data for this line is in flight; the bus
-                        // transaction retries until it lands.
-                        self.interv_deferrals += 1;
-                        self.push_origin(
-                            node,
-                            now + 16,
-                            Ev::ProcDeliver {
-                                node,
-                                pm,
-                                tries: tries + 1,
-                            },
-                        );
-                        return None;
-                    }
-                    // Request/forward cycle: break it. The miss report
-                    // makes the home abandon the transaction; poisoning
-                    // keeps the eventual grant from caching a stale copy.
-                    self.procs[i].poison_pending(pm.addr);
-                    give_up = true;
-                }
-                // The intervention is being consumed (not re-deferred):
-                // the copy's handoff window closes here.
-                self.mark_progress();
                 // Observed mode: the requester's frontier waited out the
                 // owner's bus transaction (deferrals included) — PI time.
                 if let Some(obs) = self.observe.as_deref_mut() {
-                    let key = (aux::requester(pm.aux).0, pm.addr.line().raw());
-                    obs.advance(key, now, Segment::Pi);
+                    obs.advance((aux::requester(pm.aux).0, key.1), now, Segment::Pi);
                 }
                 if let Some(c) = self.check.as_mut() {
-                    settle(&mut c.inflight_intervs, (node, pm.addr.line().raw()));
+                    settle(&mut c.inflight_intervs, key);
                 }
-                let found = !give_up && self.procs[i].intervention(pm.addr, excl, now);
+                let found = reply == BusReply::IntervReply;
                 let (mtype, delay) = if found {
                     (MsgType::PiIntervReply, lat.cache_data)
                 } else {
@@ -1094,17 +1059,12 @@ impl Machine {
                 // Observed mode: the NACK round trip ends on the
                 // requester's bus; the retry gap is PI time.
                 if let Some(obs) = self.observe.as_deref_mut() {
-                    obs.advance((node, pm.addr.line().raw()), now, Segment::Pi);
+                    obs.advance(key, now, Segment::Pi);
                 }
-                if let Some(o) = self.procs[i].nack_retry(pm.addr) {
-                    // Bus retry: the miss was already detected, so only
-                    // the retry delay plus bus/PI path applies.
-                    let (mtype, addr) = match o {
-                        flash_cpu::CpuOut::Get(a) => (MsgType::PiGet, a),
-                        flash_cpu::CpuOut::GetX(a) => (MsgType::PiGetX, a),
-                        flash_cpu::CpuOut::Upgrade(a) => (MsgType::PiUpgrade, a),
-                        other => unreachable!("{other:?} is not retryable"),
-                    };
+                // Bus retry: the miss was already detected, so only the
+                // retry delay plus bus/PI path applies.
+                if let BusReply::Retry(o) = reply {
+                    let (mtype, addr) = pi_msg(o);
                     self.push_origin(
                         node,
                         now + lat.retry + lat.bus + lat.pi_in,
@@ -1112,10 +1072,20 @@ impl Machine {
                     );
                 }
             }
-            MsgType::PIoData => {}
-            other => unreachable!("{other:?} is not a processor-bound message"),
+            _ => {}
         }
         None
+    }
+}
+
+/// The PI message a processor request becomes on its bus.
+fn pi_msg(o: CpuOut) -> (MsgType, Addr) {
+    match o {
+        CpuOut::Get(a) => (MsgType::PiGet, a),
+        CpuOut::GetX(a) => (MsgType::PiGetX, a),
+        CpuOut::Upgrade(a) => (MsgType::PiUpgrade, a),
+        CpuOut::Writeback(a) => (MsgType::PiWriteback, a),
+        CpuOut::Hint(a) => (MsgType::PiRplHint, a),
     }
 }
 

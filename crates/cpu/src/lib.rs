@@ -22,7 +22,7 @@ pub mod stream;
 
 pub use cache::{CpuAccess, L2Cache, LineState, Victim};
 pub use mshr::{MissKind, Mshr, MshrFile};
-pub use proc::{CpuOut, ProcStats, Processor, RunOutcome};
+pub use proc::{BusReply, CpuOut, ProcStats, Processor, RunOutcome};
 pub use stream::{
     LineRun, Mailbox, MailboxHandle, MailboxStream, RefStream, Run, SliceStream, WorkItem,
 };

@@ -11,6 +11,7 @@ use crate::cache::{CpuAccess, L2Cache, LineState, Victim};
 use crate::mshr::{MissKind, MshrFile};
 use crate::stream::{LineRun, RefStream, Run, WorkItem};
 use flash_engine::{Addr, Cycle};
+use flash_protocol::{MsgType, ProcMsg};
 
 /// Outbound coherence requests from the processor to MAGIC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +49,25 @@ pub enum RunOutcome {
     Starved,
     /// The reference stream ended.
     Finished,
+}
+
+/// What the node sends back over the bus once [`Processor::deliver`] has
+/// taken a MAGIC→processor message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BusReply {
+    /// Nothing: a reply, an invalidation, I/O data, or a NACK for a line
+    /// with no miss outstanding.
+    Nothing,
+    /// The intervention's line has a miss in flight, and nothing changed:
+    /// the bus transaction is retried later, one try further on.
+    Defer,
+    /// The intervention found the line (`PiIntervReply`, with data).
+    IntervReply,
+    /// The intervention found no copy, or gave up deferring
+    /// (`PiIntervMiss`).
+    IntervMiss,
+    /// The NACKed request, to reissue.
+    Retry(CpuOut),
 }
 
 /// Execution-time accounting in quarter-cycles, the raw material for the
@@ -144,6 +164,12 @@ const INTERV_BUSY_CYCLES: u64 = 20;
 /// Cycles the cache stays busy servicing a state-only transaction
 /// (invalidation; paper Table 3.2: 15 cycles).
 const INVAL_BUSY_CYCLES: u64 = 15;
+/// Deferrals allowed for one intervention while the line's in-flight
+/// grant lands. Beyond this the transaction is assumed to be a
+/// request/forward cycle: the intervention reports a miss (the home
+/// abandons the pending transaction) and the outstanding miss is poisoned
+/// so its eventual grant caches no stale copy.
+const MAX_INTERV_DEFERRALS: u32 = 64;
 /// Items interpreted per [`Processor::run`] call before yielding.
 const RUN_QUANTUM: u64 = 50_000;
 /// Maximum quarter-cycles a run may advance past its entry time before
@@ -534,11 +560,96 @@ impl Processor {
         items
     }
 
+    /// Takes one MAGIC→processor bus message and returns what the node
+    /// sends back. A reply completes its miss, and the eviction traffic or
+    /// reissued request that follows goes to `out`. An invalidation or an
+    /// intervention reaches the cache, and a NACK reissues its request.
+    /// `tries` counts this delivery's earlier deferrals.
+    ///
+    /// An intervention to a line with a miss in flight defers, changing
+    /// nothing, while `tries` is below `MAX_INTERV_DEFERRALS`. At the
+    /// limit it poisons the miss and reports a miss without occupying the
+    /// cache.
+    pub fn deliver(
+        &mut self,
+        pm: ProcMsg,
+        tries: u32,
+        now: Cycle,
+        out: &mut Vec<(Cycle, CpuOut)>,
+    ) -> BusReply {
+        let addr = pm.addr;
+        match pm.mtype {
+            MsgType::PPut | MsgType::PPutX | MsgType::PUpgAck => {
+                match self.mshrs.find(addr).map(|m| m.kind) {
+                    Some(MissKind::Read) => {
+                        self.complete_read(addr, pm.mtype != MsgType::PPut, now, out)
+                    }
+                    Some(MissKind::Write | MissKind::Upgrade) => {
+                        self.complete_write(addr, now, out)
+                    }
+                    None => {} // stale reply (e.g. after an intervening invalidation)
+                }
+                BusReply::Nothing
+            }
+            MsgType::PInval => {
+                self.stats.invals_received += 1;
+                self.bus_busy(now, INVAL_BUSY_CYCLES);
+                // An invalidation that races past an in-flight shared-data
+                // grant must not leave a stale copy: mark the pending read
+                // so its reply is consumed without caching.
+                if let Some(m) = self.mshrs.find_mut(addr) {
+                    if m.kind == MissKind::Read {
+                        m.invalidated = true;
+                    }
+                }
+                // An outstanding upgrade to this line is invalidated too:
+                // the eventual reply will re-install exclusively, which is
+                // correct.
+                self.cache.set_locked(addr, false);
+                self.cache.invalidate(addr.line());
+                BusReply::Nothing
+            }
+            MsgType::PIntervGet | MsgType::PIntervGetX => {
+                if let Some(m) = self.mshrs.find_mut(addr) {
+                    if tries < MAX_INTERV_DEFERRALS {
+                        return BusReply::Defer;
+                    }
+                    m.invalidated = true;
+                    return BusReply::IntervMiss;
+                }
+                // Retrieve the line (and for `PIntervGetX`, invalidate it).
+                self.stats.interventions += 1;
+                self.bus_busy(now, INTERV_BUSY_CYCLES);
+                let found = if pm.mtype == MsgType::PIntervGetX {
+                    self.cache.invalidate(addr.line())
+                } else {
+                    self.cache.downgrade(addr.line())
+                };
+                if found.is_some() {
+                    BusReply::IntervReply
+                } else {
+                    BusReply::IntervMiss
+                }
+            }
+            MsgType::PNackRetry => match self.mshrs.find(addr) {
+                // The MSHR stays allocated.
+                Some(m) => BusReply::Retry(match m.kind {
+                    MissKind::Read => CpuOut::Get(m.line),
+                    MissKind::Write => CpuOut::GetX(m.line),
+                    MissKind::Upgrade => CpuOut::Upgrade(m.line),
+                }),
+                None => BusReply::Nothing,
+            },
+            MsgType::PIoData => BusReply::Nothing,
+            other => unreachable!("{other:?} is not a processor-bound message"),
+        }
+    }
+
     /// Delivers read-miss data (`PPut`/`PPutX`). Installs the line, frees
     /// the MSHR, and emits any eviction traffic. If a write was merged
     /// into the miss and the data arrived shared, an upgrade is issued
     /// immediately.
-    pub fn complete_read(
+    fn complete_read(
         &mut self,
         addr: Addr,
         exclusive: bool,
@@ -546,7 +657,7 @@ impl Processor {
         out: &mut Vec<(Cycle, CpuOut)>,
     ) {
         let Some(m) = self.mshrs.release(addr) else {
-            return; // stale reply (e.g. after an intervening invalidation)
+            return;
         };
         self.check_completion(now, m.issued_at);
         // Planted bug (`planted-bugs`, test-only): pretend the grant was
@@ -586,7 +697,7 @@ impl Processor {
     }
 
     /// Delivers write-miss data or an upgrade acknowledgement.
-    pub fn complete_write(&mut self, addr: Addr, now: Cycle, out: &mut Vec<(Cycle, CpuOut)>) {
+    fn complete_write(&mut self, addr: Addr, now: Cycle, out: &mut Vec<(Cycle, CpuOut)>) {
         let Some(m) = self.mshrs.release(addr) else {
             return;
         };
@@ -610,81 +721,6 @@ impl Processor {
         }
     }
 
-    /// Delivers any coherence reply (`PPut`, `PPutX`, `PUpgAck`), routing
-    /// it to the outstanding miss's completion path by MSHR kind.
-    pub fn deliver_reply(
-        &mut self,
-        addr: Addr,
-        exclusive: bool,
-        now: Cycle,
-        out: &mut Vec<(Cycle, CpuOut)>,
-    ) {
-        match self.mshrs.find(addr).map(|m| m.kind) {
-            Some(MissKind::Read) => self.complete_read(addr, exclusive, now, out),
-            Some(MissKind::Write) | Some(MissKind::Upgrade) => self.complete_write(addr, now, out),
-            None => {}
-        }
-    }
-
-    /// Handles a NACKed request: returns the retry to issue (the MSHR
-    /// stays allocated).
-    pub fn nack_retry(&mut self, addr: Addr) -> Option<CpuOut> {
-        let m = self.mshrs.find(addr)?;
-        Some(match m.kind {
-            MissKind::Read => CpuOut::Get(m.line),
-            MissKind::Write => CpuOut::GetX(m.line),
-            MissKind::Upgrade => CpuOut::Upgrade(m.line),
-        })
-    }
-
-    /// Whether a miss is outstanding for `addr`'s line. The machine defers
-    /// interventions to such lines until the data arrives (the reply is
-    /// already in flight).
-    pub fn has_mshr(&self, addr: Addr) -> bool {
-        self.mshrs.find(addr).is_some()
-    }
-
-    /// Poisons an outstanding miss: its reply will complete the processor
-    /// but the line will not be cached. The machine uses this when it
-    /// abandons an intervention that waited too long for the in-flight
-    /// grant (breaking request/forward cycles).
-    pub fn poison_pending(&mut self, addr: Addr) {
-        if let Some(m) = self.mshrs.find_mut(addr) {
-            m.invalidated = true;
-        }
-    }
-
-    /// MAGIC invalidates a line (`PInval`). Returns whether a copy was
-    /// dropped. The bus transaction occupies the cache.
-    pub fn inval(&mut self, addr: Addr, now: Cycle) -> bool {
-        self.stats.invals_received += 1;
-        self.bus_busy(now, INVAL_BUSY_CYCLES);
-        // An invalidation that races past an in-flight shared-data grant
-        // must not leave a stale copy: mark the pending read so its reply
-        // is consumed without caching.
-        if let Some(m) = self.mshrs.find_mut(addr) {
-            if m.kind == MissKind::Read {
-                m.invalidated = true;
-            }
-        }
-        // An outstanding upgrade to this line is invalidated too: the
-        // eventual reply will re-install exclusively, which is correct.
-        self.cache.set_locked(addr, false);
-        self.cache.invalidate(addr.line()).is_some()
-    }
-
-    /// MAGIC intervention: retrieve (and for `exclusive`, invalidate) the
-    /// line from the cache. Returns whether the line was found.
-    pub fn intervention(&mut self, addr: Addr, exclusive: bool, now: Cycle) -> bool {
-        self.stats.interventions += 1;
-        self.bus_busy(now, INTERV_BUSY_CYCLES);
-        if exclusive {
-            self.cache.invalidate(addr.line()).is_some()
-        } else {
-            self.cache.downgrade(addr.line()).is_some()
-        }
-    }
-
     fn bus_busy(&mut self, now: Cycle, cycles: u64) {
         let start = (now.raw() * 4).max(self.cache_busy_q);
         self.cache_busy_q = start + cycles * 4;
@@ -698,6 +734,25 @@ mod tests {
 
     fn proc(items: Vec<WorkItem>) -> Processor {
         Processor::new(4 << 10, 4, Box::new(SliceStream::new(items)))
+    }
+
+    fn msg(mtype: MsgType, addr: Addr) -> ProcMsg {
+        ProcMsg {
+            mtype,
+            addr,
+            aux: 0,
+            with_data: false,
+        }
+    }
+
+    /// Everything a bus message may change, down to the LRU stamps and
+    /// the cache's bus occupancy.
+    fn state(p: &Processor) -> String {
+        let mshrs: Vec<_> = p.mshr_entries().collect();
+        format!(
+            "{:?} {:?} {mshrs:?} {} {}",
+            p.stats, p.cache, p.cache_busy_q, p.qtime
+        )
     }
 
     #[test]
@@ -762,13 +817,15 @@ mod tests {
         // line stayed uncached *and* the write was never performed.
         let a = Addr::new(0x2000);
         let mut p = proc(vec![WorkItem::Busy(1)]);
-        // A read miss with a store merged in, whose grant is invalidated
-        // while in flight (the request/forward race `poison_pending`
-        // breaks).
+        // A read miss with a store merged in, whose grant is poisoned
+        // while in flight (an intervention that gave up deferring breaks
+        // a request/forward cycle this way).
         p.mshrs.allocate(a, MissKind::Read, Cycle::ZERO);
         p.mshrs.find_mut(a).expect("allocated").write_merged = true;
-        p.poison_pending(a);
         let mut out = Vec::new();
+        let interv = msg(MsgType::PIntervGetX, a);
+        let reply = p.deliver(interv, MAX_INTERV_DEFERRALS, Cycle::new(40), &mut out);
+        assert_eq!(reply, BusReply::IntervMiss);
         p.complete_read(a, true, Cycle::new(50), &mut out);
         // The poisoned grant must not be cached...
         assert_eq!(p.cache.state_of(a), None);
@@ -896,7 +953,9 @@ mod tests {
         p.run(Cycle::ZERO, &mut out);
         p.complete_read(a, true, Cycle::new(24), &mut out);
         // Intervention arrives before the processor resumes.
-        assert!(p.intervention(a, false, Cycle::new(24)));
+        let interv = msg(MsgType::PIntervGet, a);
+        let reply = p.deliver(interv, 0, Cycle::new(24), &mut out);
+        assert_eq!(reply, BusReply::IntervReply);
         assert_eq!(p.cache().state_of(a), Some(LineState::Shared));
         assert_eq!(p.run(Cycle::new(24), &mut out), RunOutcome::Finished);
         assert!(
@@ -913,11 +972,17 @@ mod tests {
         p.run(Cycle::ZERO, &mut out);
         p.complete_read(a, false, Cycle::new(24), &mut out);
         p.run(Cycle::new(24), &mut out);
-        assert!(p.inval(a, Cycle::new(30)));
+        let inval = msg(MsgType::PInval, a);
+        assert_eq!(
+            p.deliver(inval, 0, Cycle::new(30), &mut out),
+            BusReply::Nothing
+        );
         assert_eq!(p.cache().state_of(a), None);
-        assert!(!p.inval(a, Cycle::new(31)), "second inval finds nothing");
+        assert_eq!(p.stats().invals_received, 1);
         // A stale completion for a line with no MSHR is ignored.
+        let before = state(&p);
         p.complete_read(a, false, Cycle::new(40), &mut out);
+        assert_eq!(state(&p), before);
     }
 
     #[test]
@@ -926,8 +991,100 @@ mod tests {
         let mut p = proc(vec![WorkItem::Read(a)]);
         let mut out = Vec::new();
         p.run(Cycle::ZERO, &mut out);
-        assert_eq!(p.nack_retry(a), Some(CpuOut::Get(a.line())));
-        assert_eq!(p.nack_retry(Addr::new(0x9000)), None);
+        out.clear();
+        let nack = msg(MsgType::PNackRetry, a);
+        let reply = p.deliver(nack, 0, Cycle::new(30), &mut out);
+        assert_eq!(reply, BusReply::Retry(CpuOut::Get(a.line())));
+        assert!(out.is_empty());
+        assert_eq!(p.outstanding_misses(), 1, "the MSHR stays allocated");
+    }
+
+    #[test]
+    fn nack_without_a_miss_sends_nothing() {
+        let mut p = proc(vec![WorkItem::Busy(1)]);
+        let before = state(&p);
+        let mut out = Vec::new();
+        let nack = msg(MsgType::PNackRetry, Addr::new(0x9000));
+        assert_eq!(
+            p.deliver(nack, 0, Cycle::new(5), &mut out),
+            BusReply::Nothing
+        );
+        assert!(out.is_empty());
+        assert_eq!(state(&p), before);
+    }
+
+    #[test]
+    fn reply_without_a_miss_is_ignored() {
+        let a = Addr::new(0x6000);
+        let mut p = proc(vec![WorkItem::Busy(1)]);
+        let before = state(&p);
+        let mut out = Vec::new();
+        for mtype in [MsgType::PPut, MsgType::PPutX, MsgType::PUpgAck] {
+            assert_eq!(
+                p.deliver(msg(mtype, a), 0, Cycle::new(5), &mut out),
+                BusReply::Nothing
+            );
+        }
+        assert!(out.is_empty());
+        assert_eq!(state(&p), before);
+        assert_eq!(p.cache().state_of(a), None);
+    }
+
+    #[test]
+    fn intervention_defers_unchanged_below_the_limit() {
+        let a = Addr::new(0x7000);
+        let mut p = proc(vec![WorkItem::Read(a)]);
+        let mut out = Vec::new();
+        p.run(Cycle::ZERO, &mut out);
+        out.clear();
+        let before = state(&p);
+        for mtype in [MsgType::PIntervGet, MsgType::PIntervGetX] {
+            let reply = p.deliver(
+                msg(mtype, a),
+                MAX_INTERV_DEFERRALS - 1,
+                Cycle::new(9),
+                &mut out,
+            );
+            assert_eq!(reply, BusReply::Defer);
+        }
+        assert!(out.is_empty());
+        assert_eq!(state(&p), before);
+        assert!(
+            !p.mshr_entries()
+                .next()
+                .expect("miss outstanding")
+                .invalidated
+        );
+    }
+
+    #[test]
+    fn intervention_at_the_limit_poisons_and_misses_without_bus_occupancy() {
+        let a = Addr::new(0x7000);
+        let mut p = proc(vec![WorkItem::Read(a), WorkItem::Busy(1)]);
+        let mut out = Vec::new();
+        p.run(Cycle::ZERO, &mut out);
+        out.clear();
+        let (busy, interventions) = (p.cache_busy_q, p.stats().interventions);
+        let interv = msg(MsgType::PIntervGetX, a);
+        let reply = p.deliver(interv, MAX_INTERV_DEFERRALS, Cycle::new(9), &mut out);
+        assert_eq!(reply, BusReply::IntervMiss);
+        assert!(out.is_empty());
+        assert_eq!(p.cache_busy_q, busy, "the give-up never reaches the cache");
+        assert_eq!(p.stats().interventions, interventions);
+        assert!(
+            p.mshr_entries()
+                .next()
+                .expect("miss outstanding")
+                .invalidated
+        );
+        // The poisoned grant completes the read without caching the line.
+        let put = msg(MsgType::PPutX, a);
+        assert_eq!(
+            p.deliver(put, 0, Cycle::new(30), &mut out),
+            BusReply::Nothing
+        );
+        assert_eq!(p.outstanding_misses(), 0);
+        assert_eq!(p.cache().state_of(a), None);
     }
 
     #[test]
@@ -1073,8 +1230,9 @@ mod tests {
                 RunOutcome::BlockedRead | RunOutcome::BlockedWrite => {
                     let line = a.mshr_entries().next().expect("blocked on a miss").line;
                     now = Cycle::new(now.raw() + 30);
-                    a.deliver_reply(line, false, now, &mut oa);
-                    b.deliver_reply(line, false, now, &mut ob);
+                    let put = msg(MsgType::PPut, line);
+                    a.deliver(put, 0, now, &mut oa);
+                    b.deliver(put, 0, now, &mut ob);
                     assert_eq!(oa, ob);
                 }
                 _ => {}

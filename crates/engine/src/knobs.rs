@@ -109,22 +109,6 @@ pub const OBSERVE_OUT: Knob = Knob {
     doc: "directory: export flash-observe-v1 JSON and a Chrome trace per unique run-matrix job",
 };
 
-/// Isolation self-test: panic matching jobs.
-pub const INJECT_PANIC: Knob = Knob {
-    name: "FLASH_INJECT_PANIC",
-    kind: Kind::Text,
-    default: "unset",
-    doc: "substring: panic the run-matrix jobs whose key contains it (isolation self-test)",
-};
-
-/// Isolation self-test: hang matching jobs.
-pub const INJECT_HANG: Knob = Knob {
-    name: "FLASH_INJECT_HANG",
-    kind: Kind::Text,
-    default: "unset",
-    doc: "substring: hang the run-matrix jobs whose key contains it (isolation self-test)",
-};
-
 /// Rewrite golden transcripts instead of diffing them.
 pub const BLESS: Knob = Knob {
     name: "FLASH_BLESS",
@@ -134,15 +118,13 @@ pub const BLESS: Knob = Knob {
 };
 
 /// Every knob, in the README's order.
-pub const ALL: [Knob; 9] = [
+pub const ALL: [Knob; 7] = [
     SCALE,
     PROCS,
     JOBS,
     JOB_TIMEOUT,
     SOAK_SEEDS,
     OBSERVE_OUT,
-    INJECT_PANIC,
-    INJECT_HANG,
     BLESS,
 ];
 

@@ -2,9 +2,10 @@
 //! as runs ([`PhaseStream`]) behaves, call for call, like one that
 //! interprets the same stream item by item ([`SliceStream`]).
 //!
-//! Both processors see identical external events between `run` calls:
-//! miss completions, invalidations, interventions, poisoned grants and
-//! NACK retries, at random entry times. After every call their outcomes,
+//! Both processors see identical bus messages between `run` calls, through
+//! [`Processor::deliver`]: miss completions, invalidations, interventions
+//! (deferred, served or given up, which poisons the grant) and NACK
+//! retries, at random entry times. After every call their outcomes,
 //! statistics, clocks and emitted requests must agree, and at the end so
 //! must the state of every line the stream touched and the whole tag
 //! store.
@@ -14,8 +15,9 @@
 //! far below the 50,000-item budget. `flash-cpu`'s processor tests cover
 //! the item cut inside a run.
 
-use flash_cpu::{CpuOut, Processor, RefStream, RunOutcome, SliceStream, WorkItem};
+use flash_cpu::{BusReply, CpuOut, Processor, RefStream, RunOutcome, SliceStream, WorkItem};
 use flash_engine::{Addr, Cycle, DetRng};
+use flash_protocol::{MsgType, ProcMsg};
 use flash_workloads::{Phase, PhaseStream};
 use proptest::prelude::*;
 
@@ -101,6 +103,20 @@ impl Pair {
         ra
     }
 
+    /// Delivers `mtype` for `line` to both processors (`tries` earlier
+    /// deferrals) and asserts equal replies and emitted requests.
+    fn deliver(&mut self, mtype: MsgType, line: Addr, tries: u32, now: Cycle) -> BusReply {
+        let pm = ProcMsg {
+            mtype,
+            addr: line,
+            aux: 0,
+            with_data: false,
+        };
+        self.both(&format!("{mtype:?}"), |p, out| {
+            p.deliver(pm, tries, now, out)
+        })
+    }
+
     /// A random outstanding miss, if any.
     fn some_mshr(&self, rng: &mut DetRng) -> Option<Addr> {
         let lines: Vec<Addr> = self.runs.mshr_entries().map(|m| m.line).collect();
@@ -141,21 +157,24 @@ fn drive(phases: Vec<Phase>, seed: u64) {
                 0 => complete = true,
                 1 if !lines.is_empty() => {
                     let l = lines[rng.below(lines.len() as u64) as usize];
-                    pair.both("inval", |p, _| p.inval(l, now));
+                    pair.deliver(MsgType::PInval, l, 0, now);
                 }
                 2 if !lines.is_empty() => {
+                    // Deferred when the line has a miss in flight.
                     let l = lines[rng.below(lines.len() as u64) as usize];
-                    let exclusive = rng.chance(0.5);
-                    pair.both("intervention", |p, _| p.intervention(l, exclusive, now));
+                    pair.deliver(interv(rng.chance(0.5)), l, 0, now);
                 }
                 3 => {
                     if let Some(l) = pair.some_mshr(&mut rng) {
-                        pair.both("nack", |p, _| p.nack_retry(l));
+                        pair.deliver(MsgType::PNackRetry, l, 0, now);
                     }
                 }
                 4 => {
+                    // Past any deferral limit: the intervention gives up
+                    // and poisons the miss.
                     if let Some(l) = pair.some_mshr(&mut rng) {
-                        pair.both("poison", |p, _| p.poison_pending(l));
+                        let reply = pair.deliver(interv(rng.chance(0.5)), l, u32::MAX, now);
+                        assert_eq!(reply, BusReply::IntervMiss);
                     }
                 }
                 _ => {}
@@ -163,12 +182,25 @@ fn drive(phases: Vec<Phase>, seed: u64) {
         }
         if complete {
             if let Some(l) = pair.some_mshr(&mut rng) {
-                let exclusive = rng.chance(0.5);
-                pair.both("reply", |p, out| p.deliver_reply(l, exclusive, now, out));
+                let put = if rng.chance(0.5) {
+                    MsgType::PPutX
+                } else {
+                    MsgType::PPut
+                };
+                pair.deliver(put, l, 0, now);
             }
         }
     }
     panic!("the stream did not finish");
+}
+
+/// An intervention, exclusive or shared.
+fn interv(exclusive: bool) -> MsgType {
+    if exclusive {
+        MsgType::PIntervGetX
+    } else {
+        MsgType::PIntervGet
+    }
 }
 
 proptest! {
@@ -219,7 +251,7 @@ fn time_cut_lands_mid_line_and_resumes() {
                 RunOutcome::Quantum => cuts += 1,
                 _ => {
                     let l = pair.runs.mshr_entries().next().expect("blocked").line;
-                    pair.both("reply", |p, out| p.deliver_reply(l, true, now, out));
+                    pair.deliver(MsgType::PPutX, l, 0, now);
                 }
             }
         }
