@@ -95,6 +95,27 @@ fn golden(name: &str) -> Vec<u8> {
     std::fs::read(&p).unwrap_or_else(|e| panic!("golden transcript {p:?}: {e}"))
 }
 
+/// Asserts `got` equals the golden transcript `name` byte for byte. On
+/// drift it names the first differing line and shows both versions of
+/// it, instead of dumping both transcripts.
+fn assert_matches_golden(got: &[u8], name: &str) {
+    let want = golden(name);
+    if got == want {
+        return;
+    }
+    let (g, w) = (String::from_utf8_lossy(got), String::from_utf8_lossy(&want));
+    let (mut gl, mut wl) = (g.lines(), w.lines());
+    let mut line = 1;
+    let (a, b) = loop {
+        match (gl.next(), wl.next()) {
+            (Some(a), Some(b)) if a == b => line += 1,
+            (None, None) => panic!("stdout differs from tests/golden/{name} only in line endings"),
+            other => break other,
+        }
+    };
+    panic!("stdout drifted from tests/golden/{name} at line {line}: got {a:?}, want {b:?}");
+}
+
 /// `observe_breakdown` stdout is pinned byte-for-byte against the golden
 /// transcript. (The PP backend is a host detail that must never reach
 /// an observable; the `pp_backends_agree_on_every_miss_class` unit test
@@ -105,11 +126,7 @@ fn observe_breakdown_stdout_matches_golden() {
         .output()
         .expect("spawn observe_breakdown");
     assert!(out.status.success());
-    assert_eq!(
-        out.stdout,
-        golden("observe_breakdown.txt"),
-        "observe_breakdown stdout drifted from tests/golden/observe_breakdown.txt"
-    );
+    assert_matches_golden(&out.stdout, "observe_breakdown.txt");
 }
 
 /// `traffic_suite --smoke` stdout — the scaled-down load–latency sweep
@@ -123,11 +140,7 @@ fn traffic_smoke_stdout_matches_golden() {
         .output()
         .expect("spawn traffic_suite");
     assert!(out.status.success());
-    assert_eq!(
-        out.stdout,
-        golden("traffic_smoke.txt"),
-        "traffic_suite --smoke stdout drifted from tests/golden/traffic_smoke.txt"
-    );
+    assert_matches_golden(&out.stdout, "traffic_smoke.txt");
 }
 
 /// `repro_all` — the full paper-reproduction sweep — is pinned against
@@ -139,11 +152,7 @@ fn repro_all_stdout_matches_golden() {
         .output()
         .expect("spawn repro_all");
     assert!(out.status.success());
-    assert_eq!(
-        out.stdout,
-        golden("repro_all.txt"),
-        "repro_all stdout drifted from tests/golden/repro_all.txt"
-    );
+    assert_matches_golden(&out.stdout, "repro_all.txt");
 }
 
 /// `repro_all NAME...` (README "Individual artifacts") renders exactly

@@ -1,5 +1,6 @@
-//! EXPERIMENTS.md quotes the full-size transcript: every measured cell of
-//! its Table 3.3 and Figure 4.1 tables equals the matching row of
+//! EXPERIMENTS.md and README.md quote the full-size transcript: every
+//! measured cell of EXPERIMENTS.md's Table 3.3 and Figure 4.1 tables and
+//! of README.md's headline table equals the matching row of
 //! `repro_full.txt` (what `FLASH_SCALE=1 repro_all` prints; CI compares a
 //! fresh run against that file). A model change that moves one of these
 //! numbers fails here until the prose moves with it.
@@ -20,7 +21,7 @@ fn read(name: &str) -> String {
 /// with `heading`, split into trimmed cells with `**` emphasis removed.
 fn doc_table(doc: &str, heading: &str) -> Vec<Vec<String>> {
     let mut lines = doc.lines().skip_while(|l| !l.starts_with(heading));
-    assert!(lines.next().is_some(), "EXPERIMENTS.md has no `{heading}`");
+    assert!(lines.next().is_some(), "no `{heading}` heading");
     lines
         .take_while(|l| !l.starts_with('#'))
         .skip_while(|l| !l.starts_with('|'))
@@ -79,9 +80,11 @@ fn table_3_3_measured_cells_match_the_transcript() {
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
 
-#[test]
-fn figure_4_1_measured_cells_match_the_transcript() {
-    let doc = doc_table(&read("EXPERIMENTS.md"), "## Figure 4.1");
+/// Compares a doc table's FLASH-over-ideal cells (column `pct_col`)
+/// with the transcript's Figure 4.1 rows and lists every mismatch. The
+/// app name and the cell are compared on their first word: both may go
+/// on in prose (`MP3D (stress test)`, `+53.8% (stress-test outlier)`).
+fn figure_4_1_mismatches(doc_name: &str, rows: &[Vec<String>], pct_col: usize) -> Vec<String> {
     let transcript = read("repro_full.txt");
     // Each app's two machine rows are followed by "FLASH +x% over ideal".
     let mut app = "";
@@ -97,19 +100,35 @@ fn figure_4_1_measured_cells_match_the_transcript() {
             app = line.split_whitespace().next().unwrap_or("");
         }
     }
-    assert!(!doc.is_empty(), "EXPERIMENTS.md Figure 4.1 has no rows");
+    assert!(
+        !rows.is_empty(),
+        "{doc_name}'s Figure 4.1 table has no rows"
+    );
     let mut mismatches = Vec::new();
-    for cells in &doc {
-        let (name, cell) = (&cells[0], &cells[2]);
-        // The cell leads with the figure and may go on in prose.
-        let doc_pct = cell.split_whitespace().next().unwrap_or("");
-        match measured.iter().find(|(a, _)| a == name) {
+    for cells in rows {
+        let name = cells[0].split_whitespace().next().unwrap_or("");
+        let doc_pct = cells[pct_col].split_whitespace().next().unwrap_or("");
+        match measured.iter().find(|(a, _)| *a == name) {
             Some(&(_, pct)) if pct == doc_pct => {}
             Some(&(_, pct)) => mismatches.push(format!(
-                "Figure 4.1 {name:?}: EXPERIMENTS.md says {doc_pct}, repro_full.txt says {pct}"
+                "Figure 4.1 {name:?}: {doc_name} says {doc_pct}, repro_full.txt says {pct}"
             )),
             None => mismatches.push(format!("Figure 4.1 {name:?}: not in repro_full.txt")),
         }
     }
+    mismatches
+}
+
+#[test]
+fn figure_4_1_measured_cells_match_the_transcript() {
+    let doc = doc_table(&read("EXPERIMENTS.md"), "## Figure 4.1");
+    let mismatches = figure_4_1_mismatches("EXPERIMENTS.md", &doc, 2);
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn readme_headline_cells_match_the_transcript() {
+    let doc = doc_table(&read("README.md"), "## Headline result");
+    let mismatches = figure_4_1_mismatches("README.md", &doc, 2);
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }

@@ -6,7 +6,7 @@
 //! [`crate::MachineConfig::with_host_profile`] arms it, the machine
 //! brackets every event it processes with monotonic-clock stamps and
 //! attributes the elapsed nanoseconds to one of six subsystem segments
-//! plus a boundary bucket:
+//! (a seventh, `boundary`, always reads 0):
 //!
 //! * `proc_cache` — processor run loop, L1/L2 cache model, reply delivery
 //! * `magic_dispatch` — MAGIC inbox bookkeeping, fault hooks, emission
@@ -14,12 +14,14 @@
 //! * `protocol` — protocol-processor handler execution and directory
 //!   state (native, emulated, or translated backend)
 //! * `net_mesh` — mesh routing, link fault verdicts, NI egress
-//! * `event_queue` — timing-wheel/heap pops, window selection and
-//!   advance
+//! * `event_queue` — timing-wheel/heap pops
 //! * `observe_check` — cycle attribution of MAGIC events and coherence
 //!   checking (zero unless those modes are armed); the observer's
 //!   bookkeeping on processor and mesh events counts in their segments
-//! * `boundary` — synchronization replay at time-window boundaries
+//! * `boundary` — always 0. It timed the synchronization replay at the
+//!   boundaries of the time windows the event loop no longer has; it
+//!   stays only because perfbench sizes its segment metrics by
+//!   [`HOST_SEG_COUNT`].
 //!
 //! The profiler is a pure observer of the host clock: it never reads or
 //! writes simulation state, so arming it cannot change `exec_cycles`,
@@ -44,7 +46,8 @@ pub enum HostSeg {
     Queue = 4,
     /// Observer attribution of MAGIC events and coherence checks.
     ObsCheck = 5,
-    /// Synchronization replay at time-window boundaries.
+    /// Nothing: always 0 (kept so the export keeps `HOST_SEG_COUNT`
+    /// segments).
     Boundary = 6,
 }
 

@@ -1,20 +1,14 @@
 //! The machine: nodes, network, and the event loop (the FlashLite role).
 //!
-//! # Conservative time windows
+//! # One event loop
 //!
-//! Simulation advances in time windows: every window starts at the
-//! earliest pending event time `W` and extends to `W + L`, where the
-//! lookahead `L` (`Machine::lookahead`) is the minimum latency any
-//! cross-node message can experience (minimum remote mesh transit plus
-//! the receiving NI's input stage). The window length is part of the
-//! simulated schedule, not a host detail: everything nodes share — locks,
-//! barriers and the finish count — is resolved only at window
-//! boundaries, from a journal of synchronization requests replayed in
-//! canonical key order, and the forward-progress watchdog checks there.
-//!
-//! Every event carries a `(cycle, sub)` key, where `sub` encodes the
-//! *originating node* and a per-origin sequence number. Keys are globally
-//! unique, so the queue's order is total and every run is deterministic.
+//! Like FlashLite, the machine is a sequential event-driven simulator: it
+//! pops one event queue in canonical key order and runs each event to
+//! completion. Every event carries a `(cycle, sub)` key, where `sub`
+//! encodes the *originating node* and a per-origin sequence number. Keys
+//! are globally unique, so the queue's order is total and every run is
+//! deterministic. Locks, barriers and retirement resolve inside the event
+//! that reaches them, at the processor's own pipeline time.
 
 use crate::config::MachineConfig;
 use crate::hostprof::{HostProfAcc, HostProfile, HostSeg};
@@ -97,9 +91,6 @@ struct LockState {
     waiters: VecDeque<(u16, Cycle)>,
 }
 
-/// Canonical event identity: `(cycle, sub)` with `sub` from [`sub_key`].
-type EvKey = (u64, u64);
-
 /// Bits of the per-origin sequence counter inside a sub-key (the origin
 /// node occupies the bits above, so keys from different nodes never
 /// collide and same-cycle events order by origin, then issue order).
@@ -112,28 +103,14 @@ fn sub_key(origin: u16, seq: u64) -> u64 {
     ((origin as u64) << SUB_SEQ_BITS) | seq
 }
 
-/// A synchronization request journaled during a window for boundary
-/// resolution, tagged with the requesting event's canonical key.
-#[derive(Debug, Clone, Copy)]
-enum SyncOp {
-    /// `node` arrived at the global barrier at its pipeline time `pt`.
-    Barrier { node: u16, pt: Cycle },
-    /// `node` wants lock `id` (parked `WaitSync` until granted).
-    Lock { node: u16, id: u32, pt: Cycle },
-    /// Lock `id` released at `pt` (the releaser already continued).
-    Unlock { id: u32, pt: Cycle },
-    /// A processor retired its stream.
-    Finished,
-}
-
 /// Checked-mode bookkeeping (allocated only when `cfg.check`).
 #[derive(Debug, Default)]
 struct CheckCtx {
     /// Every 128-byte line that ever saw protocol activity.
     touched: BTreeSet<u64>,
-    /// Lines the current window's events touched, checked and cleared at
-    /// its boundary.
-    window_lines: BTreeSet<u64>,
+    /// Lines events touched since the last audit, checked and cleared
+    /// when the clock next advances.
+    fresh_lines: BTreeSet<u64>,
     /// Invariant violations detected so far (machine-level checks; the
     /// per-chip differential oracle keeps its own list).
     violations: Vec<flash_check::Violation>,
@@ -153,7 +130,7 @@ struct CheckCtx {
     /// delivers, and promoted to a real violation if it survives to
     /// quiescence. (Whether the rogue shows up as `shared-under-dirty` or
     /// `copy-not-listed` depends only on what the header looks like when
-    /// the checker happens to observe the window.)
+    /// the checker happens to observe the line.)
     provisional_rogues: FastMap<(u16, u64), (Cycle, flash_check::Violation)>,
     /// In-flight `PInval` deliveries, keyed by (node, line address).
     ///
@@ -276,14 +253,10 @@ pub struct Machine {
     /// pure observer of the host clock — it never feeds back into
     /// simulated state.
     hostprof: Option<Box<HostProfile>>,
-    // The current window and event cursor.
-    end: Cycle,
+    // The cycle budget and the event cursor.
     budget: u64,
-    cur: EvKey,
     cur_t: Cycle,
-    /// Synchronization requests of the current window, resolved at its
-    /// boundary.
-    sync_ops: Vec<(EvKey, SyncOp)>,
+    cur_sub: u64,
     // Steady-state scratch: reused across events so the hot loop makes
     // no heap allocations (tests/alloc_budget.rs pins this).
     cpu_outs: Vec<(Cycle, CpuOut)>,
@@ -382,7 +355,7 @@ fn emission_continues(em: &Emission, key: (u16, u64), node: u16) -> bool {
 
 /// Checks every invariant visible for one line right now: SWMR across
 /// all processor caches, directory structural audit, and cache/
-/// directory agreement at the line's home. Shared by the boundary
+/// directory agreement at the line's home. Shared by the per-cycle
 /// checker and the quiescence audit.
 fn check_line_at(
     cfg: &MachineConfig,
@@ -462,7 +435,7 @@ fn settle(inflight: &mut FastMap<(u16, u64), u32>, key: (u16, u64)) {
     }
 }
 
-/// The event loop: one window's events, in canonical key order.
+/// The event loop: events in canonical key order.
 impl Machine {
     /// Allocates the next canonical sub-key for an event originated by
     /// `origin`.
@@ -476,10 +449,6 @@ impl Machine {
     fn push_origin(&mut self, origin: u16, at: Cycle, ev: Ev) {
         let sub = self.next_sub(origin);
         self.queue.push_sub(at, sub, ev);
-    }
-
-    fn sync(&mut self, op: SyncOp) {
-        self.sync_ops.push((self.cur, op));
     }
 
     fn mark_progress(&mut self) {
@@ -496,32 +465,32 @@ impl Machine {
     /// Moves the event cursor to the event at `(at, sub)`, popped or
     /// inlined.
     ///
-    /// Keys never decrease within a window, inline continuations
-    /// included: events push only at or after their own time, and a
-    /// continuation carries a later sequence number of the same origin.
-    /// Observer effects are therefore applied at the event, in key
-    /// order. (A boundary wake may land behind the previous window's
-    /// last event, so the order restarts with each window.)
+    /// Time never decreases, inline continuations included: events push
+    /// only at or after their own time. Sub-keys within one cycle can
+    /// fall: a lock or barrier wake at the current cycle may carry a
+    /// smaller sub-key than the event that caused it, and still runs
+    /// after it.
     fn set_cursor(&mut self, at: Cycle, sub: u64) {
         debug_assert!(
-            (at.raw(), sub) >= self.cur,
-            "event key {:?} precedes {:?} within a window",
-            (at.raw(), sub),
-            self.cur
+            at >= self.cur_t,
+            "event time {at:?} precedes {:?}",
+            self.cur_t
         );
-        self.cur = (at.raw(), sub);
         self.cur_t = at;
+        self.cur_sub = sub;
         if at > self.now {
             self.now = at;
         }
     }
 
-    /// Processes the events inside the current window, in canonical
-    /// `(cycle, sub)` order. Processor run events whose reschedule would
-    /// be the very next pop are executed inline (continuation loop)
-    /// instead of round-tripping through the queue;
-    /// [`Machine::schedule_or_inline`] proves the order is unchanged.
-    fn run_window(&mut self) {
+    /// Pops and runs events in canonical `(cycle, sub)` order until the
+    /// queue drains, the cycle budget runs out or the watchdog fires.
+    /// Processor run events whose reschedule would be the very next pop
+    /// are executed inline (continuation loop) instead of round-tripping
+    /// through the queue; [`Machine::schedule_or_inline`] proves the
+    /// order is unchanged.
+    fn drive(&mut self, budget: u64) -> DriveEnd {
+        self.budget = budget;
         // Profiled path: one chained stamp closes the queue lap and opens
         // the event's outer bracket, and the next closes the bracket and
         // opens the following queue lap — no unattributed gaps between
@@ -530,16 +499,30 @@ impl Machine {
             p.reset_inner();
             Instant::now()
         });
-        // Keys restart with each window (see `set_cursor`).
-        self.cur = (0, 0);
-        let (end, budget) = (self.end, self.budget);
-        while let Some((t, sub, ev)) = self.queue.pop_keyed_if(|t, _| t < end && t.raw() <= budget)
-        {
+        let end = loop {
+            let Some((t, sub, ev)) = self.queue.pop_keyed() else {
+                break if self.done == self.procs.len() {
+                    DriveEnd::Completed
+                } else {
+                    DriveEnd::Deadlocked
+                };
+            };
+            if t.raw() > budget {
+                // The first over-budget event is consumed (dropped) and
+                // the clock stops at its time.
+                self.now = self.now.max(t);
+                break DriveEnd::Budget;
+            }
             if let Some(s) = stamp {
                 let p = self.prof().expect("armed");
                 stamp = Some(p.lap(HostSeg::Queue, s));
                 p.events += 1;
                 p.reset_inner();
+            }
+            // The clock advances: audit the lines the earlier cycles
+            // touched before the first event of this one.
+            if t > self.now {
+                self.audit_fresh_lines();
             }
             self.set_cursor(t, sub);
             let ev_line = match &ev {
@@ -577,8 +560,37 @@ impl Machine {
                 stamp = Some(self.prof().expect("armed").lap_outer(seg, s));
             }
             if let (Some(c), Some(line)) = (self.check.as_mut(), ev_line) {
-                c.window_lines.insert(line);
+                c.fresh_lines.insert(line);
             }
+            let wd = self.cfg.watchdog_window;
+            if wd > 0 && self.now.raw().saturating_sub(self.last_progress.raw()) > wd {
+                break DriveEnd::Wedged;
+            }
+        };
+        self.audit_fresh_lines();
+        end
+    }
+
+    /// Checks the invariants of every line touched since the last audit.
+    fn audit_fresh_lines(&mut self) {
+        let Some(mut check) = self.check.take() else {
+            return;
+        };
+        let tc = self.hostprof.is_some().then(Instant::now);
+        for raw in std::mem::take(&mut check.fresh_lines) {
+            check.touched.insert(raw);
+            check_line_at(
+                &self.cfg,
+                &mut check,
+                Addr::new(raw),
+                self.now,
+                &self.procs,
+                &self.chips,
+            );
+        }
+        self.check = Some(check);
+        if let Some(tc) = tc {
+            self.prof().expect("armed").add_inner(HostSeg::ObsCheck, tc);
         }
     }
 
@@ -596,7 +608,7 @@ impl Machine {
 
     /// Runs processor `n`'s reference stream. Returns the continuation
     /// key when the processor's next run event was elided from the queue
-    /// (the caller executes it inline — see [`Machine::run_window`]).
+    /// (the caller executes it inline — see [`Machine::drive`]).
     fn ev_proc_run(&mut self, n: u16) -> Option<(Cycle, u64)> {
         let i = n as usize;
         if self.parked[i] != Park::Scheduled {
@@ -619,18 +631,32 @@ impl Machine {
                 // uses each processor's own arrival time.
                 let pt = self.procs[i].now().max(now);
                 self.parked[i] = Park::WaitSync;
-                self.sync(SyncOp::Barrier { node: n, pt });
+                self.barrier_waiters.push((n, pt));
+                self.maybe_release_barrier();
                 None
             }
             RunOutcome::Lock(id) => {
                 let pt = self.procs[i].now().max(now);
-                self.parked[i] = Park::WaitSync;
-                self.sync(SyncOp::Lock { node: n, id, pt });
-                None
+                let lock = self.locks.entry(id).or_default();
+                if lock.held {
+                    lock.waiters.push_back((n, pt));
+                    self.parked[i] = Park::WaitSync;
+                    None
+                } else {
+                    lock.held = true;
+                    self.schedule_or_inline(n, pt + self.cfg.lat.lock_grant)
+                }
             }
             RunOutcome::Unlock(id) => {
                 let pt = self.procs[i].now().max(now);
-                self.sync(SyncOp::Unlock { id, pt });
+                // The waiter's wake is queued before the releaser's own
+                // continuation is decided, so an inlined continuation
+                // cannot jump it.
+                let lock = self.locks.entry(id).or_default();
+                match lock.waiters.pop_front() {
+                    Some((w, wt)) => self.wake(w, pt.max(wt) + self.cfg.lat.lock_grant),
+                    None => lock.held = false,
+                }
                 self.schedule_or_inline(n, pt)
             }
             RunOutcome::Quantum => {
@@ -641,7 +667,8 @@ impl Machine {
                 if self.parked[i] != Park::Done {
                     self.parked[i] = Park::Done;
                     self.finish[i] = self.procs[i].finish_time();
-                    self.sync(SyncOp::Finished);
+                    self.done += 1;
+                    self.maybe_release_barrier();
                 }
                 None
             }
@@ -743,20 +770,16 @@ impl Machine {
     ///
     /// Identity proof: the sub-key is allocated unconditionally, so the
     /// canonical `(cycle, sub)` stream every downstream consumer sees
-    /// (journals, traces) is byte-identical to the always-queue path.
+    /// (traces, reports) is byte-identical to the always-queue path.
     /// Elision requires `(at, sub)` to order before the current queue
-    /// head and to fall inside the window and cycle budget: in the
-    /// queued execution the loop would pop exactly this event next
-    /// (nothing can enqueue an earlier key in between — events only push
-    /// at or after their own time, and the head already orders after
-    /// us), so executing it inline preserves the canonical order and
-    /// leaves the queue at the window boundary in exactly the state the
-    /// queued execution would.
+    /// head and to fall inside the cycle budget: in the queued execution
+    /// the loop would pop exactly this event next, so executing it inline
+    /// preserves the canonical order and leaves the queue in exactly the
+    /// state the queued execution would.
     fn schedule_or_inline(&mut self, n: u16, at: Cycle) -> Option<(Cycle, u64)> {
         let sub = self.next_sub(n);
         self.parked[n as usize] = Park::Scheduled;
         if self.cfg.inline_runs
-            && at < self.end
             && at.raw() <= self.budget
             && self.queue.peek_key().is_none_or(|k| (at, sub) < k)
         {
@@ -764,6 +787,25 @@ impl Machine {
         } else {
             self.queue.push_sub(at, sub, Ev::ProcRun(n));
             None
+        }
+    }
+
+    /// Wakes `node` (sets it runnable and pushes its `ProcRun`).
+    fn wake(&mut self, node: u16, at: Cycle) {
+        self.parked[node as usize] = Park::Scheduled;
+        self.push_origin(node, at, Ev::ProcRun(node));
+    }
+
+    /// Releases the barrier once every unfinished processor waits at it,
+    /// at the latest arrival.
+    fn maybe_release_barrier(&mut self) {
+        let active = self.procs.len() - self.done;
+        if active > 0 && self.barrier_waiters.len() == active {
+            let waiters = std::mem::take(&mut self.barrier_waiters);
+            let release = waiters.iter().map(|&(_, t)| t).fold(self.cur_t, Cycle::max);
+            for (w, _) in waiters {
+                self.wake(w, release);
+            }
         }
     }
 
@@ -811,7 +853,7 @@ impl Machine {
             if let Some(inj) = self.injector.as_mut() {
                 if let Some(resume) = inj.ni_freeze(now, node, NiDir::In) {
                     self.queue
-                        .push_sub(resume, self.cur.1, Ev::MagicIn { msg: wire, net });
+                        .push_sub(resume, self.cur_sub, Ev::MagicIn { msg: wire, net });
                     return;
                 }
             }
@@ -1089,156 +1131,12 @@ fn pi_msg(o: CpuOut) -> (MsgType, Addr) {
     }
 }
 
-/// How a windowed run ended (the caller builds the [`RunResult`]).
+/// How the event loop ended (the caller builds the [`RunResult`]).
 enum DriveEnd {
     Completed,
     Deadlocked,
     Budget,
     Wedged,
-}
-
-/// The window boundary: shared state resolved between windows.
-impl Machine {
-    /// Wakes `node` (sets it runnable and pushes its `ProcRun`). The wake
-    /// time may predate cycles the window already processed — the
-    /// queue's overflow heap handles behind-cursor pushes, and the event
-    /// still executes at its own simulated time — one window late by
-    /// construction.
-    fn wake(&mut self, node: u16, at: Cycle) {
-        self.parked[node as usize] = Park::Scheduled;
-        self.push_origin(node, at, Ev::ProcRun(node));
-    }
-
-    fn maybe_release_barrier(&mut self, at: Cycle) {
-        let active = self.procs.len() - self.done;
-        if active > 0 && self.barrier_waiters.len() == active {
-            let waiters = std::mem::take(&mut self.barrier_waiters);
-            let release = waiters.iter().map(|&(_, t)| t).fold(at, Cycle::max);
-            for (w, _) in waiters {
-                self.wake(w, release);
-            }
-        }
-    }
-
-    /// Applies the window's synchronization ops in canonical key order.
-    fn apply_sync(&mut self) {
-        let mut ops = std::mem::take(&mut self.sync_ops);
-        // Already in key order: `sync` journals the event cursor, which
-        // never moves backwards within a window, and an event journals at
-        // most one op.
-        debug_assert!(
-            ops.windows(2).all(|w| w[0].0 < w[1].0),
-            "sync journal out of key order"
-        );
-        let grant = self.cfg.lat.lock_grant;
-        for &(key, op) in &ops {
-            let at = Cycle::new(key.0);
-            match op {
-                SyncOp::Barrier { node, pt } => {
-                    self.barrier_waiters.push((node, pt));
-                    self.maybe_release_barrier(at);
-                }
-                SyncOp::Lock { node, id, pt } => {
-                    let lock = self.locks.entry(id).or_default();
-                    if lock.held {
-                        lock.waiters.push_back((node, pt));
-                    } else {
-                        lock.held = true;
-                        self.wake(node, pt + grant);
-                    }
-                }
-                SyncOp::Unlock { id, pt } => {
-                    let lock = self.locks.entry(id).or_default();
-                    match lock.waiters.pop_front() {
-                        Some((w, wt)) => self.wake(w, pt.max(wt) + grant),
-                        None => lock.held = false,
-                    }
-                }
-                SyncOp::Finished => {
-                    self.done += 1;
-                    self.maybe_release_barrier(at);
-                }
-            }
-        }
-        ops.clear();
-        self.sync_ops = ops;
-    }
-
-    /// Checks the invariants of every line the window touched.
-    fn check_window(&mut self) {
-        let Some(mut check) = self.check.take() else {
-            return;
-        };
-        for raw in std::mem::take(&mut check.window_lines) {
-            check.touched.insert(raw);
-            check_line_at(
-                &self.cfg,
-                &mut check,
-                Addr::new(raw),
-                self.now,
-                &self.procs,
-                &self.chips,
-            );
-        }
-        self.check = Some(check);
-    }
-
-    /// The conservative-window loop: pick the next window, process its
-    /// events, then resolve the boundary.
-    fn window_loop(&mut self, budget: u64) -> DriveEnd {
-        let lookahead = self.lookahead();
-        self.budget = budget;
-        loop {
-            // Window start: the earliest pending event.
-            let tb = self.hostprof.is_some().then(Instant::now);
-            let Some((w, _)) = self.queue.peek_key() else {
-                return if self.done == self.procs.len() {
-                    DriveEnd::Completed
-                } else {
-                    DriveEnd::Deadlocked
-                };
-            };
-            if w.raw() > budget {
-                // The first over-budget event is consumed (dropped) and
-                // the clock stops at its time.
-                let (t, _, _) = self.queue.pop_keyed().expect("peeked non-empty");
-                self.now = self.now.max(t);
-                return DriveEnd::Budget;
-            }
-            let end = w + lookahead;
-            self.end = end;
-            if let Some(t) = tb {
-                self.prof().expect("armed").add_flat(HostSeg::Queue, t);
-            }
-            self.run_window();
-            // ---- boundary ------------------------------------------------
-            // (the window's elapsed time is attributed per event, so the
-            // boundary re-stamps here.)
-            let tb = self.hostprof.is_some().then(Instant::now);
-            // 1. Synchronization (locks, barriers, retirement).
-            self.apply_sync();
-            let tb = tb.map(|t| self.prof().expect("armed").lap(HostSeg::Boundary, t));
-            // 2. Invariant checks over every line the window touched.
-            self.check_window();
-            let tb = tb.map(|t| self.prof().expect("armed").lap(HostSeg::ObsCheck, t));
-            // 3. Advance the wheel window to the boundary: the cursor
-            // froze at the last pop, and against that stale base the
-            // next window's near-future pushes would look far-future and
-            // degrade to the overflow heap. Safe because every event
-            // before `end` was popped this window.
-            self.queue.advance_to(end);
-            if let Some(t) = tb {
-                self.prof().expect("armed").add_flat(HostSeg::Queue, t);
-            }
-            // 4. Forward-progress watchdog, at boundary granularity.
-            if self.cfg.watchdog_window > 0
-                && self.now.raw().saturating_sub(self.last_progress.raw())
-                    > self.cfg.watchdog_window
-            {
-                return DriveEnd::Wedged;
-            }
-        }
-    }
 }
 
 impl Machine {
@@ -1336,11 +1234,9 @@ impl Machine {
             last_progress: Cycle::ZERO,
             observe,
             hostprof: cfg.host_profile.then(|| Box::new(HostProfile::default())),
-            end: Cycle::ZERO,
             budget: 0,
-            cur: (0, 0),
             cur_t: Cycle::ZERO,
-            sync_ops: Vec::new(),
+            cur_sub: 0,
             cpu_outs: Vec::new(),
             emit_buf: Vec::new(),
             cfg,
@@ -1412,19 +1308,10 @@ impl Machine {
         );
     }
 
-    /// The window length: the minimum latency any cross-node message
-    /// experiences (minimum remote mesh transit plus the receiver's NI
-    /// input stage). A pure function of the configuration. It is part of
-    /// the simulated schedule — synchronization resolves at window
-    /// boundaries — so changing it changes results.
-    fn lookahead(&self) -> u64 {
-        (self.net.min_remote_transit() + self.cfg.lat.ni_in).max(1)
-    }
-
     /// Runs until every processor finishes or `budget_cycles` elapse.
     pub fn run(&mut self, budget_cycles: u64) -> RunResult {
         let wall0 = self.hostprof.is_some().then(Instant::now);
-        let end = self.window_loop(budget_cycles);
+        let end = self.drive(budget_cycles);
         if let Some(t0) = wall0 {
             let hp = self.hostprof.as_mut().expect("armed");
             hp.wall_ns += t0.elapsed().as_nanos() as u64;
@@ -2008,9 +1895,11 @@ mod tests {
     #[test]
     fn barrier_synchronizes_all_processors() {
         let a = |n: u16| node_addr(NodeId(n), 0x100);
+        // Processor `n` reaches the barrier at 100·(n+1) cycles.
+        let arrive = |n: u16| 100 * (n as u64 + 1);
         let mk = |n: u16| {
             vec![
-                WorkItem::Busy(400 * (n as u64 + 1)), // staggered arrival
+                WorkItem::Busy(4 * arrive(n)), // staggered arrival
                 WorkItem::Barrier,
                 WorkItem::Read(a(n)),
                 WorkItem::Busy(4),
@@ -2018,28 +1907,47 @@ mod tests {
         };
         let mut m = machine_with(MachineConfig::flash(4), (0..4).map(mk).collect());
         let exec_cycles = must_complete(&mut m, 1_000_000);
-        // The fastest processor waited for the slowest: sync stall > 0.
-        assert!(m.procs()[0].stats().sync_stall_q > 0);
-        assert_eq!(m.procs()[3].stats().sync_stall_q, 0);
-        assert!(exec_cycles >= 400);
+        // The barrier releases at the slowest arrival: each processor
+        // stalls from its own arrival to it, and all of them then run
+        // the same local read and finish together.
+        let release = (0..4).map(arrive).max().unwrap();
+        for (n, p) in (0..4).zip(m.procs()) {
+            assert_eq!(p.stats().sync_stall_q, 4 * (release - arrive(n)), "P{n}");
+            assert_eq!(p.finish_time().raw(), exec_cycles, "P{n}");
+        }
+        assert!(exec_cycles > release);
     }
 
     #[test]
     fn locks_serialize_critical_sections() {
-        let mk = |_n: u16| {
+        // Processor `n` requests lock 7 at `requests[n]` cycles, holds it
+        // for 100 cycles and then runs 1 more. Every request is made at
+        // the first event (processors run ahead of the event clock), so
+        // the waiters queue in node order.
+        let requests = [0u64, 150, 0, 600];
+        let mk = |n: usize| {
             vec![
+                WorkItem::Busy(4 * requests[n]),
                 WorkItem::Lock(7),
                 WorkItem::Busy(400),
                 WorkItem::Unlock(7),
                 WorkItem::Busy(4),
             ]
         };
-        let mut m = machine_with(MachineConfig::flash(4), (0..4).map(mk).collect());
+        let cfg = MachineConfig::flash(4);
+        let grant = cfg.lat.lock_grant;
+        let mut m = machine_with(cfg, (0..4).map(mk).collect());
         let exec_cycles = must_complete(&mut m, 1_000_000);
-        // Four 100-cycle critical sections must serialize.
-        assert!(exec_cycles >= 400, "exec {exec_cycles}");
-        let total_sync: u64 = m.procs().iter().map(|p| p.stats().sync_stall_q).sum();
-        assert!(total_sync > 0);
+        // A free lock is granted at request + grant, a held one is handed
+        // over at max(release, request) + grant; the critical sections
+        // serialize.
+        let mut release = 0;
+        for (n, p) in m.procs().iter().enumerate() {
+            let granted = release.max(requests[n]) + grant;
+            assert_eq!(p.stats().sync_stall_q, 4 * (granted - requests[n]), "P{n}");
+            release = granted + 100;
+        }
+        assert_eq!(exec_cycles, release + 1);
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! simulator almost every event schedules a handful of cycles out (DRAM
 //! access 14, PP handler occupancies, per-hop mesh latencies) — and a
 //! binary heap catches the overflow (far-future events such as watchdog
-//! budgets and DMA arrivals, plus any event scheduled behind the wheel's
-//! window base). Delivery order is identical to a plain heap keyed by
-//! `(time, push sequence)`: nondecreasing time, FIFO within a cycle.
+//! budgets and DMA arrivals). Delivery order is identical to a plain heap
+//! keyed by `(time, push sequence)`: nondecreasing time, FIFO within a
+//! cycle. A push behind the wheel's window base also goes to the heap and
+//! is still delivered in order. The machine never makes one, because its
+//! events push only at or after their own time, but the queue stays
+//! general.
 
 use crate::time::Cycle;
 use std::cmp::Ordering;
@@ -204,21 +207,8 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event along with its within-cycle
     /// ordering key (the FIFO sequence for [`EventQueue::push`], the
     /// explicit `sub` for [`EventQueue::push_sub`]). The machine uses the
-    /// key to re-push a deferred event unchanged and to tag journal
-    /// entries with the event's identity.
+    /// key to re-push a deferred event unchanged.
     pub fn pop_keyed(&mut self) -> Option<(Cycle, u64, E)> {
-        self.pop_keyed_if(|_, _| true)
-    }
-
-    /// Removes and returns the earliest event only when its `(time, key)`
-    /// satisfies `pred`; otherwise leaves the queue untouched and returns
-    /// `None`. One front scan serves both the bound check and the pop —
-    /// the hot loop's replacement for a `peek_key` followed by
-    /// `pop_keyed`.
-    pub fn pop_keyed_if(
-        &mut self,
-        pred: impl FnOnce(Cycle, u64) -> bool,
-    ) -> Option<(Cycle, u64, E)> {
         let wheel = self.wheel_front();
         let heap = self.heap.peek().map(|e| (e.at.raw(), e.seq));
         let take_wheel = match (wheel, heap) {
@@ -227,18 +217,8 @@ impl<E> EventQueue<E> {
             (None, Some(_)) => false,
             (None, None) => return None,
         };
-        {
-            let (t, s) = if take_wheel {
-                wheel.expect("chosen wheel front")
-            } else {
-                heap.expect("chosen heap front")
-            };
-            if !pred(Cycle::new(t), s) {
-                return None;
-            }
-        }
         if take_wheel {
-            let (t, _) = wheel.unwrap();
+            let (t, _) = wheel.expect("chosen wheel front");
             let slot = (t & self.mask) as usize;
             let (sub, ev) = self.slots[slot].pop_front().expect("wheel front vanished");
             if self.slots[slot].is_empty() {
@@ -252,20 +232,6 @@ impl<E> EventQueue<E> {
             self.cursor = self.cursor.max(e.at.raw());
             Some((e.at, e.seq, e.ev))
         }
-    }
-
-    /// Advances the wheel's window base to `at` without delivering
-    /// anything, clamped so it never passes the earliest wheel-resident
-    /// event. The machine calls this at each time-window boundary: the
-    /// cursor otherwise stays at the window's last pop, and the next
-    /// window's pushes — near-future from the boundary — would look
-    /// far-future to the stale base and degrade to the overflow heap.
-    pub fn advance_to(&mut self, at: Cycle) {
-        let mut t = at.raw();
-        if let Some((front, _)) = self.wheel_front() {
-            t = t.min(front);
-        }
-        self.cursor = self.cursor.max(t);
     }
 
     /// Time of the earliest pending event.

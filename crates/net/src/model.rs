@@ -109,24 +109,6 @@ impl NetModel {
         self.mesh
     }
 
-    /// The minimum transit latency between two *distinct* nodes — the
-    /// lookahead bound of the machine's time windows: no message posted
-    /// at time `t` can arrive at another node before
-    /// `t + min_remote_transit()`. Loopback (same-node) messages are
-    /// cheaper but never leave the node, so they do not bound the
-    /// lookahead. Returns the fixed transit in fixed-average mode (every
-    /// remote message pays it) and the adjacent-node cost in per-hop mode.
-    pub fn min_remote_transit(&self) -> u64 {
-        if let Some(v) = self.cfg.transit_override {
-            return v;
-        }
-        if self.cfg.fixed_average {
-            self.fixed_transit
-        } else {
-            (2 + 1) * self.cfg.hop_cycles + self.cfg.header_cycles
-        }
-    }
-
     /// The maximum transit latency between two nodes — the longest
     /// *routine* scheduling distance mesh traffic produces, reached by
     /// corner-to-corner messages crossing the full mesh diameter. Event
@@ -197,34 +179,6 @@ mod tests {
         let net = NetModel::new(Mesh::for_nodes(16), NetConfig::default());
         let lb = net.transit(NodeId(3), NodeId(3));
         assert!(lb > 0 && lb < net.fixed_transit);
-    }
-
-    #[test]
-    fn min_remote_transit_bounds_every_remote_pair() {
-        for cfg in [
-            NetConfig::default(),
-            NetConfig {
-                fixed_average: false,
-                ..NetConfig::default()
-            },
-            NetConfig {
-                transit_override: Some(99),
-                ..NetConfig::default()
-            },
-        ] {
-            let net = NetModel::new(Mesh::for_nodes(16), cfg);
-            let min = net.min_remote_transit();
-            for a in 0..16 {
-                for b in 0..16 {
-                    if a != b {
-                        assert!(
-                            net.transit(NodeId(a), NodeId(b)) >= min,
-                            "{cfg:?}: transit({a},{b}) < {min}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]
