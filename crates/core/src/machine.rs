@@ -29,6 +29,7 @@ use flash_protocol::fields::aux;
 use flash_protocol::{dir_addr, InMsg, JumpTable, Msg, MsgType, ProcMsg};
 use flash_traffic::ArrivalSource;
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Simulation events.
@@ -1159,11 +1160,13 @@ impl Machine {
             ),
             _ => None,
         };
-        let jump = if cfg.monitoring && cfg.controller == ControllerKind::FlashEmulated {
-            JumpTable::dpa_with_monitoring()
-        } else {
-            JumpTable::dpa_protocol()
-        };
+        let jump = Arc::new(
+            if cfg.monitoring && cfg.controller == ControllerKind::FlashEmulated {
+                JumpTable::dpa_with_monitoring()
+            } else {
+                JumpTable::dpa_protocol()
+            },
+        );
         let mut chips: Vec<MagicChip> = (0..cfg.nodes)
             .map(|i| {
                 MagicChip::new(

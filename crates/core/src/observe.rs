@@ -38,9 +38,9 @@
 //! `tests/observe.rs` pins byte-identical schedules and reports with the
 //! observer on and off, for both controller kinds.
 
-use flash_engine::{Cycle, LatencySplit, LogHist, Segment, SEGMENT_COUNT};
+use flash_engine::{Cycle, FastMap, LatencySplit, LogHist, Segment, SEGMENT_COUNT};
 use flash_magic::{ObsInvocation, ObsParts, ReadClass};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Default capacity of the trace ring: oldest events are dropped beyond
 /// this many (the drop count is reported).
@@ -115,7 +115,7 @@ pub struct TraceSlice {
 /// all hooks are no-ops when it is absent.
 #[derive(Debug)]
 pub struct Observer {
-    pending: HashMap<(u16, u64), PendingReq>,
+    pending: FastMap<(u16, u64), PendingReq>,
     rows: [LatencySplit; ROW_COUNT],
     /// Per-class end-to-end latency in log-bucketed histograms: the
     /// percentile (p50/p99/p999) side of the latency story, exact to a
@@ -137,7 +137,7 @@ impl Observer {
     /// row even when it is never invoked.
     pub fn new(handler_seed: Vec<&'static str>) -> Self {
         Observer {
-            pending: HashMap::new(),
+            pending: FastMap::default(),
             rows: [LatencySplit::new(); ROW_COUNT],
             lat: std::array::from_fn(|_| LogHist::new()),
             handler_seed,

@@ -35,9 +35,8 @@ pub struct Victim {
 }
 
 /// One tag-store way, packed as `[tag << FLAG_BITS | flags, lru stamp]`.
-/// An empty way is all-zero bytes, so `vec!` can take the tag store from
-/// the allocator's zeroed pages and sets that are never used cost no
-/// resident memory.
+/// An empty way is all-zero bytes, so a new tag store is one zeroed
+/// allocation.
 type Way = [u64; 2];
 
 /// Flag bits in a way's first word.
@@ -65,7 +64,12 @@ const FLAG_BITS: u32 = 3;
 /// ```
 #[derive(Debug, Clone)]
 pub struct L2Cache {
-    sets: u64,
+    /// log2 of the set count: a line's set is the low `set_bits` bits of
+    /// its index and its tag the rest.
+    set_bits: u32,
+    /// The tag store (up to 128 KiB), empty until the first
+    /// [`L2Cache::install`]: a machine that is built but never run, or a
+    /// processor that never fills a line, costs none.
     ways: Vec<Way>,
     tick: u64,
 }
@@ -83,8 +87,8 @@ impl L2Cache {
         let sets =
             Self::sets_for(size_bytes).unwrap_or_else(|| panic!("bad cache size {size_bytes}"));
         L2Cache {
-            sets,
-            ways: vec![[0; 2]; sets as usize * ASSOC],
+            set_bits: sets.trailing_zeros(),
+            ways: Vec::new(),
             tick: 0,
         }
     }
@@ -98,12 +102,24 @@ impl L2Cache {
     /// Cache index (set number) of an address — used for the paper's
     /// same-index write-conflict rule.
     pub fn index_of(&self, addr: Addr) -> u64 {
-        addr.line_index() % self.sets
+        addr.line_index() & ((1 << self.set_bits) - 1)
+    }
+
+    /// The set and tag of `addr`'s line.
+    #[inline]
+    fn locate(&self, addr: Addr) -> (usize, u64) {
+        (
+            self.index_of(addr) as usize,
+            addr.line_index() >> self.set_bits,
+        )
     }
 
     fn find(&self, addr: Addr) -> Option<usize> {
-        let set = (addr.line_index() % self.sets) as usize;
-        let key = (addr.line_index() / self.sets) << FLAG_BITS | VALID;
+        if self.ways.is_empty() {
+            return None;
+        }
+        let (set, tag) = self.locate(addr);
+        let key = tag << FLAG_BITS | VALID;
         (0..ASSOC)
             .map(|i| set * ASSOC + i)
             .find(|&w| self.ways[w][0] & !(EXCL | LOCKED) == key)
@@ -145,8 +161,10 @@ impl L2Cache {
     /// Panics if every way in the set is locked (the processor's
     /// index-conflict stall rule prevents this).
     pub fn install(&mut self, addr: Addr, state: LineState) -> Option<Victim> {
-        let set = (addr.line_index() % self.sets) as usize;
-        let tag = addr.line_index() / self.sets;
+        if self.ways.is_empty() {
+            self.ways = vec![[0; 2]; ASSOC << self.set_bits];
+        }
+        let (set, tag) = self.locate(addr);
         self.tick += 1;
         // Already present (e.g. upgrade completion): update state.
         let excl = if state == LineState::Exclusive {
@@ -173,7 +191,7 @@ impl L2Cache {
         self.ways[victim_i] = [tag << FLAG_BITS | VALID | excl, self.tick];
         if old & VALID != 0 {
             Some(Victim {
-                addr: Addr::from_line_index((old >> FLAG_BITS) * self.sets + set as u64),
+                addr: Addr::from_line_index((old >> FLAG_BITS) << self.set_bits | set as u64),
                 dirty: old & EXCL != 0,
             })
         } else {
@@ -296,6 +314,74 @@ mod tests {
         assert_eq!(c.invalidate(a), Some(LineState::Shared));
         assert_eq!(c.state_of(a), None);
         assert_eq!(c.invalidate(a), None);
+    }
+
+    #[test]
+    fn shift_mask_indexing_equals_div_mod() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut addrs = vec![0, 127, 128, u64::MAX, u64::MAX - 127, u64::MAX - 128];
+        for _ in 0..500 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            addrs.push(rng);
+            addrs.push(u64::MAX - (rng >> 40));
+        }
+        // Every size the paper's tables build (4 KB .. 1 MB).
+        for size in (12..=20).map(|b| 1u64 << b) {
+            let sets = size / (LINE_BYTES * ASSOC as u64);
+            let stride = sets * LINE_BYTES;
+            let mut c = L2Cache::new(size);
+            for &raw in &addrs {
+                let a = Addr::new(raw);
+                let l = raw / LINE_BYTES;
+                assert_eq!(c.index_of(a), l % sets, "{size} {raw:#x}");
+                assert_eq!(c.locate(a), ((l % sets) as usize, l / sets));
+                // Fill the line's set, then evict it: the victim is the
+                // line itself.
+                let step = |k: u64| {
+                    Addr::new(if raw > u64::MAX / 2 {
+                        raw - k * stride
+                    } else {
+                        raw + k * stride
+                    })
+                };
+                c.install(a, LineState::Exclusive);
+                c.install(step(1), LineState::Shared);
+                let v = c.install(step(2), LineState::Shared);
+                assert_eq!(
+                    v,
+                    Some(Victim {
+                        addr: Addr::new(l * LINE_BYTES),
+                        dirty: true
+                    }),
+                    "{size} {raw:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fresh_cache_allocates_at_first_install() {
+        let mut c = L2Cache::new(1 << 20);
+        let a = Addr::new(0x1000);
+        assert_eq!(c.probe(a, false), CpuAccess::Miss);
+        c.reprobe(a, 3);
+        assert_eq!(c.state_of(a), None);
+        assert_eq!(c.invalidate(a), None);
+        assert_eq!(c.downgrade(a), None);
+        c.set_locked(a, true);
+        assert!(
+            c.ways.is_empty(),
+            "lookups and no-op updates allocate nothing"
+        );
+        assert_eq!(c.tick, 4, "probes still advance the LRU clock");
+        assert_eq!(c.install(a, LineState::Shared), None);
+        assert_eq!(c.ways.len(), 2 * 4096);
+        let store = c.ways.as_ptr();
+        c.install(Addr::new(0x2000), LineState::Exclusive);
+        assert_eq!(c.ways.as_ptr(), store, "allocated once");
+        assert_eq!(c.probe(a, false), CpuAccess::Hit);
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! `std::collections::HashMap`'s default SipHash-1-3 is DoS-resistant but
 //! costs tens of nanoseconds per lookup — real money on maps consulted
-//! once per simulated event (chip handler entry points, checker exemption
-//! sets, fault-injector draw streams). [`FastHasher`] is the multiply-fold
-//! mixer already proven in the protocol crate's paged memory
-//! (`PageHasher`), generalized to a byte-stream [`std::hash::Hasher`] so
-//! it can back any key type.
+//! once per simulated event (in-flight invalidation and intervention
+//! counts, the observer's pending requests, fault-injector draw streams).
+//! Keys that are small dense integers need no map at all: the MAGIC jump
+//! table and per-handler statistics are plain arrays. [`FastHasher`] is
+//! the multiply-fold mixer already proven in the protocol crate's paged
+//! memory (`PageHasher`), generalized to a byte-stream
+//! [`std::hash::Hasher`] so it can back any key type.
 //!
 //! Determinism contract: the hash of a key is a pure function of its
 //! bytes — no per-process random seed — so map *placement* is identical

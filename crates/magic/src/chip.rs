@@ -120,6 +120,74 @@ impl Emission {
     }
 }
 
+/// Per-handler invocation counts and total occupancy cycles, indexed by
+/// the jump table's handler ids. Iterating yields `(name, (invocations,
+/// cycles))` for the handlers that ran, in handler-id order; consumers
+/// aggregate into sorted maps.
+#[derive(Clone, Default)]
+pub struct HandlerStats {
+    names: Arc<[&'static str]>,
+    /// Sized to `names` at the first invocation.
+    counts: Vec<(u64, u64)>,
+}
+
+impl HandlerStats {
+    fn new(names: Arc<[&'static str]>) -> Self {
+        HandlerStats {
+            names,
+            counts: Vec::new(),
+        }
+    }
+
+    /// Counts one invocation of handler `id` that occupied the PP for
+    /// `cycles`.
+    fn record(&mut self, id: usize, cycles: u64) {
+        if self.counts.is_empty() {
+            self.counts = vec![(0, 0); self.names.len()];
+        }
+        let c = &mut self.counts[id];
+        c.0 += 1;
+        c.1 += cycles;
+    }
+
+    /// `(name, (invocations, cycles))` of every handler that ran.
+    pub fn iter(&self) -> HandlersRan<'_> {
+        self.names.iter().zip(&self.counts).filter(|(_, c)| c.0 > 0)
+    }
+
+    /// `(invocations, cycles)` of every handler that ran.
+    pub fn values(&self) -> impl Iterator<Item = &(u64, u64)> {
+        self.iter().map(|(_, c)| c)
+    }
+}
+
+/// The iterator of [`HandlerStats::iter`].
+pub type HandlersRan<'a> = std::iter::Filter<
+    std::iter::Zip<std::slice::Iter<'a, &'static str>, std::slice::Iter<'a, (u64, u64)>>,
+    fn(&(&'a &'static str, &'a (u64, u64))) -> bool,
+>;
+
+impl<'a> IntoIterator for &'a HandlerStats {
+    type Item = (&'a &'static str, &'a (u64, u64));
+    type IntoIter = HandlersRan<'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for HandlerStats {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for HandlerStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// Aggregated controller statistics.
 #[derive(Debug, Clone, Default)]
 pub struct MagicStats {
@@ -132,9 +200,7 @@ pub struct MagicStats {
     /// Aggregate PP instruction statistics (emulated mode).
     pub pp: RunStats,
     /// Per-handler invocation counts and total occupancy cycles.
-    /// Fast-hash keyed (hot: one entry per handler invocation); consumers
-    /// aggregate into sorted maps, so iteration order never leaks out.
-    pub handlers: flash_engine::FastMap<&'static str, (u64, u64)>,
+    pub handlers: HandlerStats,
     /// Cycles the PP spent stalled on MDC misses.
     pub mdc_stall_cycles: u64,
     /// MAGIC instruction-cache cold misses.
@@ -278,15 +344,14 @@ pub struct MagicChip {
     program: Option<Arc<Program>>,
     backend: PpBackend,
     translated: Option<Arc<Translated>>,
-    /// Handler name → entry pair index, filled lazily: spares the hot
-    /// path a `BTreeMap<String>` lookup per invocation. Deterministic
-    /// fast hashing — this map is probed once per emulated invocation.
-    entry_pcs: flash_engine::FastMap<&'static str, usize>,
+    /// Handler id → entry pair index, resolved at the handler's first
+    /// invocation (the program's own lookup is by name).
+    entry_pcs: Vec<Option<usize>>,
     /// Scratch register file and effect buffer, reused across handler
     /// invocations so the hot path does not allocate.
     pp_regs: Regs,
     pp_sink: EffectSink,
-    jump: JumpTable,
+    jump: Arc<JumpTable>,
     proto: ProtoMem,
     mdc: Option<MagicCache>,
     icache: MagicCache,
@@ -360,7 +425,7 @@ impl MagicChip {
         kind: ControllerKind,
         node: NodeId,
         program: Option<Arc<Program>>,
-        jump: JumpTable,
+        jump: Arc<JumpTable>,
         mem_timing: MemTiming,
         speculation: bool,
         mdc_enabled: bool,
@@ -372,6 +437,10 @@ impl MagicChip {
         let mut proto = ProtoMem::new();
         Directory::init_free_list(&mut proto, DEFAULT_PS_CAPACITY);
         let mem_queue = (kind == ControllerKind::FlashEmulated).then_some(1);
+        let stats = MagicStats {
+            handlers: HandlerStats::new(jump.names().clone()),
+            ..MagicStats::default()
+        };
         let backend = PpBackend::default();
         let translated = (kind == ControllerKind::FlashEmulated
             && backend == PpBackend::Translated)
@@ -387,7 +456,7 @@ impl MagicChip {
             program,
             backend,
             translated,
-            entry_pcs: flash_engine::FastMap::default(),
+            entry_pcs: Vec::new(),
             pp_regs: Regs::new(),
             pp_sink: EffectSink::new(),
             jump,
@@ -399,7 +468,7 @@ impl MagicChip {
             pp: OccupancyTracker::new(),
             pp_free: Cycle::ZERO,
             speculation,
-            stats: MagicStats::default(),
+            stats,
             out_buf: Vec::new(),
             oracle: None,
             observe: false,
@@ -555,7 +624,7 @@ impl MagicChip {
             self.obs_invocation = None;
         }
         let local = msg.home == self.node;
-        let entry = self.jump.lookup(msg.mtype, local);
+        let slot = self.jump.slot(msg.mtype, local);
         let t_ready = arrival + self.timings.inbox_arb + self.timings.jump;
 
         // Speculative memory initiation (inbox-issued, before the PP runs).
@@ -565,7 +634,7 @@ impl MagicChip {
         let mut data_mem: Option<Cycle> = None;
         if self.kind == ControllerKind::FlashEmulated
             && self.speculation
-            && entry.speculative
+            && slot.speculative
             && local
         {
             if let Some(r) = self.mem.try_request(t_ready) {
@@ -577,10 +646,11 @@ impl MagicChip {
 
         match self.kind {
             ControllerKind::Ideal => {
-                self.process_native(msg, t_ready, data_mem, entry.handler, out)
+                let handler = self.jump.names()[slot.handler as usize];
+                self.process_native(msg, t_ready, data_mem, handler, out)
             }
             ControllerKind::FlashEmulated => {
-                self.process_emulated(msg, arrival, t_ready, data_mem, entry.handler, out)
+                self.process_emulated(msg, arrival, t_ready, data_mem, slot.handler, out)
             }
         }
     }
@@ -630,22 +700,21 @@ impl MagicChip {
         arrival: Cycle,
         t_ready: Cycle,
         data_mem: Option<Cycle>,
-        handler: &'static str,
+        id: u16,
         emissions: &mut Vec<Emission>,
     ) {
+        let (id, handler) = (id as usize, self.jump.names()[id as usize]);
         // Borrow (not clone) the shared program: an `Arc` bump per
         // invocation is an atomic shared by every machine in the process.
         let program = self.program.as_ref().expect("emulated mode has a program");
-        let entry_pc = match self.entry_pcs.get(handler) {
-            Some(&pc) => pc,
-            None => {
-                let pc = program
-                    .entry(handler)
-                    .unwrap_or_else(|| panic!("program lacks handler {handler}"));
-                self.entry_pcs.insert(handler, pc);
-                pc
-            }
-        };
+        if self.entry_pcs.is_empty() {
+            self.entry_pcs = vec![None; self.jump.names().len()];
+        }
+        let entry_pc = *self.entry_pcs[id].get_or_insert_with(|| {
+            program
+                .entry(handler)
+                .unwrap_or_else(|| panic!("program lacks handler {handler}"))
+        });
         let pp_start = t_ready.max(self.pp_free);
         let wait = pp_start - t_ready;
         self.stats.inbox_wait_cycles += wait;
@@ -789,9 +858,7 @@ impl MagicChip {
         }
         self.pp.record_busy(occupied);
         self.pp_free = pp_start + occupied;
-        let e = self.stats.handlers.entry(handler).or_default();
-        e.0 += 1;
-        e.1 += occupied;
+        self.stats.handlers.record(id, occupied);
         if msg.spec && !data.used_mem {
             self.stats.spec_useless += 1;
         }
@@ -931,7 +998,7 @@ mod tests {
             kind,
             NodeId(0),
             program,
-            JumpTable::dpa_protocol(),
+            Arc::new(JumpTable::dpa_protocol()),
             MemTiming::default(),
             true,
             true,
@@ -1196,6 +1263,28 @@ mod tests {
             None,
             "protocol memories diverged"
         );
+    }
+
+    #[test]
+    fn handler_stats_list_only_invoked_handlers() {
+        let mut chip = mk_chip(ControllerKind::FlashEmulated);
+        assert_eq!(chip.stats().handlers.iter().count(), 0);
+        process(&mut chip, local_get(0x1000), Cycle::new(7));
+        process(&mut chip, local_get(0x5000), Cycle::new(500));
+        let busy = chip.pp_busy_cycles();
+        let rows: Vec<(&str, (u64, u64))> = (&chip.stats().handlers)
+            .into_iter()
+            .map(|(&name, &counts)| (name, counts))
+            .collect();
+        assert_eq!(rows, [("pi_get_local", (2, busy))]);
+        assert_eq!(
+            chip.stats().handlers.values().collect::<Vec<_>>(),
+            [&(2, busy)]
+        );
+        // The ideal controller has no PP occupancy to record.
+        let mut ideal = mk_chip(ControllerKind::Ideal);
+        process(&mut ideal, local_get(0x1000), Cycle::new(7));
+        assert_eq!(ideal.stats().handlers.iter().count(), 0);
     }
 
     #[test]

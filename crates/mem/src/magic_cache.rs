@@ -59,8 +59,8 @@ pub enum Access {
 }
 
 /// One tag-store way, packed as `[tag << FLAG_BITS | flags, lru stamp]`.
-/// An empty way is all-zero bytes, so `vec!` can take the tag store from
-/// the allocator's zeroed pages.
+/// An empty way is all-zero bytes, so a new tag store is one zeroed
+/// allocation.
 type Way = [u64; 2];
 
 /// Flag bits in a way's first word.
@@ -82,6 +82,11 @@ const FLAG_BITS: u32 = 2;
 #[derive(Debug, Clone)]
 pub struct MagicCache {
     geom: CacheGeometry,
+    /// log2 of the line size: an address's line is `addr >> line_shift`.
+    line_shift: u32,
+    /// log2 of the set count: a line's set is its low `set_bits` bits and
+    /// its tag the rest.
+    set_bits: u32,
     ways: Vec<Way>,
     tick: u64,
     read_hits: Counter,
@@ -96,15 +101,22 @@ impl MagicCache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not yield a power-of-two set count.
+    /// Panics unless the line size and the set count are powers of two.
     pub fn new(geom: CacheGeometry) -> Self {
         let sets = geom.sets();
         assert!(
             sets.is_power_of_two(),
             "set count {sets} must be a power of two"
         );
+        assert!(
+            geom.line_bytes.is_power_of_two(),
+            "line size {} must be a power of two",
+            geom.line_bytes
+        );
         MagicCache {
             geom,
+            line_shift: geom.line_bytes.trailing_zeros(),
+            set_bits: sets.trailing_zeros(),
             ways: vec![[0; 2]; (sets * geom.ways as u64) as usize],
             tick: 0,
             read_hits: Counter::default(),
@@ -118,10 +130,7 @@ impl MagicCache {
     /// Accesses the line containing `addr`, installing it on a miss.
     pub fn access(&mut self, addr: u64, write: bool) -> Access {
         self.tick += 1;
-        let line = addr / self.geom.line_bytes;
-        let sets = self.geom.sets();
-        let set = (line % sets) as usize;
-        let tag = line / sets;
+        let (set, tag) = self.locate(addr);
         let ways = self.geom.ways as usize;
         let base = set * ways;
 
@@ -153,7 +162,7 @@ impl MagicCache {
         let [victim, _] = self.ways[base + victim_i];
         let victim_writeback = if victim & (VALID | DIRTY) == VALID | DIRTY {
             self.writebacks.incr();
-            Some(((victim >> FLAG_BITS) * sets + set as u64) * self.geom.line_bytes)
+            Some(((victim >> FLAG_BITS) << self.set_bits | set as u64) << self.line_shift)
         } else {
             None
         };
@@ -164,6 +173,14 @@ impl MagicCache {
             self.read_misses.incr();
         }
         Access::Miss { victim_writeback }
+    }
+
+    /// The set and tag of the line holding `addr`.
+    #[inline]
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line = addr >> self.line_shift;
+        let set = line & ((1 << self.set_bits) - 1);
+        (set as usize, line >> self.set_bits)
     }
 
     /// Read hits observed.
@@ -350,6 +367,48 @@ mod tests {
             }
         }
         assert_eq!(c.audit(), Ok(()));
+    }
+
+    #[test]
+    fn shift_mask_indexing_equals_div_mod() {
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        let mut addrs = vec![0, 127, 128, u64::MAX, u64::MAX - 127, u64::MAX - 128];
+        for _ in 0..2000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            addrs.push(rng);
+            addrs.push(u64::MAX - (rng >> 40));
+        }
+        for g in [CacheGeometry::mdc(), CacheGeometry::micache()] {
+            let (sets, line) = (g.sets(), g.line_bytes);
+            let stride = sets * line;
+            for &a in &addrs {
+                let mut c = MagicCache::new(g);
+                let l = a / line;
+                assert_eq!(c.locate(a), ((l % sets) as usize, l / sets), "{a:#x}");
+                // Fill the line's set, then evict it: the victim address
+                // is the line's own.
+                c.access(a, true);
+                let step = |k: u64| {
+                    if a > u64::MAX / 2 {
+                        a - k * stride
+                    } else {
+                        a + k * stride
+                    }
+                };
+                for k in 1..u64::from(g.ways) {
+                    c.access(step(k), false);
+                }
+                assert_eq!(
+                    c.access(step(u64::from(g.ways)), false),
+                    Access::Miss {
+                        victim_writeback: Some(l * line)
+                    },
+                    "{a:#x}"
+                );
+            }
+        }
     }
 
     #[test]

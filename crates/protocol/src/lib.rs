@@ -26,7 +26,7 @@ pub mod native;
 
 pub use cost::CostTable;
 pub use dir::{dir_addr, DirHeader, Directory, PtrEntry};
-pub use jump::{JumpEntry, JumpTable};
+pub use jump::{JumpEntry, JumpSlot, JumpTable};
 pub use mem::ProtoMem;
 pub use msg::{InMsg, Msg, MsgType, ProcMsg};
 pub use native::{handle, NativeResult, Outgoing};

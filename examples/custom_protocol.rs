@@ -31,7 +31,7 @@ fn chip_with(program: Arc<flash_pp::Program>, jump: JumpTable) -> MagicChip {
         ControllerKind::FlashEmulated,
         NodeId(0),
         Some(program),
-        jump,
+        Arc::new(jump),
         MemTiming::default(),
         true,
         true,
