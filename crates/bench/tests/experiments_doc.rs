@@ -1,6 +1,6 @@
 //! EXPERIMENTS.md and README.md quote the full-size transcript: every
-//! measured cell of EXPERIMENTS.md's Table 3.3 and Figure 4.1 tables and
-//! of README.md's headline table equals the matching row of
+//! measured cell of EXPERIMENTS.md's Table 3.3, Figure 4.1 and Table 5.2
+//! tables and of README.md's headline table equals the matching row of
 //! `repro_full.txt` (what `FLASH_SCALE=1 repro_all` prints; CI compares a
 //! fresh run against that file). A model change that moves one of these
 //! numbers fails here until the prose moves with it.
@@ -130,5 +130,71 @@ fn figure_4_1_measured_cells_match_the_transcript() {
 fn readme_headline_cells_match_the_transcript() {
     let doc = doc_table(&read("README.md"), "## Headline result");
     let mismatches = figure_4_1_mismatches("README.md", &doc, 2);
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// EXPERIMENTS.md's Table 5.2 rows, in order, with the transcript
+/// column each of the first four reads.
+const TABLE_5_2_METRICS: [&str; 5] = [
+    "Dynamic dual-issue efficiency",
+    "Special-instruction use",
+    "Pairs per handler invocation",
+    "Handler invocations per miss",
+    "Static code size",
+];
+
+#[test]
+fn table_5_2_cells_match_the_transcript() {
+    let doc = doc_table(&read("EXPERIMENTS.md"), "## Table 5.2");
+    let transcript = read("repro_full.txt");
+    let section = transcript_section(&transcript, "Table 5.2:");
+    let code = section
+        .iter()
+        .find_map(|l| l.strip_prefix("Static code size of fully-scheduled handlers (with NOPs): "))
+        .expect("repro_full.txt's Table 5.2 has a static code size");
+    let (code_measured, code_paper) = code
+        .strip_suffix(')')
+        .and_then(|c| c.split_once(" (paper: "))
+        .expect("code size reads `<measured> (paper: <paper>)`");
+    // Each cache row: `1 MB    1.37 (1.53)    42% (38%)    ...`, a
+    // measured value and its (paper) value per metric.
+    let rows: Vec<Vec<&str>> = section
+        .iter()
+        .skip_while(|l| !l.starts_with("---"))
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    let caches: Vec<String> = rows.iter().map(|r| r[..2].join(" ")).collect();
+    assert_eq!(caches, ["1 MB", "64 KB", "4 KB"], "repro_full.txt rows");
+    let column = |k: usize, paper: bool| -> String {
+        let cells: Vec<&str> = rows
+            .iter()
+            .map(|r| r[2 + 2 * k + paper as usize].trim_matches(|c| c == '(' || c == ')'))
+            .collect();
+        cells.join(" / ")
+    };
+    let labels: Vec<&str> = doc.iter().map(|cells| cells[0].as_str()).collect();
+    assert_eq!(labels, TABLE_5_2_METRICS, "EXPERIMENTS.md rows");
+    let mut mismatches = Vec::new();
+    for (k, cells) in doc.iter().enumerate() {
+        let (paper, measured) = if k < 4 {
+            (column(k, true), column(k, false))
+        } else {
+            (code_paper.to_string(), code_measured.to_string())
+        };
+        for (what, doc_cell, transcript_cell) in [
+            ("paper", &cells[1], paper),
+            ("measured", &cells[2], measured),
+        ] {
+            if *doc_cell != transcript_cell {
+                mismatches.push(format!(
+                    "Table 5.2 {:?}, {what}: EXPERIMENTS.md says {doc_cell}, \
+                     repro_full.txt says {transcript_cell}",
+                    cells[0]
+                ));
+            }
+        }
+    }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }

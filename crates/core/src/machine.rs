@@ -23,7 +23,7 @@ use flash_fault::{
     FaultInjector, FaultStats, LinkVerdict, MsgRing, MshrSnap, NiDir, NodeWedge, PendingLine,
     TraceEntry, WedgeReport,
 };
-use flash_magic::{ControllerKind, Emission, MagicChip};
+use flash_magic::{ControllerKind, Dispatch, Emission, MagicChip, MagicScratch};
 use flash_net::{Mesh, NetModel};
 use flash_protocol::fields::aux;
 use flash_protocol::{dir_addr, InMsg, JumpTable, Msg, MsgType, ProcMsg};
@@ -262,6 +262,9 @@ pub struct Machine {
     // no heap allocations (tests/alloc_budget.rs pins this).
     cpu_outs: Vec<(Cycle, CpuOut)>,
     emit_buf: Vec<Emission>,
+    /// One MAGIC scratch for every chip: a handler invocation's buffers
+    /// and, when observed, its attribution records.
+    scratch: MagicScratch,
 }
 
 impl std::fmt::Debug for Machine {
@@ -915,7 +918,7 @@ impl Machine {
         };
         let mut emissions = std::mem::take(&mut self.emit_buf);
         let tp = self.hostprof.is_some().then(Instant::now);
-        chip.process_into(msg, now, &mut emissions);
+        chip.process_into(msg, now, &mut self.scratch, &mut emissions);
         if let Some(tp) = tp {
             self.prof().expect("armed").add_inner(HostSeg::Protocol, tp);
         }
@@ -923,7 +926,7 @@ impl Machine {
         // class and the continuing emission's exact decomposition.
         let to = (self.hostprof.is_some() && self.observe.is_some()).then(Instant::now);
         if let Some(obs) = self.observe.as_deref_mut() {
-            if let Some(inv) = self.chips[i].obs_invocation() {
+            if let Some(inv) = self.scratch.obs_invocation() {
                 obs.trace_handler(node, inv);
             }
             let tracked = arrival.and_then(|(cands, _)| pending_cand(obs, cands, line_raw));
@@ -938,7 +941,7 @@ impl Machine {
                 {
                     let em = &emissions[ei];
                     let net = matches!(em, Emission::Net { .. });
-                    obs.apply_parts(key, em.at(), &self.chips[i].obs_parts()[ei], net);
+                    obs.apply_parts(key, em.at(), &self.scratch.obs_parts()[ei], net);
                 }
             }
         }
@@ -1160,20 +1163,18 @@ impl Machine {
             ),
             _ => None,
         };
-        let jump = Arc::new(
-            if cfg.monitoring && cfg.controller == ControllerKind::FlashEmulated {
-                JumpTable::dpa_with_monitoring()
-            } else {
-                JumpTable::dpa_protocol()
-            },
-        );
+        let jump = if cfg.monitoring && cfg.controller == ControllerKind::FlashEmulated {
+            JumpTable::dpa_with_monitoring()
+        } else {
+            JumpTable::dpa_protocol()
+        };
+        let dispatch = Arc::new(Dispatch::new(jump, program));
         let mut chips: Vec<MagicChip> = (0..cfg.nodes)
             .map(|i| {
                 MagicChip::new(
                     cfg.controller,
                     NodeId(i),
-                    program.clone(),
-                    jump.clone(),
+                    dispatch.clone(),
                     cfg.mem_timing,
                     cfg.speculation,
                     cfg.mdc_enabled,
@@ -1194,13 +1195,6 @@ impl Machine {
                 chip.enable_oracle();
             }
         }
-        // Observed mode: chips record per-emission attributions
-        // (timing-invisible side buffers).
-        if cfg.observe {
-            for chip in &mut chips {
-                chip.set_observe(true);
-            }
-        }
         let procs: Vec<Processor> = streams
             .into_iter()
             .map(|s| Processor::new(cfg.cache_bytes, cfg.mshrs, s))
@@ -1216,7 +1210,7 @@ impl Machine {
         let horizon = (net.max_remote_transit() + cfg.lat.ni_in) * 4;
         let observe = cfg
             .observe
-            .then(|| Box::new(Observer::new(jump.handler_names())));
+            .then(|| Box::new(Observer::new(dispatch.jump().handler_names())));
         let mut m = Machine {
             procs,
             chips,
@@ -1242,6 +1236,9 @@ impl Machine {
             cur_sub: 0,
             cpu_outs: Vec::new(),
             emit_buf: Vec::new(),
+            // Observed mode: the scratch records per-emission attributions
+            // (timing-invisible side buffers).
+            scratch: MagicScratch::new(cfg.observe),
             cfg,
         };
         for i in 0..m.cfg.nodes {

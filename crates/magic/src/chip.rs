@@ -336,35 +336,140 @@ pub struct ObsInvocation {
     pub occupied: u64,
 }
 
-/// One node's MAGIC controller (or its idealized stand-in).
+/// Capacity of the MAGIC instruction cache, in bytes (paper §5.3).
+const ICACHE_BYTES: u64 = 32 * 1024;
+
+/// Line size of the MAGIC instruction cache, in bytes.
+const ICACHE_LINE_BYTES: u64 = 128;
+
+/// Bytes of one PP issue pair: the PP program counter counts pairs.
+const PAIR_BYTES: u64 = 8;
+
+/// The program lines a chip's PP has fetched into the MAGIC instruction
+/// cache, one bit per 128-byte line of its 32 KB.
+///
+/// The cache is 2-way set associative, so a program of at most 32 KB maps
+/// at most two of its lines to any set and never evicts one: a line
+/// misses exactly on its first fetch. [`MagicChip::new`] asserts that the
+/// program fits.
+#[derive(Debug, Clone, Copy, Default)]
+struct FetchedLines([u64; (ICACHE_BYTES / ICACHE_LINE_BYTES / 64) as usize]);
+
+impl FetchedLines {
+    /// Fetches the line holding pair `pc`; returns `true` on the line's
+    /// first fetch (a cold miss).
+    fn fetch(&mut self, pc: usize) -> bool {
+        let line = pc as u64 * PAIR_BYTES / ICACHE_LINE_BYTES;
+        let (word, bit) = ((line / 64) as usize, 1 << (line % 64));
+        let miss = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        miss
+    }
+}
+
+/// The inbox's dispatch: the jump table, the handler program, and every
+/// handler id's entry pair. Resolved once per (program, jump table) and
+/// shared by every chip of a machine.
+#[derive(Debug)]
+pub struct Dispatch {
+    jump: JumpTable,
+    program: Option<Arc<Program>>,
+    /// Handler id → entry pair index; `None` where the program lacks the
+    /// handler (an invocation of it panics).
+    entry_pcs: Box<[Option<usize>]>,
+}
+
+impl Dispatch {
+    /// Resolves `jump`'s handlers against `program` (`None` for the
+    /// ideal controller, which runs the native protocol).
+    pub fn new(jump: JumpTable, program: Option<Arc<Program>>) -> Self {
+        let entry_pcs = match &program {
+            Some(p) => jump.names().iter().map(|name| p.entry(name)).collect(),
+            None => Box::default(),
+        };
+        Dispatch {
+            jump,
+            program,
+            entry_pcs,
+        }
+    }
+
+    /// The jump table.
+    pub fn jump(&self) -> &JumpTable {
+        &self.jump
+    }
+}
+
+/// What an observed [`MagicChip::process_into`] call records.
+#[derive(Debug, Default)]
+struct ObsRecord {
+    on: bool,
+    parts: Vec<ObsParts>,
+    invocation: Option<ObsInvocation>,
+}
+
+/// Host-side buffers of [`MagicChip::process_into`]: every call
+/// overwrites them and nothing reads them across calls, so one scratch
+/// serves every chip of a machine. Reusing it keeps the hot path free of
+/// allocations.
+#[derive(Debug, Default)]
+pub struct MagicScratch {
+    regs: Regs,
+    sink: EffectSink,
+    out: Vec<Outgoing>,
+    obs: ObsRecord,
+}
+
+impl MagicScratch {
+    /// An empty scratch. With `observe` on, every
+    /// [`MagicChip::process_into`] call through it leaves one
+    /// [`ObsParts`] per emission in [`MagicScratch::obs_parts`] and the
+    /// invocation record in [`MagicScratch::obs_invocation`]. Recording is
+    /// timing-invisible: it only appends to side buffers.
+    pub fn new(observe: bool) -> Self {
+        MagicScratch {
+            obs: ObsRecord {
+                on: observe,
+                ..ObsRecord::default()
+            },
+            ..MagicScratch::default()
+        }
+    }
+
+    /// Per-emission attributions from the most recent
+    /// [`MagicChip::process_into`] call (parallel to its emissions; empty
+    /// unless observation is on).
+    pub fn obs_parts(&self) -> &[ObsParts] {
+        &self.obs.parts
+    }
+
+    /// The handler invocation from the most recent
+    /// [`MagicChip::process_into`] call (`None` unless observation is on).
+    pub fn obs_invocation(&self) -> Option<&ObsInvocation> {
+        self.obs.invocation.as_ref()
+    }
+}
+
+/// One node's MAGIC controller (or its idealized stand-in). It holds the
+/// node's simulated state only; host-side buffers live in a
+/// [`MagicScratch`] and program-derived tables in the shared
+/// [`Dispatch`].
 pub struct MagicChip {
     kind: ControllerKind,
     node: NodeId,
     timings: MagicTimings,
-    program: Option<Arc<Program>>,
+    dispatch: Arc<Dispatch>,
     backend: PpBackend,
     translated: Option<Arc<Translated>>,
-    /// Handler id → entry pair index, resolved at the handler's first
-    /// invocation (the program's own lookup is by name).
-    entry_pcs: Vec<Option<usize>>,
-    /// Scratch register file and effect buffer, reused across handler
-    /// invocations so the hot path does not allocate.
-    pp_regs: Regs,
-    pp_sink: EffectSink,
-    jump: Arc<JumpTable>,
     proto: ProtoMem,
     mdc: Option<MagicCache>,
-    icache: MagicCache,
+    icache: FetchedLines,
     mem: MemController,
     pp: OccupancyTracker,
     pp_free: Cycle,
     speculation: bool,
     stats: MagicStats,
-    out_buf: Vec<Outgoing>,
     oracle: Option<flash_check::OracleState>,
-    observe: bool,
-    obs_parts: Vec<ObsParts>,
-    obs_invocation: Option<ObsInvocation>,
 }
 
 impl std::fmt::Debug for MagicChip {
@@ -417,34 +522,48 @@ impl DataSource {
 impl MagicChip {
     /// Builds a controller of the given kind.
     ///
-    /// `program` must be provided for [`ControllerKind::FlashEmulated`]
-    /// (obtain it from [`flash_protocol::handlers::compile_shared`], which
-    /// compiles once per codegen variant and shares it across nodes,
-    /// machines, and worker threads).
+    /// `dispatch` must hold a program for
+    /// [`ControllerKind::FlashEmulated`] (obtain it from
+    /// [`flash_protocol::handlers::compile_shared`], which compiles once
+    /// per codegen variant and shares it across nodes, machines, and
+    /// worker threads).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an emulated controller has no program, or if the
+    /// program does not fit the 32 KB MAGIC instruction cache (paper
+    /// §5.3).
     pub fn new(
         kind: ControllerKind,
         node: NodeId,
-        program: Option<Arc<Program>>,
-        jump: Arc<JumpTable>,
+        dispatch: Arc<Dispatch>,
         mem_timing: MemTiming,
         speculation: bool,
         mdc_enabled: bool,
     ) -> Self {
         assert!(
-            !(kind == ControllerKind::FlashEmulated && program.is_none()),
+            !(kind == ControllerKind::FlashEmulated && dispatch.program.is_none()),
             "emulated controller needs a compiled handler program"
         );
+        if let Some(p) = &dispatch.program {
+            assert!(
+                p.static_bytes() <= ICACHE_BYTES,
+                "handler program is {} bytes; it must fit the {ICACHE_BYTES}-byte MAGIC \
+                 instruction cache (paper §5.3)",
+                p.static_bytes()
+            );
+        }
         let mut proto = ProtoMem::new();
         Directory::init_free_list(&mut proto, DEFAULT_PS_CAPACITY);
         let mem_queue = (kind == ControllerKind::FlashEmulated).then_some(1);
         let stats = MagicStats {
-            handlers: HandlerStats::new(jump.names().clone()),
+            handlers: HandlerStats::new(dispatch.jump.names().clone()),
             ..MagicStats::default()
         };
         let backend = PpBackend::default();
         let translated = (kind == ControllerKind::FlashEmulated
             && backend == PpBackend::Translated)
-            .then(|| translate_shared(program.as_ref().expect("checked above")));
+            .then(|| translate_shared(dispatch.program.as_ref().expect("checked above")));
         MagicChip {
             kind,
             node,
@@ -453,27 +572,19 @@ impl MagicChip {
             } else {
                 MagicTimings::flash()
             },
-            program,
+            dispatch,
             backend,
             translated,
-            entry_pcs: Vec::new(),
-            pp_regs: Regs::new(),
-            pp_sink: EffectSink::new(),
-            jump,
             proto,
             mdc: (mdc_enabled && kind == ControllerKind::FlashEmulated)
                 .then(|| MagicCache::new(CacheGeometry::mdc())),
-            icache: MagicCache::new(CacheGeometry::micache()),
+            icache: FetchedLines::default(),
             mem: MemController::new(mem_timing, mem_queue),
             pp: OccupancyTracker::new(),
             pp_free: Cycle::ZERO,
             speculation,
             stats,
-            out_buf: Vec::new(),
             oracle: None,
-            observe: false,
-            obs_parts: Vec::new(),
-            obs_invocation: None,
         }
     }
 
@@ -483,7 +594,7 @@ impl MagicChip {
     pub fn set_pp_backend(&mut self, backend: PpBackend) {
         self.backend = backend;
         if backend == PpBackend::Translated && self.translated.is_none() {
-            if let Some(p) = &self.program {
+            if let Some(p) = &self.dispatch.program {
                 self.translated = Some(translate_shared(p));
             }
         }
@@ -492,28 +603,6 @@ impl MagicChip {
     /// The active PP execution backend.
     pub fn pp_backend(&self) -> PpBackend {
         self.backend
-    }
-
-    /// Turns cycle-attribution recording on or off. When on, every
-    /// [`MagicChip::process_into`] call leaves one [`ObsParts`] per emission in
-    /// [`MagicChip::obs_parts`] and the invocation record in
-    /// [`MagicChip::obs_invocation`]. Recording is timing-invisible: it
-    /// only appends to side buffers.
-    pub fn set_observe(&mut self, on: bool) {
-        self.observe = on;
-    }
-
-    /// Per-emission attributions from the most recent
-    /// [`MagicChip::process_into`] call (parallel to its emissions; empty
-    /// unless observation is on).
-    pub fn obs_parts(&self) -> &[ObsParts] {
-        &self.obs_parts
-    }
-
-    /// The handler invocation from the most recent
-    /// [`MagicChip::process_into`] call (`None` unless observation is on).
-    pub fn obs_invocation(&self) -> Option<&ObsInvocation> {
-        self.obs_invocation.as_ref()
     }
 
     /// Turns on the differential native-vs-PP oracle (checked mode): every
@@ -613,18 +702,24 @@ impl MagicChip {
     /// at `arrival` (PI/NI inbound latency already charged by the caller),
     /// leaving everything the chip emits, with timestamps, in `out`.
     ///
-    /// `out` is cleared first and reused across calls, so a steady-state
-    /// event loop pays zero allocations per message once the buffer has
-    /// grown to the protocol's maximum fan-out.
-    pub fn process_into(&mut self, mut msg: InMsg, arrival: Cycle, out: &mut Vec<Emission>) {
+    /// `out` is cleared first and reused across calls, as is `scratch`,
+    /// so a steady-state event loop pays zero allocations per message
+    /// once the buffers have grown to the protocol's maximum fan-out.
+    pub fn process_into(
+        &mut self,
+        mut msg: InMsg,
+        arrival: Cycle,
+        scratch: &mut MagicScratch,
+        out: &mut Vec<Emission>,
+    ) {
         out.clear();
         self.stats.messages += 1;
-        if self.observe {
-            self.obs_parts.clear();
-            self.obs_invocation = None;
+        if scratch.obs.on {
+            scratch.obs.parts.clear();
+            scratch.obs.invocation = None;
         }
         let local = msg.home == self.node;
-        let slot = self.jump.slot(msg.mtype, local);
+        let slot = self.dispatch.jump.slot(msg.mtype, local);
         let t_ready = arrival + self.timings.inbox_arb + self.timings.jump;
 
         // Speculative memory initiation (inbox-issued, before the PP runs).
@@ -646,11 +741,11 @@ impl MagicChip {
 
         match self.kind {
             ControllerKind::Ideal => {
-                let handler = self.jump.names()[slot.handler as usize];
-                self.process_native(msg, t_ready, data_mem, handler, out)
+                let handler = self.dispatch.jump.names()[slot.handler as usize];
+                self.process_native(msg, t_ready, data_mem, handler, scratch, out)
             }
             ControllerKind::FlashEmulated => {
-                self.process_emulated(msg, arrival, t_ready, data_mem, slot.handler, out)
+                self.process_emulated(msg, arrival, data_mem, slot.handler, scratch, out)
             }
         }
     }
@@ -662,14 +757,15 @@ impl MagicChip {
         start: Cycle,
         data_mem: Option<Cycle>,
         handler: &'static str,
+        scratch: &mut MagicScratch,
         emissions: &mut Vec<Emission>,
     ) {
-        self.out_buf.clear();
-        let mut out = std::mem::take(&mut self.out_buf);
-        let res = native::handle(&msg, &mut self.proto, &CostTable::paper(), &mut out);
+        let MagicScratch { out, obs, .. } = scratch;
+        out.clear();
+        let res = native::handle(&msg, &mut self.proto, &CostTable::paper(), out);
         debug_assert_eq!(res.handler, handler, "jump table vs native dispatch");
-        if self.observe {
-            self.obs_invocation = Some(ObsInvocation {
+        if obs.on {
+            obs.invocation = Some(ObsInvocation {
                 handler,
                 start,
                 occupied: 0,
@@ -684,10 +780,9 @@ impl MagicChip {
                 Outgoing::MemWrite(_) => {
                     self.mem.request(start);
                 }
-                send => self.emit(send, start, &mut data, ObsParts::default(), emissions),
+                send => self.emit(send, start, &mut data, ObsParts::default(), obs, emissions),
             }
         }
-        self.out_buf = out;
         if msg.spec && !data.used_mem {
             self.stats.spec_useless += 1;
         }
@@ -698,35 +793,32 @@ impl MagicChip {
         &mut self,
         msg: InMsg,
         arrival: Cycle,
-        t_ready: Cycle,
         data_mem: Option<Cycle>,
         id: u16,
+        scratch: &mut MagicScratch,
         emissions: &mut Vec<Emission>,
     ) {
-        let (id, handler) = (id as usize, self.jump.names()[id as usize]);
+        let (id, handler) = (id as usize, self.dispatch.jump.names()[id as usize]);
         // Borrow (not clone) the shared program: an `Arc` bump per
         // invocation is an atomic shared by every machine in the process.
-        let program = self.program.as_ref().expect("emulated mode has a program");
-        if self.entry_pcs.is_empty() {
-            self.entry_pcs = vec![None; self.jump.names().len()];
-        }
-        let entry_pc = *self.entry_pcs[id].get_or_insert_with(|| {
-            program
-                .entry(handler)
-                .unwrap_or_else(|| panic!("program lacks handler {handler}"))
-        });
+        let program = self
+            .dispatch
+            .program
+            .as_ref()
+            .expect("emulated mode has a program");
+        let entry_pc = self.dispatch.entry_pcs[id]
+            .unwrap_or_else(|| panic!("program lacks handler {handler}"));
+        let t_ready = arrival + self.timings.inbox_arb + self.timings.jump;
         let pp_start = t_ready.max(self.pp_free);
         let wait = pp_start - t_ready;
         self.stats.inbox_wait_cycles += wait;
         self.stats.inbox_wait_max = self.stats.inbox_wait_max.max(wait);
 
-        // Instruction fetch: only cold misses are possible (the handler
-        // set fits the 32 KB MAGIC instruction cache, paper §5.3).
+        // Instruction fetch: only cold misses are possible, because
+        // `MagicChip::new` asserts that the program fits the 32 KB MAGIC
+        // instruction cache (paper §5.3).
         let mut pre_drift = 0u64;
-        if matches!(
-            self.icache.access(entry_pc as u64 * 8, false),
-            flash_mem::Access::Miss { .. }
-        ) {
+        if self.icache.fetch(entry_pc) {
             self.stats.icache_cold_misses += 1;
             let r = self.mem.request(pp_start);
             pre_drift += (r.first_dword - pp_start) + self.timings.mdc_fill_extra;
@@ -736,28 +828,23 @@ impl MagicChip {
         // replay this invocation through the native protocol afterwards.
         let pre = self.oracle.as_ref().map(|_| self.proto.clone());
 
-        // Scratch state reused across invocations (`take` sidesteps the
-        // `&mut self` borrow while the environment holds `self.proto`).
-        let mut regs = std::mem::take(&mut self.pp_regs);
-        let mut sink = std::mem::take(&mut self.pp_sink);
+        let MagicScratch {
+            regs, sink, obs, ..
+        } = scratch;
         let res = {
             let fields = fields_of(&msg);
             let mut env = MdcEnv::new(&mut self.proto, self.mdc.as_mut(), fields);
             match (self.backend, self.translated.as_ref()) {
-                (PpBackend::Translated, Some(t)) => t.run_into(
-                    entry_pc,
-                    &mut env,
-                    emu::DEFAULT_PAIR_BUDGET,
-                    &mut regs,
-                    &mut sink,
-                ),
+                (PpBackend::Translated, Some(t)) => {
+                    t.run_into(entry_pc, &mut env, emu::DEFAULT_PAIR_BUDGET, regs, sink)
+                }
                 _ => emu::run_into(
                     program,
                     entry_pc,
                     &mut env,
                     emu::DEFAULT_PAIR_BUDGET,
-                    &mut regs,
-                    &mut sink,
+                    regs,
+                    sink,
                 ),
             }
         };
@@ -841,7 +928,7 @@ impl MagicChip {
                                 mem: drift,
                                 ..ObsParts::default()
                             };
-                            self.emit(send, t_e, &mut data, parts, emissions);
+                            self.emit(send, t_e, &mut data, parts, obs, emissions);
                         }
                     }
                 }
@@ -849,8 +936,8 @@ impl MagicChip {
         }
 
         let occupied = exec_cycles + drift;
-        if self.observe {
-            self.obs_invocation = Some(ObsInvocation {
+        if obs.on {
+            obs.invocation = Some(ObsInvocation {
                 handler,
                 start: pp_start,
                 occupied,
@@ -862,8 +949,6 @@ impl MagicChip {
         if msg.spec && !data.used_mem {
             self.stats.spec_useless += 1;
         }
-        self.pp_regs = regs;
-        self.pp_sink = sink;
     }
 
     /// The one rule that times a message leaving the chip, for both
@@ -874,27 +959,26 @@ impl MagicChip {
     /// the caller's wait, occupancy and memory cycles so far; the rest of
     /// the attribution is filled in here and recorded when observed.
     fn emit(
-        &mut self,
+        &self,
         send: Outgoing,
         t_e: Cycle,
         data: &mut DataSource,
         mut parts: ObsParts,
+        obs: &mut ObsRecord,
         emissions: &mut Vec<Emission>,
     ) {
         let t = self.timings;
-        let observe = self.observe;
-        let obs_parts = &mut self.obs_parts;
         let mut stamp = |with_data: bool, out: u64, bus: u64| {
             let header = t_e + out;
             let ready = match data.ready(with_data) {
                 Some(d) => header.max(d + t.buffer_stage),
                 None => header,
             };
-            if observe {
+            if obs.on {
                 parts.inbox = t.inbox_arb + t.jump;
                 parts.mem += ready - header;
                 parts.out = out + bus;
-                obs_parts.push(parts);
+                obs.parts.push(parts);
             }
             ready + bus
         };
@@ -997,18 +1081,27 @@ mod tests {
         MagicChip::new(
             kind,
             NodeId(0),
-            program,
-            Arc::new(JumpTable::dpa_protocol()),
+            Arc::new(Dispatch::new(JumpTable::dpa_protocol(), program)),
             MemTiming::default(),
             true,
             true,
         )
     }
 
-    /// One [`MagicChip::process_into`] call into a fresh buffer.
+    /// One unobserved [`MagicChip::process_into`] call into fresh buffers.
     fn process(chip: &mut MagicChip, msg: InMsg, arrival: Cycle) -> Vec<Emission> {
+        process_with(chip, msg, arrival, &mut MagicScratch::default())
+    }
+
+    /// One [`MagicChip::process_into`] call through `scratch`.
+    fn process_with(
+        chip: &mut MagicChip,
+        msg: InMsg,
+        arrival: Cycle,
+        scratch: &mut MagicScratch,
+    ) -> Vec<Emission> {
         let mut out = Vec::new();
-        chip.process_into(msg, arrival, &mut out);
+        chip.process_into(msg, arrival, scratch, &mut out);
         out
     }
 
@@ -1179,12 +1272,12 @@ mod tests {
     fn obs_parts_sum_exactly_to_emission_minus_arrival() {
         for kind in [ControllerKind::FlashEmulated, ControllerKind::Ideal] {
             let mut chip = mk_chip(kind);
-            chip.set_observe(true);
+            let mut scratch = MagicScratch::new(true);
             // Cold then warm, plus a back-to-back pair to exercise waits.
             for (addr, t) in [(0x1000, 7), (0x1080, 7), (0x5000, 8), (0x1000, 500)] {
                 let arrival = Cycle::new(t);
-                let ems = process(&mut chip, local_get(addr), arrival);
-                let parts = chip.obs_parts();
+                let ems = process_with(&mut chip, local_get(addr), arrival, &mut scratch);
+                let parts = scratch.obs_parts();
                 assert_eq!(ems.len(), parts.len(), "{kind:?}: parallel vectors");
                 for (e, p) in ems.iter().zip(parts) {
                     assert_eq!(
@@ -1194,7 +1287,7 @@ mod tests {
                         e.at()
                     );
                 }
-                let inv = chip.obs_invocation().expect("invocation recorded");
+                let inv = scratch.obs_invocation().expect("invocation recorded");
                 if kind == ControllerKind::Ideal {
                     assert_eq!(inv.occupied, 0, "ideal PP takes zero time");
                 }
@@ -1203,16 +1296,17 @@ mod tests {
     }
 
     /// Observation must be timing-invisible: the same message sequence
-    /// produces identical emissions with and without `set_observe`.
+    /// produces identical emissions through an observing scratch and a
+    /// plain one.
     #[test]
     fn observe_does_not_perturb_chip_timing() {
         for kind in [ControllerKind::FlashEmulated, ControllerKind::Ideal] {
             let mut plain = mk_chip(kind);
             let mut observed = mk_chip(kind);
-            observed.set_observe(true);
+            let mut scratch = MagicScratch::new(true);
             for (addr, t) in [(0x1000, 7), (0x2000, 9), (0x1000, 400)] {
                 let a = process(&mut plain, local_get(addr), Cycle::new(t));
-                let b = process(&mut observed, local_get(addr), Cycle::new(t));
+                let b = process_with(&mut observed, local_get(addr), Cycle::new(t), &mut scratch);
                 assert_eq!(a, b, "{kind:?}: emissions must match");
             }
             assert_eq!(plain.pp_busy_cycles(), observed.pp_busy_cycles());
@@ -1285,6 +1379,72 @@ mod tests {
         let mut ideal = mk_chip(ControllerKind::Ideal);
         process(&mut ideal, local_get(0x1000), Cycle::new(7));
         assert_eq!(ideal.stats().handlers.iter().count(), 0);
+    }
+
+    /// The fetched-lines set is exact: over random entry-pair sequences
+    /// into programs of 1 B to 32 KB, every fetch hits or misses as a 32
+    /// KB, 2-way, 128-byte-line tag store would have it.
+    #[test]
+    fn fetched_lines_equal_the_tag_store_model() {
+        let geometry = CacheGeometry {
+            size_bytes: ICACHE_BYTES,
+            ways: 2,
+            line_bytes: ICACHE_LINE_BYTES,
+        };
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut sizes = vec![1, PAIR_BYTES, ICACHE_LINE_BYTES + 1, ICACHE_BYTES];
+        sizes.extend((0..60).map(|_| 1 + next() % ICACHE_BYTES));
+        for bytes in sizes {
+            let pairs = bytes.div_ceil(PAIR_BYTES);
+            let (mut fetched, mut tags) = (FetchedLines::default(), MagicCache::new(geometry));
+            for _ in 0..400 {
+                let pc = (next() % pairs) as usize;
+                let tag_miss = matches!(
+                    tags.access(pc as u64 * PAIR_BYTES, false),
+                    flash_mem::Access::Miss { .. }
+                );
+                assert_eq!(fetched.fetch(pc), tag_miss, "{bytes} B program, pair {pc}");
+            }
+        }
+    }
+
+    fn program_of(bytes: u64) -> Arc<Program> {
+        let nop = flash_pp::Pair {
+            a: flash_pp::Instr::Nop,
+            b: flash_pp::Instr::Nop,
+        };
+        let pairs = vec![nop; (bytes / PAIR_BYTES) as usize];
+        Arc::new(Program::new(pairs, Vec::new(), Default::default()))
+    }
+
+    fn chip_running(program: Arc<Program>) -> MagicChip {
+        MagicChip::new(
+            ControllerKind::FlashEmulated,
+            NodeId(0),
+            Arc::new(Dispatch::new(JumpTable::dpa_protocol(), Some(program))),
+            MemTiming::default(),
+            true,
+            true,
+        )
+    }
+
+    #[test]
+    fn a_32_kb_program_fits() {
+        let p = program_of(ICACHE_BYTES);
+        assert_eq!(p.static_bytes(), ICACHE_BYTES);
+        chip_running(p);
+    }
+
+    #[test]
+    #[should_panic(expected = "must fit the 32768-byte MAGIC instruction cache (paper §5.3)")]
+    fn a_program_over_32_kb_panics() {
+        chip_running(program_of(ICACHE_BYTES + PAIR_BYTES));
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub mod chip;
 pub mod env;
 
 pub use chip::{
-    ControllerKind, Emission, HandlerStats, MagicChip, MagicStats, MagicTimings, ObsInvocation,
-    ObsParts, PpBackend, ReadClass, ReadClassCounts,
+    ControllerKind, Dispatch, Emission, HandlerStats, MagicChip, MagicScratch, MagicStats,
+    MagicTimings, ObsInvocation, ObsParts, PpBackend, ReadClass, ReadClassCounts,
 };
 pub use env::MdcEnv;

@@ -5,9 +5,8 @@
 //!   line), and the single-entry request queue of paper Table 3.1 whose
 //!   exhaustion stalls the PP or inbox. The ideal machine uses the same
 //!   timing with an infinite queue.
-//! * [`magic_cache::MagicCache`] — the tag-only set-associative model used
-//!   for both the MAGIC data cache (64 KB, 2-way, 128-byte lines; paper
-//!   §5.2) and the MAGIC instruction cache (32 KB).
+//! * [`magic_cache::MagicCache`] — the tag-only set-associative model of
+//!   the MAGIC data cache (64 KB, 2-way, 128-byte lines; paper §5.2).
 
 pub mod controller;
 pub mod magic_cache;

@@ -1,11 +1,13 @@
-//! Tag-only set-associative cache model for the MAGIC caches.
+//! Tag-only set-associative cache model for the MAGIC data cache (MDC).
 //!
 //! "To avoid consuming excessive memory bandwidth, the PP accesses this
 //! information through the *MAGIC instruction cache* and *MAGIC data
 //! cache*" (paper §2). The MDC is 64 KB, 2-way set associative with
-//! 128-byte lines (§5.2); the instruction cache is 32 KB. Since directory
-//! *contents* live in the node's `ProtoMem`, these models track tags and
-//! LRU state only — hit/miss timing and victim writebacks.
+//! 128-byte lines (§5.2). Since directory *contents* live in the node's
+//! `ProtoMem`, this model tracks tags and LRU state only — hit/miss
+//! timing and victim writebacks. The instruction cache needs no tag
+//! store: the handlers fit its 32 KB (§5.3), so a line misses exactly on
+//! its first fetch, and `flash_magic` keeps a set of fetched lines.
 
 use flash_engine::Counter;
 
@@ -25,16 +27,6 @@ impl CacheGeometry {
     pub const fn mdc() -> Self {
         CacheGeometry {
             size_bytes: 64 * 1024,
-            ways: 2,
-            line_bytes: 128,
-        }
-    }
-
-    /// The MAGIC instruction cache: 32 KB, 2-way, 128-byte lines
-    /// (size per paper §5.3).
-    pub const fn micache() -> Self {
-        CacheGeometry {
-            size_bytes: 32 * 1024,
             ways: 2,
             line_bytes: 128,
         }
@@ -380,7 +372,12 @@ mod tests {
             addrs.push(rng);
             addrs.push(u64::MAX - (rng >> 40));
         }
-        for g in [CacheGeometry::mdc(), CacheGeometry::micache()] {
+        let small = CacheGeometry {
+            size_bytes: 32 * 1024,
+            ways: 4,
+            line_bytes: 64,
+        };
+        for g in [CacheGeometry::mdc(), small] {
             let (sets, line) = (g.sets(), g.line_bytes);
             let stride = sets * line;
             for &a in &addrs {

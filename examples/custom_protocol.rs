@@ -13,7 +13,7 @@
 //! ```
 
 use flash_engine::{Addr, Cycle, NodeId};
-use flash_magic::{ControllerKind, MagicChip};
+use flash_magic::{ControllerKind, Dispatch, MagicChip, MagicScratch};
 use flash_mem::MemTiming;
 use flash_pp::CodegenOptions;
 use flash_protocol::fields::{asm_prologue, aux};
@@ -30,8 +30,7 @@ fn chip_with(program: Arc<flash_pp::Program>, jump: JumpTable) -> MagicChip {
     MagicChip::new(
         ControllerKind::FlashEmulated,
         NodeId(0),
-        Some(program),
-        Arc::new(jump),
+        Arc::new(Dispatch::new(jump, Some(program))),
         MemTiming::default(),
         true,
         true,
@@ -100,16 +99,16 @@ fn main() {
         ("lazy-hints custom protocol", lazy_jump),
     ] {
         let mut chip = chip_with(program.clone(), jump);
-        let mut emissions = Vec::new();
+        let (mut scratch, mut emissions) = (MagicScratch::default(), Vec::new());
         let mut t = Cycle::new(10);
         let addr = 0x4000;
         for req in 1..=8 {
-            chip.process_into(get_msg(req, addr), t, &mut emissions);
+            chip.process_into(get_msg(req, addr), t, &mut scratch, &mut emissions);
             t += 400;
         }
         let before = chip.pp_busy_cycles();
         for src_node in 1..=8 {
-            chip.process_into(hint_msg(src_node, addr), t, &mut emissions);
+            chip.process_into(hint_msg(src_node, addr), t, &mut scratch, &mut emissions);
             t += 400;
         }
         let hint_cycles = chip.pp_busy_cycles() - before;

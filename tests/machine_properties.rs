@@ -138,6 +138,37 @@ fn machine_construction_materializes_no_free_list() {
     );
 }
 
+/// MAGIC's instruction cache holds every handler (paper §5.3), so a
+/// chip's only instruction-fetch misses are the first fetch of each entry
+/// line it dispatched to.
+#[test]
+fn icache_misses_are_the_distinct_entry_lines_invoked() {
+    let cfg = MachineConfig::flash(16);
+    let program = flash_magic::MagicChip::default_program(cfg.codegen);
+    let streams: Vec<Box<dyn RefStream>> = flash_check::stress_streams(16, 8, 60, 7)
+        .into_iter()
+        .map(|v| Box::new(SliceStream::new(v)) as Box<dyn RefStream>)
+        .collect();
+    let mut m = Machine::new(cfg, streams);
+    let RunResult::Completed { .. } = m.run(2_000_000_000) else {
+        panic!("stress workload did not complete");
+    };
+    let mut misses = 0;
+    for chip in m.chips() {
+        // An entry pair is 8 bytes and a cache line 128.
+        let lines: std::collections::BTreeSet<usize> = chip
+            .stats()
+            .handlers
+            .iter()
+            .map(|(name, _)| program.entry(name).expect("dispatched handler") * 8 / 128)
+            .collect();
+        let cold = chip.stats().icache_cold_misses;
+        assert_eq!(cold, lines.len() as u64, "node {}", chip.node().0);
+        misses += cold;
+    }
+    assert!(misses > 16, "the run dispatched {misses} entry lines");
+}
+
 /// A fixed, non-trivial observed workload for the host-instrumentation
 /// invariance tests below: 16 nodes, mixed sharing, a few thousand
 /// events per run.
