@@ -48,7 +48,7 @@ pub struct CachedCopy {
 /// paper's relaxed consistency, §2), so mid-transaction the directory
 /// intentionally leads or lags the caches. (Copies whose invalidation or
 /// intervention has progressed to a queued bus-side delivery are
-/// filtered out of `copies` by the machine before this function runs.)
+/// filtered out of `copies` by the [`Checker`](crate::Checker) first.)
 /// Directory agreement tolerates stale sharers (directory ⊇ caches); the
 /// converse — a cached copy the directory cannot account for — is a
 /// violation.
@@ -181,6 +181,22 @@ pub fn check_line_coherence(
         }
     }
     v
+}
+
+/// Whether a [`check_line_coherence`] violation kind is *provisional*: a
+/// per-copy cache/directory disagreement, attributed to the copy holder,
+/// that the stale-transfer self-repair race makes legal until that copy
+/// is invalidated. The aggregate `swmr` check is never provisional.
+pub fn is_provisional(kind: &str) -> bool {
+    matches!(
+        kind,
+        "shared-under-dirty"
+            | "copy-not-listed"
+            | "excl-wrong-owner"
+            | "excl-not-dirty"
+            | "excl-home-not-local"
+            | "home-copy-not-local"
+    )
 }
 
 #[cfg(test)]

@@ -14,6 +14,9 @@
 //!   invocation through the native Rust protocol on a snapshot of the
 //!   same protocol memory and diffs the directory mutation and outgoing
 //!   message multiset;
+//! * [`checker`] — the checked-mode driver: which lines to audit when,
+//!   which transient disagreements are legal, and the quiescence audits,
+//!   over a [`CheckView`] of the machine;
 //! * [`stress`] — a seeded random traffic generator ([`flash_engine::DetRng`])
 //!   that drives the checks across mesh sizes.
 //!
@@ -37,12 +40,14 @@
 //!   or lags the caches.
 
 pub mod audit;
+pub mod checker;
 pub mod coherence;
 pub mod oracle;
 pub mod stress;
 
 pub use audit::{audit_directory, check_pointer_store, walk_free_list, walk_sharers};
-pub use coherence::{check_line_coherence, CachedCopy};
+pub use checker::{CheckView, Checker};
+pub use coherence::{check_line_coherence, is_provisional, CachedCopy};
 pub use oracle::{diff_invocation, encode, OracleState};
 pub use stress::stress_streams;
 

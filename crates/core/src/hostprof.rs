@@ -1,12 +1,10 @@
 //! Host-time profiler: where the *simulator's* wall-clock time goes.
 //!
-//! PR 5's cycle-attribution observer answers "where did the simulated
-//! cycles go"; this module answers the mirror question for host time, so
-//! host-performance work is measured instead of guessed. When
-//! [`crate::MachineConfig::with_host_profile`] arms it, the machine
-//! brackets every event it processes with monotonic-clock stamps and
-//! attributes the elapsed nanoseconds to one of six subsystem segments
-//! (a seventh, `boundary`, always reads 0):
+//! The observer says where the simulated cycles go; this module says
+//! where host time goes. When [`crate::MachineConfig::with_host_profile`]
+//! arms it, the machine brackets every event with monotonic-clock stamps
+//! and attributes the elapsed nanoseconds to one of six segments (a
+//! seventh, `boundary`, always reads 0):
 //!
 //! * `proc_cache` — processor run loop, L1/L2 cache model, reply delivery
 //! * `magic_dispatch` — MAGIC inbox bookkeeping, fault hooks, emission
@@ -18,10 +16,8 @@
 //! * `observe_check` — cycle attribution of MAGIC events and coherence
 //!   checking (zero unless those modes are armed); the observer's
 //!   bookkeeping on processor and mesh events counts in their segments
-//! * `boundary` — always 0. It timed the synchronization replay at the
-//!   boundaries of the time windows the event loop no longer has; it
-//!   stays only because perfbench sizes its segment metrics by
-//!   [`HOST_SEG_COUNT`].
+//! * `boundary` — always 0; it stays only because perfbench sizes its
+//!   segment metrics by [`HOST_SEG_COUNT`].
 //!
 //! The profiler is a pure observer of the host clock: it never reads or
 //! writes simulation state, so arming it cannot change `exec_cycles`,
@@ -82,12 +78,6 @@ impl HostProfAcc {
     #[inline]
     pub fn reset_inner(&mut self) {
         self.inner = 0;
-    }
-
-    /// Attributes a flat interval (no nesting semantics).
-    #[inline]
-    pub fn add_flat(&mut self, seg: HostSeg, start: Instant) {
-        self.ns[seg as usize] += start.elapsed().as_nanos() as u64;
     }
 
     /// Chained lap: attributes `t0..now` to `seg` and returns the new

@@ -12,13 +12,14 @@
 
 use crate::config::MachineConfig;
 use crate::hostprof::{HostProfAcc, HostProfile, HostSeg};
-use crate::observe::{LatencyReport, ObserveReport, Observer, ReqKind, TrafficStats};
+use crate::observe::{LatencyReport, ObserveReport, Observer, TrafficStats};
+use flash_check::{CheckView, Checker, Violation};
 use flash_cpu::{
-    BusReply, CpuOut, Mailbox, MailboxHandle, MailboxStream, Processor, RefStream, RunOutcome,
-    WorkItem,
+    BusReply, CpuOut, LineState, Mailbox, MailboxHandle, MailboxStream, Processor, RefStream,
+    RunOutcome, WorkItem,
 };
 use flash_engine::FastMap;
-use flash_engine::{Addr, Cycle, EventQueue, NodeId, Segment};
+use flash_engine::{Addr, Cycle, EventQueue, NodeId};
 use flash_fault::{
     FaultInjector, FaultStats, LinkVerdict, MsgRing, MshrSnap, NiDir, NodeWedge, PendingLine,
     TraceEntry, WedgeReport,
@@ -26,7 +27,7 @@ use flash_fault::{
 use flash_magic::{ControllerKind, Dispatch, Emission, MagicChip, MagicScratch};
 use flash_net::{Mesh, NetModel};
 use flash_protocol::fields::aux;
-use flash_protocol::{dir_addr, InMsg, JumpTable, Msg, MsgType, ProcMsg};
+use flash_protocol::{dir_addr, InMsg, JumpTable, Msg, MsgType, ProcMsg, ProtoMem};
 use flash_traffic::ArrivalSource;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -71,6 +72,15 @@ impl Ev {
             net: false,
         }
     }
+
+    /// The line a message event carries.
+    fn line(&self) -> Option<u64> {
+        match self {
+            Ev::ProcRun(_) | Ev::Arrival { .. } => None,
+            Ev::MagicIn { msg, .. } | Ev::NetSend { msg } => Some(msg.addr.line().raw()),
+            Ev::ProcDeliver { pm, .. } => Some(pm.addr.line().raw()),
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,56 +112,6 @@ const SUB_SEQ_BITS: u32 = 44;
 fn sub_key(origin: u16, seq: u64) -> u64 {
     debug_assert!(seq < 1 << SUB_SEQ_BITS, "per-origin sequence overflow");
     ((origin as u64) << SUB_SEQ_BITS) | seq
-}
-
-/// Checked-mode bookkeeping (allocated only when `cfg.check`).
-#[derive(Debug, Default)]
-struct CheckCtx {
-    /// Every 128-byte line that ever saw protocol activity.
-    touched: BTreeSet<u64>,
-    /// Lines events touched since the last audit, checked and cleared
-    /// when the clock next advances.
-    fresh_lines: BTreeSet<u64>,
-    /// Invariant violations detected so far (machine-level checks; the
-    /// per-chip differential oracle keeps its own list).
-    violations: Vec<flash_check::Violation>,
-    /// Rogue-copy observations (`shared-under-dirty`, `copy-not-listed`)
-    /// awaiting repair, keyed by (copy node, line address), with the
-    /// cycle of first observation.
-    ///
-    /// The stale-transfer self-repair race (DESIGN.md, race rule 2) makes
-    /// these states legal transiently: a deferred intervention can answer
-    /// a forward the home has since abandoned, granting a rogue shared
-    /// copy via a stale `NPut`; the home's `ni_swb` stale branch repairs
-    /// it with fire-and-forget `NInval`s. Between the rogue copy
-    /// installing and the repair `PInval` reaching the bus there is
-    /// nothing local to exempt on — the header is neither `PENDING` nor
-    /// is a `PInval` queued yet — so the observation is held here as
-    /// *provisional*: discharged when a `PInval` for that (node, line)
-    /// delivers, and promoted to a real violation if it survives to
-    /// quiescence. (Whether the rogue shows up as `shared-under-dirty` or
-    /// `copy-not-listed` depends only on what the header looks like when
-    /// the checker happens to observe the line.)
-    provisional_rogues: FastMap<(u16, u64), (Cycle, flash_check::Violation)>,
-    /// In-flight `PInval` deliveries, keyed by (node, line address).
-    ///
-    /// The protocol acknowledges an invalidation as soon as the sharer's
-    /// MAGIC processes `NInval` — the bus-side `PInval` rides a later
-    /// `ProcDeliver` event, so the stale copy legitimately outlives the
-    /// directory's PENDING window (the paper's relaxed-consistency
-    /// ordering, §2). A copy with a queued `PInval` is logically dead and
-    /// exempt from the coherence checks; one still queued at quiescence
-    /// is a message-conservation violation.
-    inflight_invals: FastMap<(u16, u64), u32>,
-    /// In-flight `PIntervGet`/`PIntervGetX` deliveries, keyed the same
-    /// way. A copy with a queued intervention is mid-handoff: the home
-    /// may have already granted (exclusive) ownership to the requester
-    /// while this bus transaction — possibly deferred for many retries —
-    /// has yet to invalidate or downgrade the old owner's copy. Such a
-    /// copy is exempt from the coherence checks until the intervention
-    /// executes; one still queued at quiescence is a conservation
-    /// violation.
-    inflight_intervs: FastMap<(u16, u64), u32>,
 }
 
 /// Why [`Machine::run`] stopped.
@@ -241,7 +201,8 @@ pub struct Machine {
     done: usize,
     finish: Vec<Cycle>,
     interv_deferrals: u64,
-    check: Option<CheckCtx>,
+    /// Checked-mode driver (`None` unless `cfg.check`).
+    check: Option<Checker>,
     /// Ring of recent message observations, always on: the message
     /// history [`Machine::diagnose`] renders for a wedge's suspect lines.
     ring: MsgRing,
@@ -286,156 +247,24 @@ const RING_CAPACITY: usize = 64;
 /// stands out.
 const RECENT_TAIL: usize = 8;
 
-/// The requester candidates (and charged segment) a message arriving at
-/// the inbox of `msg.dst` may belong to; [`pending_cand`] picks the one the
-/// observer tracks.
-///
-/// Requests and forwards carry the requester in their aux field; replies
-/// from third-party owners carry the responder, so replies also try the
-/// receiving node (replies terminate at the requester's own chip).
-/// Messages that never continue a request path (invals, acks,
-/// writebacks, sharing writebacks) resolve to `None`. The frontier gap
-/// is charged to PI for bus-side messages, mesh for network-side (which
-/// folds the receiving NI input stage into mesh transit).
-fn observe_cands(msg: &Msg) -> Option<([Option<u16>; 2], Segment)> {
-    match msg.mtype {
-        MsgType::PiGet | MsgType::PiGetX | MsgType::PiUpgrade => {
-            Some(([Some(msg.src.0), None], Segment::Pi))
-        }
-        MsgType::PiIntervReply | MsgType::PiIntervMiss => {
-            Some(([Some(aux::requester(msg.aux).0), None], Segment::Pi))
-        }
-        t if continues_request(t) => {
-            let reply = t.is_reply_class() || t == MsgType::NIntervMiss;
-            Some((
-                [Some(aux::requester(msg.aux).0), reply.then_some(msg.dst.0)],
-                Segment::Mesh,
-            ))
-        }
-        _ => None,
+/// The checker's view of the machine's nodes.
+struct Nodes<'a>(&'a Machine);
+
+impl CheckView for Nodes<'_> {
+    fn nodes(&self) -> u16 {
+        self.0.cfg.nodes
     }
-}
-
-/// The first candidate whose request on `line` the observer is tracking.
-fn pending_cand(obs: &Observer, cands: [Option<u16>; 2], line: u64) -> Option<u16> {
-    cands
-        .into_iter()
-        .flatten()
-        .find(|&c| obs.is_pending((c, line)))
-}
-
-/// Whether a network message of type `t` continues a request path: the
-/// requests and forwards, which carry the requester, and the replies to
-/// them.
-fn continues_request(t: MsgType) -> bool {
-    use MsgType::*;
-    matches!(
-        t,
-        NGet | NGetX | NUpgrade | NFwdGet | NFwdGetX | NPut | NPutX | NUpgAck | NNack | NIntervMiss
-    )
-}
-
-/// Whether a chip emission continues the tracked request `key`
-/// (first match wins when applying per-emission attributions).
-fn emission_continues(em: &Emission, key: (u16, u64), node: u16) -> bool {
-    match em {
-        Emission::Proc { msg: pm, .. } => {
-            pm.addr.line().raw() == key.1
-                && match pm.mtype {
-                    MsgType::PPut | MsgType::PPutX | MsgType::PUpgAck | MsgType::PNackRetry => {
-                        key.0 == node
-                    }
-                    MsgType::PIntervGet | MsgType::PIntervGetX => aux::requester(pm.aux).0 == key.0,
-                    _ => false,
-                }
-        }
-        Emission::Net { msg: m, .. } => {
-            m.addr.line().raw() == key.1
-                && continues_request(m.mtype)
-                && (aux::requester(m.aux).0 == key.0 || m.dst.0 == key.0)
-        }
+    fn cached(&self, node: u16, line: Addr) -> Option<LineState> {
+        self.0.procs[node as usize].cache().state_of(line)
     }
-}
-
-/// Checks every invariant visible for one line right now: SWMR across
-/// all processor caches, directory structural audit, and cache/
-/// directory agreement at the line's home. Shared by the per-cycle
-/// checker and the quiescence audit.
-fn check_line_at(
-    cfg: &MachineConfig,
-    ctx: &mut CheckCtx,
-    line: Addr,
-    now: Cycle,
-    procs: &[Processor],
-    chips: &[MagicChip],
-) {
-    let mut copies = Vec::new();
-    for (i, p) in (0..cfg.nodes).zip(procs) {
-        // A copy with a queued `PInval` is logically dead (the sharer's
-        // MAGIC already acknowledged the invalidation), and one with a
-        // queued `PIntervGet`/`PIntervGetX` is mid-handoff (the requester
-        // may install before the bus transaction lands). Both are exempt
-        // from SWMR/agreement.
-        let key = (i, line.raw());
-        if let Some(state) = p.cache().state_of(line) {
-            if !ctx.inflight_invals.contains_key(&key) && !ctx.inflight_intervs.contains_key(&key) {
-                copies.push(flash_check::CachedCopy {
-                    node: i,
-                    exclusive: state == flash_cpu::LineState::Exclusive,
-                });
-            }
-        }
-        let in_use = p.outstanding_misses();
-        if in_use > cfg.mshrs {
-            ctx.violations.push(flash_check::Violation {
-                kind: "mshr-over",
-                node: i,
-                line: line.raw(),
-                detail: format!("{in_use} MSHRs in use, limit {}", cfg.mshrs),
-            });
-        }
+    fn mshrs_in_use(&self, node: u16) -> usize {
+        self.0.procs[node as usize].outstanding_misses()
     }
-    let home = cfg.placement.home_of(line, cfg.nodes);
-    let da = dir_addr(line);
-    let mem = chips[home.index()].proto_mem();
-    ctx.violations
-        .extend(flash_check::audit_directory(mem, da, home.0, false));
-    if let Ok(sharers) = flash_check::walk_sharers(mem, da) {
-        let h = flash_protocol::DirHeader(mem.load64(da));
-        for v in flash_check::check_line_coherence(h, &sharers, home.0, &copies, line.raw()) {
-            // Per-copy cache/directory disagreements are legal for a
-            // bounded window (stale-transfer self-repair) and are
-            // attributed to the copy holder; held provisionally until
-            // the copy is invalidated. See `CheckCtx::provisional_rogues`.
-            // Everything else (aggregate swmr, structural audits) reports
-            // immediately.
-            let provisional = matches!(
-                v.kind,
-                "shared-under-dirty"
-                    | "copy-not-listed"
-                    | "excl-wrong-owner"
-                    | "excl-not-dirty"
-                    | "excl-home-not-local"
-                    | "home-copy-not-local"
-            );
-            if provisional {
-                ctx.provisional_rogues
-                    .entry((v.node, v.line))
-                    .or_insert((now, v));
-            } else {
-                ctx.violations.push(v);
-            }
-        }
+    fn home_of(&self, line: Addr) -> u16 {
+        self.0.cfg.placement.home_of(line, self.0.cfg.nodes).0
     }
-}
-
-/// Decrements a (node, line) in-flight count, dropping it at zero.
-fn settle(inflight: &mut FastMap<(u16, u64), u32>, key: (u16, u64)) {
-    if let Some(n) = inflight.get_mut(&key) {
-        *n -= 1;
-        if *n == 0 {
-            inflight.remove(&key);
-        }
+    fn proto_mem(&self, node: u16) -> &ProtoMem {
+        self.0.chips[node as usize].proto_mem()
     }
 }
 
@@ -464,6 +293,17 @@ impl Machine {
     /// The armed host profiler's accumulator.
     fn prof(&mut self) -> Option<&mut HostProfAcc> {
         self.hostprof.as_deref_mut().map(|h| &mut h.acc)
+    }
+
+    /// Runs `f`, charging its host time to `seg` when the profiler is
+    /// armed (an inner bracket: the enclosing event's segment excludes it).
+    fn timed<R>(&mut self, seg: HostSeg, f: impl FnOnce(&mut Self) -> R) -> R {
+        let t = self.hostprof.is_some().then(Instant::now);
+        let r = f(self);
+        if let Some(t) = t {
+            self.prof().expect("armed").add_inner(seg, t);
+        }
+        r
     }
 
     /// Moves the event cursor to the event at `(at, sub)`, popped or
@@ -526,15 +366,9 @@ impl Machine {
             // The clock advances: audit the lines the earlier cycles
             // touched before the first event of this one.
             if t > self.now {
-                self.audit_fresh_lines();
+                self.audit();
             }
             self.set_cursor(t, sub);
-            let ev_line = match &ev {
-                Ev::ProcRun(_) | Ev::Arrival { .. } => None,
-                Ev::MagicIn { msg, .. } => Some(msg.addr.line().raw()),
-                Ev::ProcDeliver { pm, .. } => Some(pm.addr.line().raw()),
-                Ev::NetSend { msg } => Some(msg.addr.line().raw()),
-            };
             let seg = match ev {
                 Ev::ProcRun(n) => {
                     let cont = self.ev_proc_run(n);
@@ -563,38 +397,24 @@ impl Machine {
             if let Some(s) = stamp {
                 stamp = Some(self.prof().expect("armed").lap_outer(seg, s));
             }
-            if let (Some(c), Some(line)) = (self.check.as_mut(), ev_line) {
-                c.fresh_lines.insert(line);
+            if let (Some(c), Some(line)) = (self.check.as_mut(), ev.line()) {
+                c.touch(line);
             }
             let wd = self.cfg.watchdog_window;
             if wd > 0 && self.now.raw().saturating_sub(self.last_progress.raw()) > wd {
                 break DriveEnd::Wedged;
             }
         };
-        self.audit_fresh_lines();
+        self.audit();
         end
     }
 
-    /// Checks the invariants of every line touched since the last audit.
-    fn audit_fresh_lines(&mut self) {
-        let Some(mut check) = self.check.take() else {
-            return;
-        };
-        let tc = self.hostprof.is_some().then(Instant::now);
-        for raw in std::mem::take(&mut check.fresh_lines) {
-            check.touched.insert(raw);
-            check_line_at(
-                &self.cfg,
-                &mut check,
-                Addr::new(raw),
-                self.now,
-                &self.procs,
-                &self.chips,
-            );
-        }
-        self.check = Some(check);
-        if let Some(tc) = tc {
-            self.prof().expect("armed").add_inner(HostSeg::ObsCheck, tc);
+    /// Checked mode: audits the lines touched since the clock last
+    /// advanced.
+    fn audit(&mut self) {
+        if let Some(mut c) = self.check.take() {
+            self.timed(HostSeg::ObsCheck, |m| c.advance(&Nodes(m), m.now));
+            self.check = Some(c);
         }
     }
 
@@ -826,18 +646,11 @@ impl Machine {
         let lat = self.cfg.lat;
         for &(t, o) in outs {
             let (mtype, addr) = pi_msg(o);
-            let kind = match mtype {
-                MsgType::PiGet => Some(ReqKind::Read),
-                MsgType::PiGetX => Some(ReqKind::Write),
-                MsgType::PiUpgrade => Some(ReqKind::Upgrade),
-                _ => None,
-            };
-            // Observed mode: a miss leaving the processor starts a
-            // tracked request at its issue time.
-            if let (Some(obs), Some(kind)) = (self.observe.as_deref_mut(), kind) {
-                obs.begin(n, addr.line().raw(), t, kind);
+            if let Some(obs) = self.observe.as_deref_mut() {
+                obs.issued(n, mtype, addr.line().raw(), t);
             }
-            let extra = if kind.is_some() { lat.miss_to_bus } else { 0 };
+            let miss = matches!(o, CpuOut::Get(_) | CpuOut::GetX(_) | CpuOut::Upgrade(_));
+            let extra = if miss { lat.miss_to_bus } else { 0 };
             self.push_origin(
                 n,
                 t + extra + lat.bus + lat.pi_in,
@@ -862,7 +675,6 @@ impl Machine {
                 }
             }
         }
-        let line_raw = wire.addr.line().raw();
         let home = self.cfg.placement.home_of(wire.addr, self.cfg.nodes);
         self.mark_progress();
         self.ring.push(TraceEntry {
@@ -870,7 +682,7 @@ impl Machine {
             node,
             kind: wire.mtype.name(),
             src: wire.src.0,
-            line: line_raw,
+            line: wire.addr.line().raw(),
             aux: wire.aux,
         });
         let msg = InMsg {
@@ -897,141 +709,75 @@ impl Machine {
                 self.chips[i].block_memory(until);
             }
         }
-        // Observed mode: advance the tracked request's frontier to the
-        // inbox arrival.
-        let arrival = self
+        let tracked = self
             .observe
-            .is_some()
-            .then(|| observe_cands(&wire))
-            .flatten();
-        if let (Some(obs), Some((cands, seg))) = (self.observe.as_deref_mut(), arrival) {
-            if let Some(c) = pending_cand(obs, cands, line_raw) {
-                obs.advance((c, line_raw), now, seg);
-            }
-        }
+            .as_deref_mut()
+            .and_then(|o| o.arrived(&wire, now));
         // Read-miss classification at the home (paper Tables 4.1/4.2).
-        let chip = &mut self.chips[i];
         let class = match wire.mtype {
-            MsgType::PiGet if home == NodeId(node) => chip.classify_read(&msg, NodeId(node)),
-            MsgType::NGet => chip.classify_read(&msg, aux::requester(wire.aux)),
+            MsgType::PiGet if home == NodeId(node) => {
+                self.chips[i].classify_read(&msg, NodeId(node))
+            }
+            MsgType::NGet => self.chips[i].classify_read(&msg, aux::requester(wire.aux)),
             _ => None,
         };
         let mut emissions = std::mem::take(&mut self.emit_buf);
-        let tp = self.hostprof.is_some().then(Instant::now);
-        chip.process_into(msg, now, &mut self.scratch, &mut emissions);
-        if let Some(tp) = tp {
-            self.prof().expect("armed").add_inner(HostSeg::Protocol, tp);
-        }
-        // Observed mode: record the handler invocation, then the read
-        // class and the continuing emission's exact decomposition.
-        let to = (self.hostprof.is_some() && self.observe.is_some()).then(Instant::now);
-        if let Some(obs) = self.observe.as_deref_mut() {
-            if let Some(inv) = self.scratch.obs_invocation() {
-                obs.trace_handler(node, inv);
-            }
-            let tracked = arrival.and_then(|(cands, _)| pending_cand(obs, cands, line_raw));
-            if let Some(c) = tracked {
-                let key = (c, line_raw);
-                if let Some(class) = class {
-                    obs.note_class(key, class);
-                }
-                if let Some(ei) = emissions
-                    .iter()
-                    .position(|em| emission_continues(em, key, node))
-                {
-                    let em = &emissions[ei];
-                    let net = matches!(em, Emission::Net { .. });
-                    obs.apply_parts(key, em.at(), &self.scratch.obs_parts()[ei], net);
-                }
-            }
-        }
-        if let Some(to) = to {
-            self.prof().expect("armed").add_inner(HostSeg::ObsCheck, to);
+        self.timed(HostSeg::Protocol, |m| {
+            m.chips[i].process_into(msg, now, &mut m.scratch, &mut emissions)
+        });
+        if self.observe.is_some() {
+            self.timed(HostSeg::ObsCheck, |m| {
+                let obs = m.observe.as_deref_mut().expect("observing");
+                obs.handled(node, tracked, class, &m.scratch, &emissions);
+            });
         }
         for em in emissions.drain(..) {
             match em {
                 Emission::Net { at, msg } => self.post_net(at, msg),
-                Emission::Proc { at, msg } => {
+                Emission::Proc { at, msg: pm } => {
                     if let Some(c) = self.check.as_mut() {
-                        let key = (node, msg.addr.line().raw());
-                        match msg.mtype {
-                            // The copy is logically dead from the moment
-                            // the invalidation is queued on the bus.
-                            MsgType::PInval => {
-                                *c.inflight_invals.entry(key).or_insert(0) += 1;
-                            }
-                            // The copy is mid-handoff: the new owner may
-                            // install its (exclusive) copy before this bus
-                            // transaction invalidates or downgrades ours.
-                            MsgType::PIntervGet | MsgType::PIntervGetX => {
-                                *c.inflight_intervs.entry(key).or_insert(0) += 1;
-                            }
-                            _ => {}
-                        }
+                        c.queued(node, pm.mtype, pm.addr.line().raw());
                     }
-                    self.push_origin(
-                        node,
-                        at,
-                        Ev::ProcDeliver {
-                            node,
-                            pm: msg,
-                            tries: 0,
-                        },
-                    );
+                    self.push_origin(node, at, Ev::ProcDeliver { node, pm, tries: 0 });
                 }
             }
         }
         self.emit_buf = emissions;
     }
 
-    /// Routes an outbound network message (fault hooks, mesh transit).
-    /// The bracket wrapper attributes the whole path to the net segment
-    /// even when reached from inside a MAGIC event.
+    /// Routes an outbound network message (fault hooks, mesh transit),
+    /// charged to the net segment even when reached from a MAGIC event.
     fn post_net(&mut self, at: Cycle, msg: Msg) {
-        let tn = self.hostprof.is_some().then(Instant::now);
-        self.post_net_inner(at, msg);
-        if let Some(tn) = tn {
-            self.prof().expect("armed").add_inner(HostSeg::Net, tn);
-        }
-    }
-
-    fn post_net_inner(&mut self, at: Cycle, msg: Msg) {
-        // Fault hooks on the outbound path: an output-queue freeze at the
-        // source NI delays entry to the mesh; then the link verdict may
-        // delay further (transient stall, hop spike) or hold the message
-        // entirely (scripted outage — re-offered later, not progress).
-        let mut at = at;
-        if let Some(inj) = self.injector.as_mut() {
-            if let Some(resume) = inj.ni_freeze(at, msg.src.0, NiDir::Out) {
-                at = resume;
-            }
-            match inj.link_verdict(at, msg.src.0, msg.dst.0) {
-                LinkVerdict::Clear => {}
-                LinkVerdict::Delay(d) => at += d,
-                LinkVerdict::Hold { resume } => {
-                    self.push_origin(msg.src.0, resume, Ev::NetSend { msg });
-                    return;
+        self.timed(HostSeg::Net, |m| {
+            // Fault hooks on the outbound path: an output-queue freeze at
+            // the source NI delays entry to the mesh; then the link
+            // verdict may delay further (transient stall, hop spike) or
+            // hold the message entirely (scripted outage — re-offered
+            // later, not progress).
+            let mut at = at;
+            if let Some(inj) = m.injector.as_mut() {
+                if let Some(resume) = inj.ni_freeze(at, msg.src.0, NiDir::Out) {
+                    at = resume;
+                }
+                match inj.link_verdict(at, msg.src.0, msg.dst.0) {
+                    LinkVerdict::Clear => {}
+                    LinkVerdict::Delay(d) => at += d,
+                    LinkVerdict::Hold { resume } => {
+                        m.push_origin(msg.src.0, resume, Ev::NetSend { msg });
+                        return;
+                    }
                 }
             }
-        }
-        let arrival = self.net.send(at, msg.src, msg.dst);
-        // Observed mode: source-side holds (fault layer) count as
-        // NI-wait, the hop itself as mesh transit, charged to whichever
-        // of the requester and the destination the observer tracks.
-        if let Some(obs) = self.observe.as_deref_mut() {
-            if continues_request(msg.mtype) {
-                let cands = [Some(aux::requester(msg.aux).0), Some(msg.dst.0)];
-                let line = msg.addr.line().raw();
-                if let Some(c) = pending_cand(obs, cands, line) {
-                    obs.net_hop((c, line), at, arrival);
-                }
+            let arrival = m.net.send(at, msg.src, msg.dst);
+            if let Some(obs) = m.observe.as_deref_mut() {
+                obs.sent(&msg, at, arrival);
             }
-        }
-        self.push_origin(
-            msg.src.0,
-            arrival + self.cfg.lat.ni_in,
-            Ev::MagicIn { msg, net: true },
-        );
+            m.push_origin(
+                msg.src.0,
+                arrival + m.cfg.lat.ni_in,
+                Ev::MagicIn { msg, net: true },
+            );
+        })
     }
 
     /// Delivers a MAGIC→processor message: the processor applies it
@@ -1042,15 +788,9 @@ impl Machine {
     fn ev_proc_deliver(&mut self, node: u16, pm: ProcMsg, tries: u32) -> Option<(Cycle, u64)> {
         let now = self.cur_t;
         let lat = self.cfg.lat;
-        let key = (node, pm.addr.line().raw());
         let is_reply = matches!(pm.mtype, MsgType::PPut | MsgType::PPutX | MsgType::PUpgAck);
-        // Observed mode: the reply reaching the processor closes the
-        // tracked request (before its freed MSHR may re-issue on this
-        // line).
-        if is_reply {
-            if let Some(obs) = self.observe.as_deref_mut() {
-                obs.complete(key, now);
-            }
+        if let Some(obs) = self.observe.as_deref_mut() {
+            obs.delivering(node, &pm, now);
         }
         let mut outs = std::mem::take(&mut self.cpu_outs);
         outs.clear();
@@ -1070,25 +810,14 @@ impl Machine {
         if is_reply {
             return self.wake_if_waiting(node, now);
         }
+        if let Some(obs) = self.observe.as_deref_mut() {
+            obs.delivered(node, &pm, now);
+        }
+        if let Some(c) = self.check.as_mut() {
+            c.delivered(node, pm.mtype, pm.addr.line().raw());
+        }
         match pm.mtype {
-            MsgType::PInval => {
-                if let Some(c) = self.check.as_mut() {
-                    settle(&mut c.inflight_invals, key);
-                    // An invalidation reaching this copy discharges any
-                    // provisional rogue-copy observation: the self-repair
-                    // completed.
-                    c.provisional_rogues.remove(&key);
-                }
-            }
             MsgType::PIntervGet | MsgType::PIntervGetX => {
-                // Observed mode: the requester's frontier waited out the
-                // owner's bus transaction (deferrals included) — PI time.
-                if let Some(obs) = self.observe.as_deref_mut() {
-                    obs.advance((aux::requester(pm.aux).0, key.1), now, Segment::Pi);
-                }
-                if let Some(c) = self.check.as_mut() {
-                    settle(&mut c.inflight_intervs, key);
-                }
                 let found = reply == BusReply::IntervReply;
                 let (mtype, delay) = if found {
                     (MsgType::PiIntervReply, lat.cache_data)
@@ -1102,11 +831,6 @@ impl Machine {
                 );
             }
             MsgType::PNackRetry => {
-                // Observed mode: the NACK round trip ends on the
-                // requester's bus; the retry gap is PI time.
-                if let Some(obs) = self.observe.as_deref_mut() {
-                    obs.advance(key, now, Segment::Pi);
-                }
                 // Bus retry: the miss was already detected, so only the
                 // retry delay plus bus/PI path applies.
                 if let BusReply::Retry(o) = reply {
@@ -1226,7 +950,7 @@ impl Machine {
             done: 0,
             finish: vec![Cycle::ZERO; n],
             interv_deferrals: 0,
-            check: cfg.check.then(CheckCtx::default),
+            check: cfg.check.then(|| Checker::new(cfg.mshrs)),
             ring: MsgRing::new(RING_CAPACITY),
             last_progress: Cycle::ZERO,
             observe,
@@ -1326,7 +1050,23 @@ impl Machine {
                 stuck: self.procs.len() - self.done,
             },
             DriveEnd::Completed => {
-                self.finalize_check();
+                if let Some(mut c) = self.check.take() {
+                    c.quiesce(&Nodes(self), self.now);
+                    // The MAGIC cache tag stores must be consistent too.
+                    for chip in &self.chips {
+                        if let Some(Err(detail)) = chip.mdc().map(|mdc| mdc.audit()) {
+                            let node = chip.node().0;
+                            let kind = "mdc-integrity";
+                            c.record(Violation {
+                                kind,
+                                node,
+                                line: 0,
+                                detail,
+                            });
+                        }
+                    }
+                    self.check = Some(c);
+                }
                 RunResult::Completed {
                     exec_cycles: self.exec_cycles(),
                 }
@@ -1342,16 +1082,8 @@ impl Machine {
     ///
     /// [`MachineConfig::with_observe`]: crate::MachineConfig::with_observe
     pub fn observe_report(&self) -> Option<ObserveReport> {
-        let obs = self.observe.as_ref()?;
-        let mut handlers: std::collections::BTreeMap<&'static str, (u64, u64)> = Default::default();
-        for chip in &self.chips {
-            for (&name, &(n, cyc)) in &chip.stats().handlers {
-                let e = handlers.entry(name).or_insert((0, 0));
-                e.0 += n;
-                e.1 += cyc;
-            }
-        }
-        Some(obs.report(&handlers))
+        let handlers = self.chips.iter().flat_map(|c| &c.stats().handlers);
+        Some(self.observe.as_ref()?.report(handlers))
     }
 
     /// The event trace as Chrome `trace_event` JSON (`None` unless
@@ -1399,120 +1131,15 @@ impl Machine {
     /// (coherence, directory audits, conservation) plus every chip's
     /// differential-oracle divergences. Empty on a healthy checked run —
     /// and always empty when checked mode is off.
-    pub fn check_violations(&self) -> Vec<flash_check::Violation> {
-        let mut out: Vec<flash_check::Violation> = self
+    pub fn check_violations(&self) -> Vec<Violation> {
+        let mut out = self
             .check
             .as_ref()
-            .map(|c| c.violations.clone())
-            .unwrap_or_default();
+            .map_or_else(Vec::new, |c| c.violations().to_vec());
         for chip in &self.chips {
             out.extend(chip.oracle_violations().iter().cloned());
         }
         out
-    }
-
-    /// End-of-run audits, called once the machine is quiescent (all
-    /// processors done, event queues drained): every touched line must
-    /// have retired its transactions (no `PENDING`, no residual acks,
-    /// caches and directory in agreement), every MSHR must have drained,
-    /// each node's pointer store must conserve entries, and the MAGIC
-    /// cache tag stores must be internally consistent.
-    fn finalize_check(&mut self) {
-        let Some(mut check) = self.check.take() else {
-            return;
-        };
-        let touched: Vec<u64> = check.touched.iter().copied().collect();
-        let now = self.now;
-        for &raw in &touched {
-            let line = Addr::new(raw);
-            let home = self.cfg.placement.home_of(line, self.cfg.nodes);
-            let da = dir_addr(line);
-            let mem = self.chips[home.index()].proto_mem();
-            check
-                .violations
-                .extend(flash_check::audit_directory(mem, da, home.0, true));
-            check_line_at(&self.cfg, &mut check, line, now, &self.procs, &self.chips);
-        }
-        for (i, p) in self.procs.iter().enumerate() {
-            let n = p.outstanding_misses();
-            if n != 0 {
-                check.violations.push(flash_check::Violation {
-                    kind: "mshr-leak",
-                    node: i as u16,
-                    line: 0,
-                    detail: format!("{n} MSHRs still allocated at quiescence"),
-                });
-            }
-        }
-        // Message conservation: every scheduled `PInval` must have been
-        // delivered by the time the event queue drains. Sorted for
-        // deterministic output.
-        let mut leaked: Vec<((u16, u64), u32)> = check
-            .inflight_invals
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect();
-        leaked.sort_unstable();
-        for ((node, l), n) in leaked {
-            check.violations.push(flash_check::Violation {
-                kind: "inval-leak",
-                node,
-                line: l,
-                detail: format!("{n} PInval(s) still queued at quiescence"),
-            });
-        }
-        let mut leaked_intervs: Vec<((u16, u64), u32)> = check
-            .inflight_intervs
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect();
-        leaked_intervs.sort_unstable();
-        for ((node, l), n) in leaked_intervs {
-            check.violations.push(flash_check::Violation {
-                kind: "interv-leak",
-                node,
-                line: l,
-                detail: format!("{n} bus intervention(s) still queued at quiescence"),
-            });
-        }
-        // Provisional rogue-copy observations had to be repaired by an
-        // invalidation before quiescence; any survivor is a real
-        // coherence violation (a rogue copy the protocol never cleaned
-        // up). Sorted for deterministic output.
-        let mut stale: Vec<(Cycle, flash_check::Violation)> =
-            check.provisional_rogues.drain().map(|(_, v)| v).collect();
-        stale.sort_by_key(|(at, v)| (*at, v.node, v.line));
-        for (at, mut v) in stale {
-            v.detail = format!("{} (observed at cycle {at}, never invalidated)", v.detail);
-            check.violations.push(v);
-        }
-        for node in 0..self.cfg.nodes {
-            let diraddrs: Vec<u64> = touched
-                .iter()
-                .filter(|&&l| self.cfg.placement.home_of(Addr::new(l), self.cfg.nodes).0 == node)
-                .map(|&l| dir_addr(Addr::new(l)))
-                .collect();
-            let mem = self.chips[node as usize].proto_mem();
-            check.violations.extend(flash_check::check_pointer_store(
-                mem,
-                diraddrs.iter(),
-                flash_protocol::dir::DEFAULT_PS_CAPACITY,
-                node,
-            ));
-        }
-        for chip in &self.chips {
-            if let Some(mdc) = chip.mdc() {
-                if let Err(e) = mdc.audit() {
-                    check.violations.push(flash_check::Violation {
-                        kind: "mdc-integrity",
-                        node: chip.node().0,
-                        line: 0,
-                        detail: e,
-                    });
-                }
-            }
-        }
-        self.check = Some(check);
     }
 
     /// Latest processor finish time.
@@ -1578,19 +1205,11 @@ impl Machine {
         for (_, ev) in self.queue.iter() {
             match ev {
                 Ev::ProcRun(_) | Ev::Arrival { .. } => {}
-                Ev::MagicIn { msg, .. } => {
-                    inbox_queued[msg.dst.index()] += 1;
-                    suspects.insert(msg.addr.line().raw());
-                }
-                Ev::ProcDeliver { node, pm, .. } => {
-                    proc_queued[*node as usize] += 1;
-                    suspects.insert(pm.addr.line().raw());
-                }
-                Ev::NetSend { msg } => {
-                    net_held[msg.src.index()] += 1;
-                    suspects.insert(msg.addr.line().raw());
-                }
+                Ev::MagicIn { msg, .. } => inbox_queued[msg.dst.index()] += 1,
+                Ev::ProcDeliver { node, .. } => proc_queued[*node as usize] += 1,
+                Ev::NetSend { msg } => net_held[msg.src.index()] += 1,
             }
+            suspects.extend(ev.line());
         }
         let nodes: Vec<NodeWedge> = (0..n)
             .map(|i| {

@@ -39,7 +39,9 @@
 //! observer on and off, for both controller kinds.
 
 use flash_engine::{Cycle, FastMap, LatencySplit, LogHist, Segment, SEGMENT_COUNT};
-use flash_magic::{ObsInvocation, ObsParts, ReadClass};
+use flash_magic::{Emission, MagicScratch, ObsParts, ReadClass};
+use flash_protocol::fields::aux;
+use flash_protocol::{Msg, MsgType, ProcMsg};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Default capacity of the trace ring: oldest events are dropped beyond
@@ -151,40 +153,9 @@ impl Observer {
         }
     }
 
-    /// Starts tracking a request issued by `node` for `line` at `issue`.
-    pub fn begin(&mut self, node: u16, line: u64, issue: Cycle, kind: ReqKind) {
-        self.requests += 1;
-        if self
-            .pending
-            .insert(
-                (node, line),
-                PendingReq {
-                    issue,
-                    frontier: issue,
-                    segs: [0; SEGMENT_COUNT],
-                    class: None,
-                    kind,
-                },
-            )
-            .is_some()
-        {
-            self.replaced += 1;
-        }
-    }
-
-    /// Records the home node's Table 3.3 classification for a tracked
-    /// read.
-    pub fn note_class(&mut self, key: (u16, u64), class: ReadClass) {
-        if let Some(r) = self.pending.get_mut(&key) {
-            if r.class.is_none() {
-                r.class = Some(class);
-            }
-        }
-    }
-
     /// Advances a request's frontier to `now`, charging the gap to `seg`.
     /// No-op for unknown keys or when `now` is not ahead of the frontier.
-    pub fn advance(&mut self, key: (u16, u64), now: Cycle, seg: Segment) {
+    fn advance(&mut self, key: (u16, u64), now: Cycle, seg: Segment) {
         if let Some(r) = self.pending.get_mut(&key) {
             if now > r.frontier {
                 r.segs[seg.index()] += now - r.frontier;
@@ -193,18 +164,13 @@ impl Observer {
         }
     }
 
-    /// Whether `key` identifies an in-flight tracked request.
-    pub fn is_pending(&self, key: (u16, u64)) -> bool {
-        self.pending.contains_key(&key)
-    }
-
     /// Applies a chip's exact per-emission decomposition: the frontier
     /// must already stand at the chip arrival time (the caller advanced
     /// it when the message reached the inbox), and `em_at − frontier ==
     /// parts.total()` holds by the chip's invariant. `net` selects where
     /// the outbound cycles land: NI-out for network emissions, PI for
     /// processor emissions.
-    pub fn apply_parts(&mut self, key: (u16, u64), em_at: Cycle, parts: &ObsParts, net: bool) {
+    fn apply_parts(&mut self, key: (u16, u64), em_at: Cycle, parts: &ObsParts, net: bool) {
         if let Some(r) = self.pending.get_mut(&key) {
             r.segs[Segment::InboxWait.index()] += parts.inbox + parts.wait;
             r.segs[Segment::Handler.index()] += parts.occ;
@@ -219,52 +185,6 @@ impl Observer {
             }
             r.frontier = r.frontier.max(em_at);
         }
-    }
-
-    /// Charges a network hop for a message known to continue a tracked
-    /// request: source-side delay (fault holds) to NI-wait, then the mesh
-    /// transit to mesh.
-    pub fn net_hop(&mut self, key: (u16, u64), depart: Cycle, arrive: Cycle) {
-        self.advance(key, depart, Segment::NiWait);
-        self.advance(key, arrive, Segment::Mesh);
-    }
-
-    /// Completes a tracked request at `now` (reply delivered to the
-    /// processor): the final frontier gap is charged to the PI bucket,
-    /// the row and latency histogram are updated, and a `request` trace
-    /// slice is emitted.
-    pub fn complete(&mut self, key: (u16, u64), now: Cycle) {
-        let Some(mut r) = self.pending.remove(&key) else {
-            return;
-        };
-        if now > r.frontier {
-            r.segs[Segment::Pi.index()] += now - r.frontier;
-        }
-        let total: u64 = r.segs.iter().sum();
-        if total != now - r.issue {
-            self.sum_mismatches += 1;
-        }
-        self.completed += 1;
-        self.rows[row_index(r.kind, r.class)].record(r.segs);
-        self.lat[row_index(r.kind, r.class)].record(total);
-        self.push_slice(TraceSlice {
-            name: ROW_NAMES[row_index(r.kind, r.class)],
-            cat: "request",
-            ts: r.issue.raw(),
-            dur: total,
-            tid: key.0,
-        });
-    }
-
-    /// Emits a `handler` trace slice for one chip invocation.
-    pub fn trace_handler(&mut self, node: u16, inv: &ObsInvocation) {
-        self.push_slice(TraceSlice {
-            name: inv.handler,
-            cat: "handler",
-            ts: inv.start.raw(),
-            dur: inv.occupied,
-            tid: node,
-        });
     }
 
     fn push_slice(&mut self, s: TraceSlice) {
@@ -285,9 +205,13 @@ impl Observer {
         (self.requests, self.completed, self.pending.len() as u64)
     }
 
-    /// Builds the structured report. `handlers` is the per-handler
-    /// `(invocations, occupancy cycles)` aggregation from the chips.
-    pub fn report(&self, handlers: &BTreeMap<&'static str, (u64, u64)>) -> ObserveReport {
+    /// Builds the structured report. `handlers` yields per-handler
+    /// `(invocations, occupancy cycles)`, summed by name (every chip's
+    /// rows, for a machine-wide report).
+    pub fn report<'a>(
+        &self,
+        handlers: impl IntoIterator<Item = (&'a &'static str, &'a (u64, u64))>,
+    ) -> ObserveReport {
         let rows = ROW_NAMES
             .iter()
             .zip(self.rows.iter())
@@ -347,6 +271,211 @@ impl Observer {
         }
         s.push_str("\n]}\n");
         s
+    }
+}
+
+/// Message-level hooks: the machine reports each message once, and the
+/// observer decides which tracked request, if any, it continues.
+impl Observer {
+    /// A processor request for `line` left `node`'s processor at `t`: a
+    /// miss (`PiGet`, `PiGetX`, `PiUpgrade`) starts a tracked request.
+    pub fn issued(&mut self, node: u16, mtype: MsgType, line: u64, t: Cycle) {
+        let kind = match mtype {
+            MsgType::PiGet => ReqKind::Read,
+            MsgType::PiGetX => ReqKind::Write,
+            MsgType::PiUpgrade => ReqKind::Upgrade,
+            _ => return,
+        };
+        self.requests += 1;
+        let r = PendingReq {
+            issue: t,
+            frontier: t,
+            segs: [0; SEGMENT_COUNT],
+            class: None,
+            kind,
+        };
+        if self.pending.insert((node, line), r).is_some() {
+            self.replaced += 1;
+        }
+    }
+
+    /// `msg` reached the inbox of `msg.dst` at `now`: the tracked request
+    /// it continues advances its frontier to the arrival. Returns that
+    /// request's key for [`Observer::handled`].
+    pub fn arrived(&mut self, msg: &Msg, now: Cycle) -> Option<(u16, u64)> {
+        let (cands, seg) = arrival_cands(msg)?;
+        let key = self.tracked(cands, msg.addr.line().raw())?;
+        self.advance(key, now, seg);
+        Some(key)
+    }
+
+    /// The chip at `node` processed a message into `emissions`: records
+    /// the handler invocation and, for the tracked request `key` the
+    /// message continued ([`Observer::arrived`]), the home's read class
+    /// and the continuing emission's exact decomposition.
+    pub fn handled(
+        &mut self,
+        node: u16,
+        key: Option<(u16, u64)>,
+        class: Option<ReadClass>,
+        scratch: &MagicScratch,
+        emissions: &[Emission],
+    ) {
+        if let Some(inv) = scratch.obs_invocation() {
+            self.push_slice(TraceSlice {
+                name: inv.handler,
+                cat: "handler",
+                ts: inv.start.raw(),
+                dur: inv.occupied,
+                tid: node,
+            });
+        }
+        let Some(key) = key else {
+            return;
+        };
+        if let (Some(r), Some(class)) = (self.pending.get_mut(&key), class) {
+            r.class = r.class.or(Some(class));
+        }
+        if let Some(ei) = emissions
+            .iter()
+            .position(|em| emission_continues(em, key, node))
+        {
+            let em = &emissions[ei];
+            let net = matches!(em, Emission::Net { .. });
+            self.apply_parts(key, em.at(), &scratch.obs_parts()[ei], net);
+        }
+    }
+
+    /// `msg` entered the mesh at `depart` and reaches its destination NI
+    /// at `arrive`. If it continues a tracked request (of the requester
+    /// or the destination), source-side holds (fault layer) count as
+    /// NI-wait and the hop as mesh transit.
+    pub fn sent(&mut self, msg: &Msg, depart: Cycle, arrive: Cycle) {
+        if !continues_request(msg.mtype) {
+            return;
+        }
+        let cands = [Some(aux::requester(msg.aux).0), Some(msg.dst.0)];
+        if let Some(key) = self.tracked(cands, msg.addr.line().raw()) {
+            self.advance(key, depart, Segment::NiWait);
+            self.advance(key, arrive, Segment::Mesh);
+        }
+    }
+
+    /// MAGIC delivers `pm` to `node`'s processor at `now`: a reply
+    /// (`PPut`, `PPutX`, `PUpgAck`) completes the tracked request. The
+    /// last frontier gap is PI time; the row, the latency histogram and a
+    /// `request` trace slice record it. Call it before the processor
+    /// applies the message, whose freed MSHR may re-issue on the line.
+    pub fn delivering(&mut self, node: u16, pm: &ProcMsg, now: Cycle) {
+        if !matches!(pm.mtype, MsgType::PPut | MsgType::PPutX | MsgType::PUpgAck) {
+            return;
+        }
+        let Some(mut r) = self.pending.remove(&(node, pm.addr.line().raw())) else {
+            return;
+        };
+        if now > r.frontier {
+            r.segs[Segment::Pi.index()] += now - r.frontier;
+        }
+        let total: u64 = r.segs.iter().sum();
+        if total != now - r.issue {
+            self.sum_mismatches += 1;
+        }
+        self.completed += 1;
+        let row = row_index(r.kind, r.class);
+        self.rows[row].record(r.segs);
+        self.lat[row].record(total);
+        self.push_slice(TraceSlice {
+            name: ROW_NAMES[row],
+            cat: "request",
+            ts: r.issue.raw(),
+            dur: total,
+            tid: node,
+        });
+    }
+
+    /// `node`'s processor applied the non-reply `pm` at `now` (not
+    /// deferred): an intervention's requester waited out the owner's bus
+    /// transaction, deferrals included, and a NACK's requester its retry
+    /// round trip. Both are PI time.
+    pub fn delivered(&mut self, node: u16, pm: &ProcMsg, now: Cycle) {
+        let requester = match pm.mtype {
+            MsgType::PIntervGet | MsgType::PIntervGetX => aux::requester(pm.aux).0,
+            MsgType::PNackRetry => node,
+            _ => return,
+        };
+        self.advance((requester, pm.addr.line().raw()), now, Segment::Pi);
+    }
+
+    /// The first candidate requester whose request on `line` is tracked.
+    fn tracked(&self, cands: [Option<u16>; 2], line: u64) -> Option<(u16, u64)> {
+        cands
+            .into_iter()
+            .flatten()
+            .map(|c| (c, line))
+            .find(|key| self.pending.contains_key(key))
+    }
+}
+
+/// The requester candidates (and charged segment) a message arriving at
+/// the inbox of `msg.dst` may belong to; [`Observer::tracked`] picks the
+/// one being tracked.
+///
+/// Requests and forwards carry the requester in their aux field; replies
+/// from third-party owners carry the responder, so replies also try the
+/// receiving node (replies terminate at the requester's own chip).
+/// Messages that never continue a request path (invals, acks,
+/// writebacks, sharing writebacks) resolve to `None`. The frontier gap
+/// is charged to PI for bus-side messages, mesh for network-side (which
+/// folds the receiving NI input stage into mesh transit).
+fn arrival_cands(msg: &Msg) -> Option<([Option<u16>; 2], Segment)> {
+    match msg.mtype {
+        MsgType::PiGet | MsgType::PiGetX | MsgType::PiUpgrade => {
+            Some(([Some(msg.src.0), None], Segment::Pi))
+        }
+        MsgType::PiIntervReply | MsgType::PiIntervMiss => {
+            Some(([Some(aux::requester(msg.aux).0), None], Segment::Pi))
+        }
+        t if continues_request(t) => {
+            let reply = t.is_reply_class() || t == MsgType::NIntervMiss;
+            Some((
+                [Some(aux::requester(msg.aux).0), reply.then_some(msg.dst.0)],
+                Segment::Mesh,
+            ))
+        }
+        _ => None,
+    }
+}
+
+/// Whether a network message of type `t` continues a request path: the
+/// requests and forwards, which carry the requester, and the replies to
+/// them.
+fn continues_request(t: MsgType) -> bool {
+    use MsgType::*;
+    matches!(
+        t,
+        NGet | NGetX | NUpgrade | NFwdGet | NFwdGetX | NPut | NPutX | NUpgAck | NNack | NIntervMiss
+    )
+}
+
+/// Whether a chip emission at `node` continues the tracked request `key`
+/// (the first match takes the per-emission attribution).
+fn emission_continues(em: &Emission, key: (u16, u64), node: u16) -> bool {
+    match em {
+        Emission::Proc { msg: pm, .. } => {
+            pm.addr.line().raw() == key.1
+                && match pm.mtype {
+                    MsgType::PPut | MsgType::PPutX | MsgType::PUpgAck | MsgType::PNackRetry => {
+                        key.0 == node
+                    }
+                    MsgType::PIntervGet | MsgType::PIntervGetX => aux::requester(pm.aux).0 == key.0,
+                    _ => false,
+                }
+        }
+        Emission::Net { msg: m, .. } => {
+            m.addr.line().raw() == key.1
+                && continues_request(m.mtype)
+                && (aux::requester(m.aux).0 == key.0 || m.dst.0 == key.0)
+        }
     }
 }
 
@@ -616,13 +745,25 @@ impl Observer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flash_engine::Addr;
+
+    /// Delivers a `PPut` for `line` to `node` at cycle `at`.
+    fn reply(o: &mut Observer, node: u16, line: u64, at: u64) {
+        let pm = ProcMsg {
+            mtype: MsgType::PPut,
+            addr: Addr::new(line),
+            aux: 0,
+            with_data: true,
+        };
+        o.delivering(node, &pm, Cycle::new(at));
+    }
 
     #[test]
     fn frontier_sums_are_exact_by_construction() {
         let mut o = Observer::new(vec!["h"]);
-        o.begin(0, 0x80, Cycle::new(10), ReqKind::Read);
+        o.issued(0, MsgType::PiGet, 0x80, Cycle::new(10));
         o.advance((0, 0x80), Cycle::new(17), Segment::Pi);
-        o.note_class((0, 0x80), ReadClass::LocalClean);
+        o.pending.get_mut(&(0, 0x80)).unwrap().class = Some(ReadClass::LocalClean);
         let parts = ObsParts {
             inbox: 3,
             wait: 0,
@@ -632,8 +773,8 @@ mod tests {
         };
         // Chip arrival at 17, emission at 17 + 21 = 38.
         o.apply_parts((0, 0x80), Cycle::new(38), &parts, false);
-        o.complete((0, 0x80), Cycle::new(38));
-        let report = o.report(&BTreeMap::new());
+        reply(&mut o, 0, 0x80, 38);
+        let report = o.report([]);
         assert_eq!(report.sum_mismatches, 0);
         assert_eq!(report.completed, 1);
         let row = report.class_row(ReadClass::LocalClean);
@@ -645,7 +786,7 @@ mod tests {
     #[test]
     fn mismatched_parts_are_counted_not_hidden() {
         let mut o = Observer::new(vec![]);
-        o.begin(0, 0x80, Cycle::new(0), ReqKind::Write);
+        o.issued(0, MsgType::PiGetX, 0x80, Cycle::new(0));
         let parts = ObsParts {
             inbox: 1,
             wait: 0,
@@ -655,8 +796,8 @@ mod tests {
         };
         // Claimed emission time disagrees with parts.total().
         o.apply_parts((0, 0x80), Cycle::new(5), &parts, true);
-        o.complete((0, 0x80), Cycle::new(5));
-        let report = o.report(&BTreeMap::new());
+        reply(&mut o, 0, 0x80, 5);
+        let report = o.report([]);
         assert!(report.sum_mismatches > 0);
     }
 
@@ -681,8 +822,8 @@ mod tests {
     #[test]
     fn report_json_has_schema_and_all_rows() {
         let mut o = Observer::new(vec!["pi_get_local", "n_get"]);
-        o.begin(1, 0x100, Cycle::new(0), ReqKind::Upgrade);
-        o.complete((1, 0x100), Cycle::new(40));
+        o.issued(1, MsgType::PiUpgrade, 0x100, Cycle::new(0));
+        reply(&mut o, 1, 0x100, 40);
         let mut handlers = BTreeMap::new();
         handlers.insert("pi_get_local", (3u64, 33u64));
         let r = o.report(&handlers);

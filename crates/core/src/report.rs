@@ -145,6 +145,8 @@ impl MachineReport {
         let mut pp_occ = Vec::new();
         let mut mem_occ = Vec::new();
         let mut mdc = MdcSummary::default();
+        let (mut mdc_rh, mut mdc_rm) = (0u64, 0u64);
+        let (mut inbox_wait, mut msgs) = (0u64, 0u64);
         for c in m.chips() {
             let s = c.stats();
             let rc = s.read_class;
@@ -164,34 +166,23 @@ impl MachineReport {
             pp_occ.push(c.pp_occupancy(end));
             mem_occ.push(c.memory().occupancy(end));
             mdc.stall_cycles += s.mdc_stall_cycles;
+            inbox_wait += s.inbox_wait_cycles;
+            msgs += s.messages;
             if let Some(cache) = c.mdc() {
-                let acc = cache.read_hits()
+                mdc_rh += cache.read_hits();
+                mdc_rm += cache.read_misses();
+                mdc.accesses += cache.read_hits()
                     + cache.read_misses()
                     + cache.write_hits()
                     + cache.write_misses();
-                let miss = cache.read_misses() + cache.write_misses();
-                mdc.accesses += acc;
-                mdc.misses += miss;
+                mdc.misses += cache.read_misses() + cache.write_misses();
             }
         }
         if mdc.accesses > 0 {
             mdc.miss_rate = mdc.misses as f64 / mdc.accesses as f64;
-            let (mut rh, mut rm) = (0u64, 0u64);
-            for c in m.chips() {
-                if let Some(cache) = c.mdc() {
-                    rh += cache.read_hits();
-                    rm += cache.read_misses();
-                }
+            if mdc_rh + mdc_rm > 0 {
+                mdc.read_miss_rate = mdc_rm as f64 / (mdc_rh + mdc_rm) as f64;
             }
-            if rh + rm > 0 {
-                mdc.read_miss_rate = rm as f64 / (rh + rm) as f64;
-            }
-        }
-        let mut inbox_wait = 0u64;
-        let mut msgs = 0u64;
-        for c in m.chips() {
-            inbox_wait += c.stats().inbox_wait_cycles;
-            msgs += c.stats().messages;
         }
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
         let max = |v: &[f64]| v.iter().cloned().fold(0.0f64, f64::max);
