@@ -17,14 +17,16 @@
 //!
 //! Each in-flight request is a `PendingReq` keyed by
 //! `(requester node, line address)` with an *attribution frontier* — the
-//! latest simulation time already accounted for. Every event the machine
-//! can associate with the request advances the frontier and charges the
-//! gap to exactly one segment; the MAGIC chip contributes exact
-//! per-emission [`ObsParts`] for the time spent inside it. Because every
-//! charge is a frontier gap, the segments of a completed request sum to
-//! its end-to-end latency *by construction* — the sums-to-total guarantee
-//! does not depend on the protocol path taken (NACKs, retries, deferred
-//! interventions, and fault-injected stalls included).
+//! latest simulation time already accounted for. Every message the
+//! machine reports (`issued`, `arrived`, `handled`, `sent`, `delivering`,
+//! `delivered`) that the observer can associate with the request advances
+//! the frontier and charges the gap to exactly one segment; the MAGIC
+//! chip contributes exact per-emission [`ObsParts`] for the time spent
+//! inside it. Because every charge is a frontier gap, the segments of a
+//! completed request sum to its end-to-end latency *by construction* —
+//! the sums-to-total guarantee does not depend on the protocol path
+//! taken (NACKs, retries, deferred interventions, and fault-injected
+//! stalls included).
 //!
 //! On contended lines an event can occasionally be matched to the wrong
 //! same-line request, moving cycles between buckets of two requests; the
@@ -193,16 +195,6 @@ impl Observer {
             self.trace_dropped += 1;
         }
         self.trace.push_back(s);
-    }
-
-    /// The trace ring contents, oldest first.
-    pub fn trace(&self) -> impl Iterator<Item = &TraceSlice> {
-        self.trace.iter()
-    }
-
-    /// Requests begun, requests completed, requests still pending.
-    pub fn counts(&self) -> (u64, u64, u64) {
-        (self.requests, self.completed, self.pending.len() as u64)
     }
 
     /// Builds the structured report. `handlers` yields per-handler
