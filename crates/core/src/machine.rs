@@ -1055,11 +1055,9 @@ impl Machine {
                     // The MAGIC cache tag stores must be consistent too.
                     for chip in &self.chips {
                         if let Some(Err(detail)) = chip.mdc().map(|mdc| mdc.audit()) {
-                            let node = chip.node().0;
-                            let kind = "mdc-integrity";
                             c.record(Violation {
-                                kind,
-                                node,
+                                kind: "mdc-integrity",
+                                node: chip.node().0,
                                 line: 0,
                                 detail,
                             });
