@@ -34,6 +34,17 @@ fn banner(title: &str) {
     println!("================================================================");
 }
 
+/// A signed change in percent, to one decimal; a value that rounds to
+/// zero prints unsigned, `0.0%`, from whichever side it came.
+fn signed_pct(v: f64) -> String {
+    let s = format!("{v:+.1}%");
+    if &s[1..] == "0.0%" {
+        s[1..].to_string()
+    } else {
+        s
+    }
+}
+
 /// Every artifact by name, in `repro_all`'s output order.
 pub const ARTIFACTS: [(&str, fn()); 17] = [
     ("table_3_2", table_3_2),
@@ -394,7 +405,7 @@ fn figure_runs(cache_bytes: u64, title: &str) {
         let c = compare(&f, &i);
         rows.push(vec![
             String::new(),
-            format!("FLASH {:+.1}% over ideal", c.slowdown_pct),
+            format!("FLASH {} over ideal", signed_pct(c.slowdown_pct)),
             String::new(),
             String::new(),
             String::new(),
@@ -567,8 +578,8 @@ pub fn sec_4_3_hotspot() {
         .collect();
     let gap = runs[0].1.exec_cycles as f64 / runs[1].1.exec_cycles.max(1) as f64 - 1.0;
     println!(
-        "FFT-on-node-0: FLASH {:+.1}% over ideal (paper: 2.6% despite 81.6% PP occupancy,\n  because node 0's memory occupancy was also high at 67.7%)",
-        gap * 100.0
+        "FFT-on-node-0: FLASH {} over ideal (paper: 2.6% despite 81.6% PP occupancy,\n  because node 0's memory occupancy was also high at 67.7%)",
+        signed_pct(gap * 100.0)
     );
 
     // The original (first-node) IRIX port: high PP occupancy with LOW
@@ -587,8 +598,8 @@ pub fn sec_4_3_hotspot() {
     });
     let c = compare(&f, &i);
     println!(
-        "OS original port (first-node pages): FLASH {:+.1}% over ideal;\n  max PP occ {} vs max mem occ {} (paper: 29% degradation, 81% PP vs 33% mem)",
-        c.slowdown_pct,
+        "OS original port (first-node pages): FLASH {} over ideal;\n  max PP occ {} vs max mem occ {} (paper: 29% degradation, 81% PP vs 33% mem)",
+        signed_pct(c.slowdown_pct),
         pct(f.pp_occupancy.1),
         pct(f.mem_occupancy.1)
     );
@@ -655,7 +666,7 @@ pub fn sec_4_5_scale64() {
             app.to_string(),
             c.flash_cycles.to_string(),
             c.ideal_cycles.to_string(),
-            format!("{:+.1}%", c.slowdown_pct),
+            signed_pct(c.slowdown_pct),
             match app {
                 "FFT" => "17%".to_string(),
                 "Ocean" => "12%".to_string(),
@@ -681,7 +692,7 @@ pub fn sec_4_5_scale64() {
         "FFT (scaled data)".into(),
         c.flash_cycles.to_string(),
         c.ideal_cycles.to_string(),
-        format!("{:+.1}%", c.slowdown_pct),
+        signed_pct(c.slowdown_pct),
         "12%".into(),
     ]);
     println!(
@@ -731,7 +742,7 @@ pub fn table_5_1() {
             rows.push(vec![
                 format!("{app} @ {label}"),
                 pct(on.useless_spec_fraction()),
-                format!("{:+.1}%", slowdown * 100.0),
+                signed_pct(slowdown * 100.0),
             ]);
         }
     }
@@ -1021,13 +1032,13 @@ pub fn sec_5_3_ppext() {
         if d > maxd.0 {
             maxd = (d, app);
         }
-        rows.push(vec![app.to_string(), format!("{:+.1}%", d * 100.0)]);
+        rows.push(vec![app.to_string(), signed_pct(d * 100.0)]);
     }
     println!("{}", format_table(&["App", "Degradation"], &rows));
     println!(
-        "average {:+.1}%, maximum {:+.1}% ({}) — paper: average 40%, maximum 137% (MP3D)",
-        total / apps.len() as f64 * 100.0,
-        maxd.0 * 100.0,
+        "average {}, maximum {} ({}) — paper: average 40%, maximum 137% (MP3D)",
+        signed_pct(total / apps.len() as f64 * 100.0),
+        signed_pct(maxd.0 * 100.0),
         maxd.1
     );
 }
@@ -1119,7 +1130,7 @@ pub fn ablations() {
         rows.push(vec![
             name.clone(),
             cycles.to_string(),
-            format!("{:+.1}%", (cycles as f64 / base as f64 - 1.0) * 100.0),
+            signed_pct((cycles as f64 / base as f64 - 1.0) * 100.0),
         ]);
     }
 
